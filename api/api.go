@@ -118,11 +118,12 @@ type Program struct {
 	// statistics; the choice still keys the compile cache, because a
 	// cached Compiled carries its backend's prebuilt structures.
 	Backend string `json:"backend,omitempty"`
-	// Partitions is the event-domain count for partitioned interpreter
-	// execution; 0 and 1 (the default) mean the sequential queue.
-	// Results are bit-identical for every value, but the setting keys
-	// the compile cache because a cached Compiled carries its prebuilt
-	// domain assignment.
+	// Partitions once selected partitioned simulation, which produced
+	// results bit-identical to the sequential engine.
+	//
+	// Deprecated: the partitioned mode was removed. The field is accepted
+	// and ignored (it neither changes the run nor keys the compile cache);
+	// it stays because v1 never removes a field.
 	Partitions int `json:"partitions,omitempty"`
 }
 

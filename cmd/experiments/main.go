@@ -8,7 +8,6 @@
 //	            [-bench name[,name...]] [-quick]
 //	experiments -exp bench [-bench name[,name...]] [-benchtime 200ms]
 //	            [-benchout BENCH.json] [-allocbudget 0.01]
-//	            [-partitions 1,2,4|none] [-partallocbudget 0.05]
 //	experiments -exp serve [-bench name[,name...]] [-benchtime 200ms]
 //	experiments -exp load [-url http://host:port] [-rates 25,50,100,200,400]
 //	            [-loaddur 2s] [-short] [-benchout BENCH.json]
@@ -39,7 +38,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -65,10 +63,8 @@ func main() {
 	bench := flag.String("bench", "", "restrict to a comma-separated benchmark list")
 	quick := flag.Bool("quick", false, "use a reduced sweep for fig19")
 	benchTime := flag.Duration("benchtime", 200*time.Millisecond, "minimum timed duration per (workload, level) for -exp bench")
-	benchOut := flag.String("benchout", "", "write the -exp bench report as JSON to this file")
+	benchOut := flag.String("benchout", "", "merge the -exp bench/load/chaos rows into this JSON report")
 	allocBudget := flag.Float64("allocbudget", -1, "fail -exp bench if any allocs/event exceeds this (negative disables)")
-	partAllocBudget := flag.Float64("partallocbudget", -1, "fail -exp bench if any partitioned row's allocs/event exceeds this (negative disables)")
-	partitions := flag.String("partitions", "", "-exp bench: comma-separated domain counts for the partitioned rows (default 1,2,4; \"none\" skips)")
 	backend := flag.String("backend", "both", "-exp bench: engines to measure: both, interp, compiled")
 	loadURL := flag.String("url", "", "-exp load: target daemon base URL (empty starts one in-process)")
 	loadRates := flag.String("rates", "", "-exp load: comma-separated offered rates in req/s")
@@ -100,11 +96,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		parts, err := benchPartitions(*partitions)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runBench(benchNames, *benchTime, *benchOut, *allocBudget, *partAllocBudget, backends, parts); err != nil {
+		if err := runBench(benchNames, *benchTime, *benchOut, *allocBudget, backends); err != nil {
 			fatal(err)
 		}
 		return
@@ -145,6 +137,12 @@ func main() {
 			return err
 		}
 		fmt.Print(harness.FormatTable1(rows))
+		pkgs, err := harness.PackageLOC("")
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Print(harness.FormatPackageLOC(pkgs))
 		return nil
 	})
 	run("table2", func() error {
@@ -256,40 +254,16 @@ func benchBackends(flagVal string) ([]string, error) {
 	}
 }
 
-// benchPartitions maps the -partitions flag onto a domain-count sweep.
-func benchPartitions(flagVal string) ([]int, error) {
-	switch flagVal {
-	case "":
-		return harness.BenchPartitions, nil
-	case "none":
-		return nil, nil
-	}
-	var parts []int
-	for _, field := range strings.Split(flagVal, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -partitions %q (want a comma-separated list of counts ≥ 1, or \"none\")", flagVal)
-		}
-		parts = append(parts, n)
-	}
-	if parts[0] != 1 {
-		// The first count anchors Speedup; without a sequential row the
-		// ratios would be against an arbitrary domain count.
-		parts = append([]int{1}, parts...)
-	}
-	return parts, nil
-}
-
 // runBench measures simulator throughput over the baseline workload set
 // at every optimization level on the selected backends (default both,
 // paired so each codegen row carries its same-run speedup), plus the
-// batch-parallel and intra-run partitioned scaling curves, prints the
-// table plus benchstat-comparable lines, optionally writes BENCH.json,
-// and enforces the allocs/event budgets and — on multi-core machines
-// only — the scaling assertions (the CI smoke gate). Rows measured with
+// batch-parallel scaling curve, prints the table plus
+// benchstat-comparable lines, optionally merges the rows into BENCH.json,
+// and enforces the allocs/event budget and — on multi-core machines
+// only — the scaling assertion (the CI smoke gate). Rows measured with
 // GOMAXPROCS=1 are flagged degenerate and exempt from the speedup
-// checks: time-slicing one core cannot scale.
-func runBench(names []string, benchTime time.Duration, out string, allocBudget, partAllocBudget float64, backends []string, parts []int) error {
+// check: time-slicing one core cannot scale.
+func runBench(names []string, benchTime time.Duration, out string, allocBudget float64, backends []string) error {
 	if len(names) == 0 {
 		names = harness.BenchSet
 	}
@@ -301,24 +275,14 @@ func runBench(names []string, benchTime time.Duration, out string, allocBudget, 
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
-	if len(parts) > 0 {
-		rep.Partitioned, err = harness.BenchPartitioned(names, parts, benchTime)
-		if err != nil {
-			return fmt.Errorf("bench: %w", err)
-		}
-	}
 	fmt.Print(harness.FormatBench(rep))
 	fmt.Println()
 	fmt.Print(rep.Benchstat())
 	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+		if err := harness.MergeBenchJSON(out, rep); err != nil {
+			return fmt.Errorf("bench: %w", err)
 		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", out)
+		fmt.Printf("\nmerged rows into %s\n", out)
 	}
 	if allocBudget >= 0 {
 		if worst := rep.MaxAllocsPerEvent(); worst > allocBudget {
@@ -326,26 +290,13 @@ func runBench(names []string, benchTime time.Duration, out string, allocBudget, 
 		}
 		fmt.Printf("allocs/event within budget %.4f (worst %.4f)\n", allocBudget, rep.MaxAllocsPerEvent())
 	}
-	if partAllocBudget >= 0 {
-		worst := 0.0
-		for _, row := range rep.Partitioned {
-			if row.AllocsPerEv > worst {
-				worst = row.AllocsPerEv
-			}
-		}
-		if worst > partAllocBudget {
-			return fmt.Errorf("bench: partitioned allocs/event %.4f exceeds budget %.4f", worst, partAllocBudget)
-		}
-		fmt.Printf("partitioned allocs/event within budget %.4f (worst %.4f)\n", partAllocBudget, worst)
-	}
 	return benchAssertScaling(rep)
 }
 
 // benchAssertScaling is the multi-core smoke gate: each workload's
-// batch-parallel curve and intra-run partitioned curve must clear 1.0×
-// somewhere — best point across the sweep, so one noisy measurement
-// cannot fail CI. Degenerate rows (measured with GOMAXPROCS=1) are
-// reported but never asserted.
+// batch-parallel curve must clear 1.0× somewhere — best point across
+// the sweep, so one noisy measurement cannot fail CI. Degenerate rows
+// (measured with GOMAXPROCS=1) are reported but never asserted.
 func benchAssertScaling(rep *harness.BenchReport) error {
 	bestPar := map[string]float64{}
 	for _, row := range rep.Parallel {
@@ -358,27 +309,9 @@ func benchAssertScaling(rep *harness.BenchReport) error {
 			return fmt.Errorf("bench: %s parallel speedup peaked at %.2fx on a multi-core machine", name, best)
 		}
 	}
-	// Each backend's partition curve gates independently: the interpreter
-	// and compiled VM pay different barrier costs, and a regression in
-	// one must not hide behind the other's best point.
-	bestPart := map[string]float64{}
-	for _, row := range rep.Partitioned {
-		key := row.Workload
-		if row.Backend != "" {
-			key = row.Workload + "/" + row.Backend
-		}
-		if row.Partitions > 1 && !row.Degenerate && row.Speedup > bestPart[key] {
-			bestPart[key] = row.Speedup
-		}
-	}
-	for name, best := range bestPart {
-		if best <= 1.0 {
-			return fmt.Errorf("bench: %s partitioned speedup peaked at %.2fx on a multi-core machine", name, best)
-		}
-	}
-	if n := len(bestPar) + len(bestPart); n > 0 {
+	if n := len(bestPar); n > 0 {
 		fmt.Printf("scaling gate: %d workload curves cleared 1.0x\n", n)
-	} else if len(rep.Parallel)+len(rep.Partitioned) > 0 {
+	} else if len(rep.Parallel) > 0 {
 		fmt.Println("scaling gate: skipped (GOMAXPROCS=1, rows flagged degenerate)")
 	}
 	return nil
@@ -514,23 +447,8 @@ func runLoad(url, ratesCSV string, dur time.Duration, short bool, out string) er
 	fmt.Print(harness.FormatLoad(rows))
 
 	if out != "" {
-		rep := &harness.BenchReport{}
-		if data, err := os.ReadFile(out); err == nil {
-			if err := json.Unmarshal(data, rep); err != nil {
-				return fmt.Errorf("load: existing %s: %w", out, err)
-			}
-		}
-		if rep.GoVersion == "" {
-			rep.GoVersion = runtime.Version()
-			rep.CPUs = runtime.NumCPU()
-		}
-		rep.Load = rows
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
+		if err := harness.MergeBenchJSON(out, &harness.BenchReport{Load: rows}); err != nil {
+			return fmt.Errorf("load: %w", err)
 		}
 		fmt.Printf("merged load curve into %s\n", out)
 	}
@@ -568,23 +486,8 @@ func runChaos(seed int64, short bool, out string) error {
 	fmt.Print(harness.FormatChaos(opts, rows))
 
 	if out != "" {
-		rep := &harness.BenchReport{}
-		if data, err := os.ReadFile(out); err == nil {
-			if err := json.Unmarshal(data, rep); err != nil {
-				return fmt.Errorf("chaos: existing %s: %w", out, err)
-			}
-		}
-		if rep.GoVersion == "" {
-			rep.GoVersion = runtime.Version()
-			rep.CPUs = runtime.NumCPU()
-		}
-		rep.Chaos = rows
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
+		if err := harness.MergeBenchJSON(out, &harness.BenchReport{Chaos: rows}); err != nil {
+			return fmt.Errorf("chaos: %w", err)
 		}
 		fmt.Printf("merged chaos rows into %s\n", out)
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spatialsim [-O level] [-entry name] [-mem perfect|real1|real2|real4]
-//	           [-backend interp|compiled] [-partitions n] [-seq] [-edgecap n]
+//	           [-backend interp|compiled] [-seq] [-edgecap n]
 //	           [-profile] [-topk n] [-trace out.json]
 //	           [-timeout d] [-jitter seed] [-drop n] [-droptok n] [-memfail n]
 //	           [-parallel n] [-repeat m]
@@ -17,14 +17,6 @@
 // (the default) or the compiled flat-bytecode VM, which produces
 // bit-identical results several times faster. -trace and -profile hook
 // the interpreter's machinery and reject -backend compiled.
-//
-// -partitions n shards the event queue into n concurrent per-hyperblock
-// domains synchronized by conservative time windows; the run stays
-// bit-identical to the sequential engine (same result, cycles, events,
-// diagnoses). Both backends honor the flag: the interpreter partitions
-// its event heap, and the compiled VM runs per-domain calendar rings
-// behind the same barrier protocol. -trace/-profile reject it (they are
-// observed single-run interpreter modes).
 //
 // -repeat runs the program m times and -parallel spreads the repeats
 // over n concurrent streams sharing one compilation; every repeat must
@@ -82,7 +74,6 @@ func main() {
 	dropTok := flag.Int("droptok", 0, "drop the n-th token delivery (expect a diagnosed deadlock)")
 	memFail := flag.Int("memfail", 0, "corrupt the n-th memory response (expect a detected fault)")
 	parallel := flag.Int("parallel", 1, "concurrent simulation streams for -repeat")
-	partitions := flag.Int("partitions", 0, "partition the event queue into n concurrent domains (bit-identical; 0 or 1 = sequential)")
 	repeat := flag.Int("repeat", 1, "total number of runs (all must be bit-identical)")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -127,15 +118,8 @@ func main() {
 	cfg := core.DefaultSim()
 	cfg.Mem = mcfg
 	cfg.EdgeCap = *edgeCap
-	if *partitions > 1 && (*traceOut != "" || *profile) {
-		// Observed runs execute sequentially regardless; refuse rather
-		// than silently ignoring the flag.
-		fmt.Fprintln(os.Stderr, "spatialsim: -trace and -profile observe the sequential interpreter and cannot be combined with -partitions")
-		os.Exit(2)
-	}
 	cp, err := core.CompileSource(string(src), core.WithLevel(lv),
-		core.WithSim(cfg), core.WithDeadline(*timeout), core.WithBackend(be),
-		core.WithPartitions(*partitions))
+		core.WithSim(cfg), core.WithDeadline(*timeout), core.WithBackend(be))
 	if err != nil {
 		fatal(err)
 	}

@@ -8,7 +8,6 @@ package codegen
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"spatial/internal/dataflow"
@@ -23,13 +22,6 @@ type Module struct {
 	// numFrameClasses counts the distinct frame sizes across all graphs;
 	// each gprog.frameClass indexes the VM's per-size frame free lists.
 	numFrameClasses int
-	// part is the domain assignment baked in by CompilePartitioned (nil
-	// for sequential modules): indices are renumbered domain-contiguously
-	// at lowering and every run executes behind the partitioned
-	// scheduler. partWindow snapshots the partition's synchronization
-	// window at compile time.
-	part       *dataflow.Partition
-	partWindow int64
 	// vmPool recycles whole VM instances (ring buckets, frame lists,
 	// memory image) across runs of this module.
 	vmPool sync.Pool
@@ -39,38 +31,7 @@ type Module struct {
 // shells are created first, then each graph is lowered — so call rules
 // can resolve their callee's lowered program regardless of map order.
 func Compile(p *pegasus.Program) *Module {
-	return compile(p, nil)
-}
-
-// CompilePartitioned lowers p for partitioned execution across part's
-// event domains: rule, port, and occupancy indices come out
-// domain-contiguous (crossing-counter blocks cache-line padded), and
-// every run of the module executes behind a per-domain worker scheduler
-// that preserves the sequential VM's global (time, seq) event order —
-// results, diagnoses, and event streams are bit-identical to Compile's
-// module and to the interpreter for any domain assignment. part must
-// have been built for p. A single-domain partition compiles to a plain
-// sequential module (the scheduler would be pure overhead). The
-// partition's window is snapshotted here; later SetWindow calls do not
-// affect this module.
-func CompilePartitioned(p *pegasus.Program, part *dataflow.Partition) (*Module, error) {
-	if part == nil {
-		return nil, fmt.Errorf("codegen: CompilePartitioned needs a partition (use Compile for sequential modules)")
-	}
-	if part.Program() != p {
-		return nil, fmt.Errorf("codegen: partition was built for a different program")
-	}
-	if part.Domains() < 2 {
-		return Compile(p), nil
-	}
-	return compile(p, part), nil
-}
-
-func compile(p *pegasus.Program, part *dataflow.Partition) *Module {
-	mod := &Module{prog: p, progs: make(map[string]*gprog, len(p.Funcs)), part: part}
-	if part != nil {
-		mod.partWindow = part.Window()
-	}
+	mod := &Module{prog: p, progs: make(map[string]*gprog, len(p.Funcs))}
 	for name, g := range p.Funcs {
 		mod.progs[name] = &gprog{g: g, name: name}
 	}
@@ -91,15 +52,6 @@ func compile(p *pegasus.Program, part *dataflow.Partition) *Module {
 	}
 	mod.numFrameClasses = len(classOf)
 	return mod
-}
-
-// Partitioned reports the number of event domains this module executes
-// across (1 for sequential modules).
-func (mod *Module) Partitioned() int {
-	if mod.part == nil {
-		return 1
-	}
-	return mod.part.Domains()
 }
 
 // Program returns the program this module was compiled from.

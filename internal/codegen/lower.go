@@ -220,10 +220,6 @@ type gprog struct {
 	rules []rule
 	// ruleOf maps node ID → rule index (-1 for static/dead nodes).
 	ruleOf []int32
-	// ruleDom maps rule index → event domain (partitioned modules only;
-	// nil in sequential modules). Rules are numbered domain-contiguously,
-	// so this is a step function over the rule index.
-	ruleDom []int16
 	// entryRule is the KEntryTok rule fired by newActivation (-1: none).
 	entryRule int32
 	// seeds are rules with no dynamic inputs, checked once at activation
@@ -299,10 +295,6 @@ func (gp *gprog) portLoc(p int32) (*pegasus.Node, pegasus.Port, int) {
 	}
 }
 
-// padLine rounds an occupancy slot offset up to a cache-line boundary
-// (16 int32s = 64 bytes).
-func padLine(x int32) int32 { return (x + 15) &^ 15 }
-
 // opLatencyOf mirrors dataflow's opLatency table.
 func opLatencyOf(n *pegasus.Node) int64 {
 	switch n.Kind {
@@ -377,41 +369,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 			}
 		}
 	}
-	// Flat port layout and rule numbering: node-ID order for sequential
-	// modules; (domain, node ID) order for partitioned modules, so each
-	// domain's rules, ports, and occupancy slots occupy contiguous index
-	// ranges (and therefore disjoint cache lines, padded below). The
-	// renumbering is semantics-transparent: seeds and consumer lists are
-	// built in graph node order regardless, so event push order — and
-	// therefore seq numbering and pop order — is unchanged, and every
-	// cross-reference (ruleOf, dests, pmeta, occupancy bases) is
-	// renumbered consistently.
-	nDoms := 1
-	var dom []int16
-	if mod.part != nil {
-		nDoms = mod.part.Domains()
-		dom = mod.part.NodeDomains(gp.name)
-	}
-	domOf := func(id int) int {
-		if dom == nil || id >= len(dom) {
-			return 0
-		}
-		return int(dom[id])
-	}
-	order := make([]int, 0, maxID)
-	if nDoms <= 1 {
-		for id := 0; id < maxID; id++ {
-			order = append(order, id)
-		}
-	} else {
-		for d := 0; d < nDoms; d++ {
-			for id := 0; id < maxID; id++ {
-				if domOf(id) == d {
-					order = append(order, id)
-				}
-			}
-		}
-	}
+	// Flat port layout and rule numbering, both in node-ID order.
 	gp.dynIns = make([]int, maxID)
 	gp.inOff = make([]int32, maxID)
 	gp.predOff = make([]int32, maxID)
@@ -422,7 +380,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 	}
 	off := int32(0)
 	nRules := 0
-	for _, id := range order {
+	for id := 0; id < maxID; id++ {
 		n := gp.nodeByID[id]
 		if n == nil || gp.static[id] {
 			continue
@@ -435,14 +393,6 @@ func lowerGraph(mod *Module, gp *gprog) {
 		nRules++
 	}
 	gp.numPorts = int(off)
-	if mod.part != nil {
-		gp.ruleDom = make([]int16, nRules)
-		for id := 0; id < maxID; id++ {
-			if ri := gp.ruleOf[id]; ri >= 0 {
-				gp.ruleDom[ri] = int16(domOf(id))
-			}
-		}
-	}
 	// Consumer lists, in the interpreter's iteration order (graph node
 	// order × EachInput order). Each entry also records the producer
 	// edge behind the consumer port for the per-port metadata.
@@ -480,30 +430,17 @@ func lowerGraph(mod *Module, gp *gprog) {
 			portOwnerID[p] = int32(user.ID)
 		})
 	}
-	// Occupancy bases follow the consumer lists in numbering order. Token
+	// Occupancy bases follow the consumer lists in node-ID order. Token
 	// slots live after all value slots in one flat array, so consume and
-	// capacity checks never branch on the edge class. In partitioned
-	// modules each domain's sub-block of crossing counters is padded to a
-	// cache-line boundary (16 int32s) so no two domains' counters
-	// false-share a line.
+	// capacity checks never branch on the edge class.
 	valOff := make([]int32, maxID)
 	tokOff := make([]int32, maxID)
 	vo, to := int32(0), int32(0)
-	prevDom := 0
-	for _, id := range order {
-		if d := domOf(id); d != prevDom {
-			vo = padLine(vo)
-			to = padLine(to)
-			prevDom = d
-		}
+	for id := 0; id < maxID; id++ {
 		valOff[id] = vo
 		tokOff[id] = to
 		vo += int32(len(valCons[id]))
 		to += int32(len(tokCons[id]))
-	}
-	if nDoms > 1 {
-		// The token block starts on a fresh line too.
-		vo = padLine(vo)
 	}
 	gp.numVal = int(vo)
 	gp.numOcc = int(vo + to)

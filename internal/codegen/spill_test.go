@@ -2,10 +2,9 @@ package codegen_test
 
 // Spill-heap stress: the VM's calendar ring only spans ringLen (512)
 // cycles, so injected delays larger than that force deliveries off the
-// ring into the (time, seq) spill heap — in the partitioned VM, off each
-// domain worker's ring into its per-domain heap. These schedules are the
-// asynchrony-heavy worst case for both queue designs, and both must
-// still replay the interpreter bit for bit.
+// ring into the (time, seq) spill heap. These schedules are the
+// asynchrony-heavy worst case for the queue, and the VM must still replay
+// the interpreter bit for bit.
 
 import (
 	"context"
@@ -25,8 +24,7 @@ func TestSpillHeapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqMod := codegen.Compile(cp.Program)
-	partMod := compilePartMod(t, cp, 3, 0)
+	mod := codegen.Compile(cp.Program)
 	cfg := dataflow.DefaultConfig()
 	cfg.MaxCycles = 1 << 24 // delays of thousands of cycles stretch the run
 	mk := []struct {
@@ -55,23 +53,18 @@ func TestSpillHeapStress(t *testing.T) {
 		if errI != nil {
 			t.Fatalf("%s: interpreter aborted: %v", fr.name, errI)
 		}
-		for _, be := range []struct {
-			name string
-			mod  *codegen.Module
-		}{{"sequential", seqMod}, {"partitioned", partMod}} {
-			inj := fr.inj()
-			got, err := be.mod.RunFaulted(context.Background(), w.Entry, nil, cfg, inj)
-			if err != nil {
-				t.Errorf("%s/%s: aborted: %v", fr.name, be.name, err)
-				continue
-			}
-			if *got != *want {
-				t.Errorf("%s/%s: result diverged:\n got %+v\nwant %+v", fr.name, be.name, got, want)
-			}
-			if len(injI.Triggered()) != len(inj.Triggered()) {
-				t.Errorf("%s/%s: triggered-fault logs diverged: interp %d, vm %d",
-					fr.name, be.name, len(injI.Triggered()), len(inj.Triggered()))
-			}
+		inj := fr.inj()
+		got, err := mod.RunFaulted(context.Background(), w.Entry, nil, cfg, inj)
+		if err != nil {
+			t.Errorf("%s: aborted: %v", fr.name, err)
+			continue
+		}
+		if *got != *want {
+			t.Errorf("%s: result diverged:\n got %+v\nwant %+v", fr.name, got, want)
+		}
+		if len(injI.Triggered()) != len(inj.Triggered()) {
+			t.Errorf("%s: triggered-fault logs diverged: interp %d, vm %d",
+				fr.name, len(injI.Triggered()), len(inj.Triggered()))
 		}
 	}
 }

@@ -239,13 +239,6 @@ type vm struct {
 	arena [][]vact
 
 	evHook func(time, seq int64, act, node int)
-
-	// ps is the partitioned event scheduler (modules compiled by
-	// CompilePartitioned only; nil otherwise). Created on the VM's first
-	// run and retained across runs — its channels, worker queues, and
-	// message buffers keep their capacity like every other pooled
-	// structure; start/stop reset it per run.
-	ps *pSched
 }
 
 // getVM returns a pristine VM for one run, reusing a pooled one when
@@ -328,33 +321,19 @@ func (mod *Module) runVM(ctx context.Context, entry string, args []int64, cfg da
 	m.inj = inj
 	m.ctx = ctx
 	m.evHook = evHook
-	// The sequential ring needs spillAll to give evHook true sequence
-	// numbers; partitioned events always carry theirs.
-	m.spillAll = evHook != nil && mod.part == nil
+	// The ring needs spillAll to give evHook true sequence numbers.
+	m.spillAll = evHook != nil
 	if inj != nil {
 		m.msys.SetPerturber(inj)
 	}
 	for _, c := range mod.prog.Layout.Init {
 		m.writeMem(c.Addr, c.Size, c.Value)
 	}
-	if mod.part != nil {
-		if m.ps == nil {
-			m.ps = newPSched(mod.part.Domains(), mod.partWindow)
-		}
-		m.ps.start()
-		defer m.ps.stop()
-	}
 	m.newActivation(gp, args, -1, nil)
 	if m.err != nil {
 		return nil, m.err
 	}
-	var err error
-	if m.ps != nil {
-		err = m.runPart()
-	} else {
-		err = m.run()
-	}
-	if err != nil {
+	if err := m.run(); err != nil {
 		return nil, err
 	}
 	m.stats.Cycles = m.now
@@ -367,14 +346,6 @@ func (mod *Module) runVM(ctx context.Context, entry string, args []int64, cfg da
 // push schedules one event. Scalar arguments and a manual slot store
 // keep the hot path to a single 32-byte write into the bucket tail.
 func (m *vm) push(t, val int64, a *vact, rule, dst int32) {
-	if m.ps != nil {
-		// Partitioned: every event carries its global seq (assigned at
-		// push, exactly like the interpreter) and routes by the consuming
-		// rule's domain.
-		m.ps.push(sev{vev: vev{time: t, val: val, act: a, rule: rule, dstPort: dst}, seq: m.seq}, a.gp.ruleDom[rule])
-		m.seq++
-		return
-	}
 	if d := t - m.base; d < ringLen && !m.spillAll {
 		b := &m.buckets[(m.baseIdx+int32(d))&ringMask]
 		n := len(b.buf)
@@ -402,13 +373,6 @@ func (m *vm) pushCheck(t int64, a *vact, ri int32) {
 // is base; spill pops only happen with spill[0].time == base), so the
 // event always belongs in the base bucket.
 func (m *vm) pushNow(a *vact, ri int32) {
-	if m.ps != nil {
-		// During event processing now = cur < fence, so the scheduler
-		// routes this straight to the current bucket's late segment.
-		m.ps.push(sev{vev: vev{time: m.now, act: a, rule: ri, dstPort: -1}, seq: m.seq}, a.gp.ruleDom[ri])
-		m.seq++
-		return
-	}
 	if m.spillAll {
 		m.spillPush(sev{vev: vev{time: m.now, act: a, rule: ri, dstPort: -1}, seq: m.seq})
 		m.seq++
@@ -454,13 +418,45 @@ func (m *vm) pop() vev {
 	}
 }
 
+// spillPush appends e to the (time, seq) min-heap and sifts it up.
 func (m *vm) spillPush(e sev) {
-	m.spill = sevPush(m.spill, e)
+	s := append(m.spill, e)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) >> 1
+		if !evLess(&s[i], &s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	m.spill = s
 }
 
+// spillPop removes and returns the heap minimum.
 func (m *vm) spillPop() vev {
-	var e sev
-	e, m.spill = sevPop(m.spill)
+	s := m.spill
+	e := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last].act = nil
+	s = s[:last]
+	i := 0
+	for {
+		c := i*2 + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && evLess(&s[c+1], &s[c]) {
+			c++
+		}
+		if !evLess(&s[c], &s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	m.spill = s
 	m.popSeq = e.seq
 	return e.vev
 }
@@ -536,68 +532,6 @@ func (m *vm) run() error {
 			// skip the dispatch without touching the full rule struct.
 			// Disabled under fault injection, which must probe the
 			// injector on every attempt like the interpreter.
-			if f := ns.flags; (f&flagGated != 0 && (ns.missing > 0 || ns.full > 0)) ||
-				(f&flagFireOnce != 0 && ns.firedOnce) {
-				continue
-			}
-		}
-		m.tryFire(a, e.rule, &a.gp.rules[e.rule])
-		if m.err != nil {
-			return m.err
-		}
-		if m.mainDone {
-			return nil
-		}
-	}
-	if !m.mainDone {
-		return &dataflow.DeadlockError{Report: m.stuckReport("deadlock")}
-	}
-	return nil
-}
-
-// runPart is run() behind the partitioned scheduler: identical event
-// semantics, with every pop delegated to the sequencer's next(), which
-// returns events in the same global (time, seq) order — so outcomes,
-// statistics, diagnoses, and event streams match run() bit for bit.
-func (m *vm) runPart() error {
-	hasCtx := m.ctx != nil
-	hasHook := m.evHook != nil
-	noInj := m.inj == nil
-	maxCycles := m.cfg.MaxCycles
-	ps := m.ps
-	for ps.total > 0 {
-		if hasCtx {
-			m.ctxTick++
-			if m.ctxTick >= 1024 {
-				m.ctxTick = 0
-				if err := m.ctx.Err(); err != nil {
-					return fmt.Errorf("%w at cycle %d: %v", dataflow.ErrCanceled, m.now, err)
-				}
-			}
-		}
-		e := ps.next()
-		if e.time > maxCycles {
-			m.now = e.time
-			return &dataflow.LivelockError{MaxCycles: maxCycles, Report: m.stuckReport("livelock")}
-		}
-		m.now = e.time
-		m.stats.Events++
-		a := e.act
-		if hasHook {
-			m.evHook(e.time, e.seq, a.id, int(a.gp.rules[e.rule].nodeID))
-		}
-		if a.done {
-			continue
-		}
-		ns := &a.st.nodes[e.rule]
-		if e.dstPort >= 0 {
-			q := &a.st.ports[e.dstPort]
-			if q.n == 0 {
-				ns.missing--
-			}
-			q.push(e.val)
-		}
-		if noInj {
 			if f := ns.flags; (f&flagGated != 0 && (ns.missing > 0 || ns.full > 0)) ||
 				(f&flagFireOnce != 0 && ns.firedOnce) {
 				continue

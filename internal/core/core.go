@@ -40,13 +40,12 @@ type Option interface {
 }
 
 type config struct {
-	level      opt.Level
-	passes     *opt.Options
-	sim        dataflow.Config
-	trc        trace.Config
-	deadline   time.Duration
-	backend    Backend
-	partitions int
+	level    opt.Level
+	passes   *opt.Options
+	sim      dataflow.Config
+	trc      trace.Config
+	deadline time.Duration
+	backend  Backend
 }
 
 type optionFunc func(*config)
@@ -113,25 +112,6 @@ func WithBackend(b Backend) Option {
 	return optionFunc(func(c *config) { c.backend = b })
 }
 
-// WithPartitions splits each simulated graph into n event domains run
-// through the partitioned scheduler (see DESIGN.md "Partitioned
-// simulation"): per-domain event queues on worker goroutines,
-// synchronized by conservative time windows that preserve the global
-// (time, seq) order — results are bit-identical to the sequential
-// engine for every n. Values 0 and 1 (the default) select the
-// sequential queue. Both backends honor the setting: the interpreter
-// shards its event heap, the compiled backend lowers a
-// domain-renumbered module whose VM runs per-domain calendar rings
-// behind the same barrier protocol (DESIGN.md "Partitioned VM").
-// Observed runs (RunTraced, RunProfiled) ignore it; results are
-// identical either way.
-func WithPartitions(n int) Option {
-	return optionFunc(func(c *config) { c.partitions = n })
-}
-
-// MaxPartitions is the largest accepted WithPartitions value.
-const MaxPartitions = 64
-
 // WithDeadline bounds every Run of the compiled program by a wall-clock
 // duration: a run past the deadline aborts with an ErrSim-classed error
 // wrapping dataflow.ErrCanceled. Zero (the default) means no wall-clock
@@ -163,9 +143,6 @@ type Compiled struct {
 	// Backend is the execution engine Run/RunCtx/RunWith/RunFaulted use
 	// (see WithBackend); RunTraced and RunProfiled always interpret.
 	Backend Backend
-	// Partitions is the event-domain count interpreter runs use (see
-	// WithPartitions); values below 2 mean the sequential queue.
-	Partitions int
 
 	// shared is the prebuilt per-graph structure table every run of this
 	// program reuses (built once, on first use, under sharedOnce).
@@ -176,18 +153,6 @@ type Compiled struct {
 	// (built once, on first use, under compiledOnce).
 	compiledOnce sync.Once
 	compiledMod  *codegen.Module
-
-	// part is the domain assignment partitioned runs share (built once,
-	// on first use, under partOnce).
-	partOnce sync.Once
-	part     *dataflow.Partition
-
-	// compiledPartMod is the partitioned bytecode module compiled-backend
-	// partitioned runs use. The domain assignment is baked into the
-	// module's index layout at lowering, so it is a distinct module from
-	// compiledMod (built once, on first use, under compiledPartOnce).
-	compiledPartOnce sync.Once
-	compiledPartMod  *codegen.Module
 }
 
 // sharedInfo returns the program's prebuilt simulation structures,
@@ -204,41 +169,6 @@ func (c *Compiled) compiledInfo() *codegen.Module {
 	return c.compiledMod
 }
 
-// partitionInfo returns the program's domain assignment, building it on
-// first use. Only called when Partitions > 1, which CompileSource has
-// validated to be in range.
-func (c *Compiled) partitionInfo() *dataflow.Partition {
-	c.partOnce.Do(func() {
-		pt, err := dataflow.BuildPartition(c.Program, c.Partitions, nil)
-		if err != nil {
-			panic(err) // unreachable: Partitions validated at compile time
-		}
-		c.part = pt
-	})
-	return c.part
-}
-
-// compiledPartInfo returns the partitioned bytecode module, lowering it
-// on first use. Only called when Partitions > 1 and the backend is
-// compiled.
-func (c *Compiled) compiledPartInfo() *codegen.Module {
-	c.compiledPartOnce.Do(func() {
-		mod, err := codegen.CompilePartitioned(c.Program, c.partitionInfo())
-		if err != nil {
-			panic(err) // unreachable: the partition is built from c.Program
-		}
-		c.compiledPartMod = mod
-	})
-	return c.compiledPartMod
-}
-
-// usePartitions reports whether a plain (unobserved) interpreter run
-// should go through the partitioned scheduler. The compiled backend
-// routes partitioned runs through compiledPartInfo instead.
-func (c *Compiled) usePartitions() bool {
-	return c.Partitions > 1 && c.Backend != BackendCompiled
-}
-
 // CompileSource parses, checks, builds, and optimizes a cMinor program.
 // Every failure — including an invalid configuration option or a panic in
 // a compiler pass — comes back classified under ErrCompile (or ErrInternal
@@ -251,10 +181,6 @@ func CompileSource(src string, opts ...Option) (cp *Compiled, err error) {
 	}
 	if err := cfg.sim.Validate(); err != nil {
 		return nil, classify(ErrCompile, err)
-	}
-	if cfg.partitions < 0 || cfg.partitions > MaxPartitions {
-		return nil, classify(ErrCompile,
-			fmt.Errorf("core: WithPartitions(%d) out of range [0, %d]", cfg.partitions, MaxPartitions))
 	}
 	prog, err := cminor.Parse(src)
 	if err != nil {
@@ -277,7 +203,7 @@ func CompileSource(src string, opts ...Option) (cp *Compiled, err error) {
 	// Normalize once here: the Config this Compiled reports is the Config
 	// its runs actually execute under, zero fields already defaulted.
 	return &Compiled{Program: p, Source: prog, Level: cfg.level, Sim: cfg.sim.Normalized(),
-		Trace: cfg.trc, Deadline: cfg.deadline, Backend: cfg.backend, Partitions: cfg.partitions}, nil
+		Trace: cfg.trc, Deadline: cfg.deadline, Backend: cfg.backend}, nil
 }
 
 // SimConfig configures a spatial execution.
@@ -334,14 +260,9 @@ func (c *Compiled) RunCtx(ctx context.Context, entry string, args []int64) (res 
 	defer guard(&err)
 	ctx, cancel := c.deadlineCtx(ctx)
 	defer cancel()
-	switch {
-	case c.Backend == BackendCompiled && c.Partitions > 1:
-		res, err = c.compiledPartInfo().RunCtx(ctx, entry, args, c.simConfig())
-	case c.Backend == BackendCompiled:
+	if c.Backend == BackendCompiled {
 		res, err = c.compiledInfo().RunCtx(ctx, entry, args, c.simConfig())
-	case c.usePartitions():
-		res, err = c.sharedInfo().RunPartitioned(ctx, entry, args, c.simConfig(), c.partitionInfo())
-	default:
+	} else {
 		res, err = c.sharedInfo().RunCtx(ctx, entry, args, c.simConfig())
 	}
 	return res, classify(ErrSim, err)
@@ -355,14 +276,9 @@ func (c *Compiled) RunFaulted(ctx context.Context, entry string, args []int64, i
 	defer guard(&err)
 	ctx, cancel := c.deadlineCtx(ctx)
 	defer cancel()
-	switch {
-	case c.Backend == BackendCompiled && c.Partitions > 1:
-		res, err = c.compiledPartInfo().RunFaulted(ctx, entry, args, c.simConfig(), inj)
-	case c.Backend == BackendCompiled:
+	if c.Backend == BackendCompiled {
 		res, err = c.compiledInfo().RunFaulted(ctx, entry, args, c.simConfig(), inj)
-	case c.usePartitions():
-		res, err = c.sharedInfo().RunPartitionedFaulted(ctx, entry, args, c.simConfig(), c.partitionInfo(), inj)
-	default:
+	} else {
 		res, err = c.sharedInfo().RunFaulted(ctx, entry, args, c.simConfig(), inj)
 	}
 	return res, classify(ErrSim, err)
@@ -373,14 +289,9 @@ func (c *Compiled) RunWith(entry string, args []int64, cfg SimConfig) (res *SimR
 	defer guard(&err)
 	ctx, cancel := c.deadlineCtx(nil)
 	defer cancel()
-	switch {
-	case c.Backend == BackendCompiled && c.Partitions > 1:
-		res, err = c.compiledPartInfo().RunCtx(ctx, entry, args, cfg)
-	case c.Backend == BackendCompiled:
+	if c.Backend == BackendCompiled {
 		res, err = c.compiledInfo().RunCtx(ctx, entry, args, cfg)
-	case c.usePartitions():
-		res, err = c.sharedInfo().RunPartitioned(ctx, entry, args, cfg, c.partitionInfo())
-	default:
+	} else {
 		res, err = c.sharedInfo().RunCtx(ctx, entry, args, cfg)
 	}
 	return res, classify(ErrSim, err)

@@ -24,10 +24,6 @@ type runOpts struct {
 	// actState pools) reused across runs; it must have been built for the
 	// same program. Nil means build a private table for this run.
 	shared *Shared
-	// part, when non-nil, runs the event queue through the partitioned
-	// scheduler (see psched.go); it must have been built for the same
-	// program. Results are bit-identical to the sequential queue.
-	part *Partition
 }
 
 // runMachine is the single internal runner behind every Run* variant: it
@@ -53,9 +49,6 @@ func runMachine(p *pegasus.Program, entry string, args []int64, cfg Config, o ru
 	} else if sh.prog != p {
 		return nil, nil, fmt.Errorf("dataflow: shared structures were built for a different program")
 	}
-	if o.part != nil && o.part.prog != p {
-		return nil, nil, fmt.Errorf("dataflow: partition was built for a different program")
-	}
 	m := &machine{
 		prog:       p,
 		cfg:        cfg,
@@ -69,10 +62,6 @@ func runMachine(p *pegasus.Program, entry string, args []int64, cfg Config, o ru
 		inj:        o.inj,
 		ctx:        o.ctx,
 		evHook:     o.evHook,
-	}
-	if o.part != nil {
-		m.ps = newPartSched(o.part)
-		defer m.ps.stop()
 	}
 	if o.tr != nil {
 		m.msys.SetObserver(o.tr)
@@ -117,16 +106,6 @@ func RunCtx(ctx context.Context, p *pegasus.Program, entry string, args []int64,
 // fire attempts, and memory responses. ctx may be nil.
 func RunFaulted(ctx context.Context, p *pegasus.Program, entry string, args []int64, cfg Config, inj *faultsim.Injector) (*Result, error) {
 	res, _, err := runMachine(p, entry, args, cfg, runOpts{ctx: ctx, inj: inj})
-	return res, err
-}
-
-// RunPartitioned is RunCtx executing through the partitioned scheduler:
-// the graph's event domains (see BuildPartition) each maintain their own
-// heap on a worker goroutine, synchronized by conservative time windows.
-// The Result — and every error, including abort text — is bit-identical
-// to RunCtx for any partition. ctx may be nil.
-func RunPartitioned(ctx context.Context, p *pegasus.Program, entry string, args []int64, cfg Config, part *Partition) (*Result, error) {
-	res, _, err := runMachine(p, entry, args, cfg, runOpts{ctx: ctx, part: part})
 	return res, err
 }
 

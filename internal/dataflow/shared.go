@@ -67,23 +67,6 @@ func (s *Shared) RunFaulted(ctx context.Context, entry string, args []int64, cfg
 	return res, err
 }
 
-// RunPartitioned is RunCtx through the partitioned scheduler (see
-// RunPartitioned at package level); part must have been built for the
-// same program.
-func (s *Shared) RunPartitioned(ctx context.Context, entry string, args []int64, cfg Config, part *Partition) (*Result, error) {
-	res, _, err := runMachine(s.prog, entry, args, cfg, runOpts{ctx: ctx, shared: s, part: part})
-	return res, err
-}
-
-// RunPartitionedFaulted is RunPartitioned under fault injection: the
-// injector perturbs the run exactly as in RunFaulted — injections key
-// off the deterministic event stream, which partitioning preserves, so
-// every fault fires identically for any partition count.
-func (s *Shared) RunPartitionedFaulted(ctx context.Context, entry string, args []int64, cfg Config, part *Partition, inj *faultsim.Injector) (*Result, error) {
-	res, _, err := runMachine(s.prog, entry, args, cfg, runOpts{ctx: ctx, shared: s, part: part, inj: inj})
-	return res, err
-}
-
 // RunProfiledCtx is RunCtx with per-node firing profiling.
 func (s *Shared) RunProfiledCtx(ctx context.Context, entry string, args []int64, cfg Config) (*Result, *Profile, error) {
 	prof := newProfile()

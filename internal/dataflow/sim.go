@@ -386,9 +386,6 @@ type activation struct {
 	done  bool
 	// actsIdx is this activation's slot in machine.acts (live set).
 	actsIdx int
-	// doms, under partitioned execution, is this graph's node→domain
-	// table (nil otherwise); see Partition.
-	doms []int16
 	// parent call to complete when KReturn fires.
 	retTo  *pegasus.Node
 	retAct *activation
@@ -407,12 +404,9 @@ type machine struct {
 	msys   *memsys.System
 	shared *Shared
 	events eventQueue
-	// ps, when non-nil, replaces the events heap with the partitioned
-	// scheduler (see psched.go); pop order is identical either way.
-	ps    *partSched
-	seq   int64
-	now   int64
-	stats Stats
+	seq    int64
+	now    int64
+	stats  Stats
 
 	nextActID int
 	// frame allocator: free frames by size, plus the live-frame count for
@@ -475,9 +469,6 @@ func (m *machine) newActivation(g *pegasus.Graph, args []int64, retTo *pegasus.N
 		retTo:   retTo,
 		retAct:  retAct,
 		actsIdx: len(m.acts),
-	}
-	if m.ps != nil {
-		a.doms = m.ps.part.domainOf(g)
 	}
 	m.nextActID++
 	m.acts = append(m.acts, a)
@@ -556,28 +547,7 @@ func (m *machine) freeFrame(a *activation) {
 func (m *machine) pushEvent(e event) {
 	e.seq = m.seq
 	m.seq++
-	if m.ps != nil {
-		m.ps.push(e)
-		return
-	}
 	m.events.push(e)
-}
-
-// evCount is the number of pending events under either queue.
-func (m *machine) evCount() int {
-	if m.ps != nil {
-		return m.ps.total
-	}
-	return m.events.len()
-}
-
-// evNext pops the globally next event by (time, seq) — from the heap or
-// from the partitioned scheduler; the order is identical by construction.
-func (m *machine) evNext() event {
-	if m.ps != nil {
-		return m.ps.next()
-	}
-	return m.events.pop()
 }
 
 func (m *machine) pushCheck(t int64, a *activation, n *pegasus.Node) {
@@ -666,7 +636,7 @@ func (m *machine) capacityFree(a *activation, n *pegasus.Node, out pegasus.Out) 
 }
 
 func (m *machine) run() error {
-	for m.evCount() > 0 {
+	for m.events.len() > 0 {
 		if m.err != nil {
 			return m.err
 		}
@@ -679,7 +649,7 @@ func (m *machine) run() error {
 				}
 			}
 		}
-		e := m.evNext()
+		e := m.events.pop()
 		if e.time > m.cfg.MaxCycles {
 			m.now = e.time
 			return &LivelockError{MaxCycles: m.cfg.MaxCycles, Report: m.stuckReport("livelock")}

@@ -2,12 +2,10 @@
 // it runs one source program on the dataflow simulator at every
 // optimization level — optionally under injected faults — and checks each
 // result against the sequential interpreter oracle. Every configuration
-// additionally runs on both execution backends (the event-driven
-// interpreter and the compiled flat-bytecode VM) and twice more with the
-// event queue partitioned into concurrent domains (interpreter and
-// compiled VM), all of which must agree bit-for-bit: identical Result on
-// completion, identical diagnosis on abort, on clean and on perturbed
-// schedules alike.
+// runs on both execution backends (the event-driven interpreter and the
+// compiled flat-bytecode VM), which must agree bit-for-bit: identical
+// Result on completion, identical diagnosis on abort, on clean and on
+// perturbed schedules alike.
 //
 // The contract it enforces is the robustness claim of a self-timed
 // circuit:
@@ -43,10 +41,6 @@ import (
 
 // Entry is the function every generated program exposes.
 const Entry = "bench"
-
-// Partitions is the event-domain count the partitioned-vs-sequential
-// battery runs with.
-const Partitions = 3
 
 // Levels are the optimization levels a program is checked at.
 var Levels = []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
@@ -107,34 +101,6 @@ func check(src string, maxCycles int64) (baseline, error) {
 		if *resC != *res {
 			return b, fmt.Errorf("difftest: O%d BACKEND DIVERGENCE:\n interpreted %+v\n compiled    %+v", lvl, res, resC)
 		}
-
-		// Partitioned execution must be bit-identical too: the scheduler
-		// changes where events wait, never the order they pop.
-		cpp, err := compileParts(src, lvl, maxCycles, Partitions)
-		if err != nil {
-			return b, err
-		}
-		resP, err := cpp.Run(Entry, nil)
-		if err != nil {
-			return b, fmt.Errorf("difftest: O%d partitioned run: %w", lvl, err)
-		}
-		if *resP != *res {
-			return b, fmt.Errorf("difftest: O%d PARTITION DIVERGENCE:\n sequential  %+v\n partitioned %+v", lvl, res, resP)
-		}
-
-		// And the partitioned compiled VM: same domain assignment, mapped
-		// onto the flat-bytecode scheduler.
-		cppc, err := compilePartsCompiled(src, lvl, maxCycles, Partitions)
-		if err != nil {
-			return b, err
-		}
-		resPC, err := cppc.Run(Entry, nil)
-		if err != nil {
-			return b, fmt.Errorf("difftest: O%d partitioned-compiled run: %w", lvl, err)
-		}
-		if *resPC != *res {
-			return b, fmt.Errorf("difftest: O%d PARTITIONED-COMPILED DIVERGENCE:\n interpreted %+v\n part-compiled %+v", lvl, res, resPC)
-		}
 	}
 	return b, nil
 }
@@ -181,14 +147,6 @@ func CheckFaults(src string, seed int64, maxCycles int64) (FaultReport, error) {
 			return rep, err
 		}
 		cpc, err := compileAt(src, lvl, budget, core.BackendCompiled)
-		if err != nil {
-			return rep, err
-		}
-		cpp, err := compileParts(src, lvl, budget, Partitions)
-		if err != nil {
-			return rep, err
-		}
-		cppc, err := compilePartsCompiled(src, lvl, budget, Partitions)
 		if err != nil {
 			return rep, err
 		}
@@ -253,41 +211,6 @@ func CheckFaults(src string, seed int64, maxCycles int64) (FaultReport, error) {
 				return rep, fmt.Errorf("difftest: O%d %s: BACKEND DIVERGENCE: %d faults triggered interpreted, %d compiled",
 					lvl, fr.name, len(injI.Triggered()), len(injC.Triggered()))
 			}
-
-			// Partitioned execution must replay the fault identically as
-			// well: injectors key off the deterministic event stream, and
-			// partitioning preserves it — same faults fired, same outcome,
-			// same error text on abort.
-			injP := fr.inj()
-			resP, errP := cpp.RunFaulted(context.Background(), Entry, nil, injP)
-			switch {
-			case (err == nil) != (errP == nil):
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITION DIVERGENCE: sequential err=%v, partitioned err=%v", lvl, fr.name, err, errP)
-			case err == nil && *res != *resP:
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITION DIVERGENCE:\n sequential  %+v\n partitioned %+v", lvl, fr.name, res, resP)
-			case err != nil && err.Error() != errP.Error():
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITION DIVERGENCE on error:\n sequential  %v\n partitioned %v", lvl, fr.name, err, errP)
-			}
-			if len(injI.Triggered()) != len(injP.Triggered()) {
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITION DIVERGENCE: %d faults triggered sequential, %d partitioned",
-					lvl, fr.name, len(injI.Triggered()), len(injP.Triggered()))
-			}
-
-			// The partitioned compiled VM replays the same battery.
-			injPC := fr.inj()
-			resPC, errPC := cppc.RunFaulted(context.Background(), Entry, nil, injPC)
-			switch {
-			case (err == nil) != (errPC == nil):
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITIONED-COMPILED DIVERGENCE: interpreted err=%v, part-compiled err=%v", lvl, fr.name, err, errPC)
-			case err == nil && *res != *resPC:
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITIONED-COMPILED DIVERGENCE:\n interpreted   %+v\n part-compiled %+v", lvl, fr.name, res, resPC)
-			case err != nil && err.Error() != errPC.Error():
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITIONED-COMPILED DIVERGENCE on error:\n interpreted   %v\n part-compiled %v", lvl, fr.name, err, errPC)
-			}
-			if len(injI.Triggered()) != len(injPC.Triggered()) {
-				return rep, fmt.Errorf("difftest: O%d %s: PARTITIONED-COMPILED DIVERGENCE: %d faults triggered interpreted, %d part-compiled",
-					lvl, fr.name, len(injI.Triggered()), len(injPC.Triggered()))
-			}
 			switch {
 			case err == nil && res.Value == oracle:
 				rep.Absorbed++
@@ -340,30 +263,6 @@ func compileAt(src string, lvl opt.Level, maxCycles int64, backend core.Backend)
 	}
 	if err := cp.Verify(); err != nil {
 		return nil, fmt.Errorf("difftest: O%d verify: %w", lvl, err)
-	}
-	return cp, nil
-}
-
-// compileParts is compileAt for partitioned interpreter execution.
-func compileParts(src string, lvl opt.Level, maxCycles int64, parts int) (*core.Compiled, error) {
-	sim := core.DefaultSim()
-	sim.MaxCycles = maxCycles
-	cp, err := core.CompileSource(src, core.WithLevel(lvl), core.WithSim(sim), core.WithPartitions(parts))
-	if err != nil {
-		return nil, fmt.Errorf("difftest: O%d partitioned compile: %w", lvl, err)
-	}
-	return cp, nil
-}
-
-// compilePartsCompiled is compileAt for partitioned compiled-backend
-// execution (the domain-renumbered flat-bytecode VM).
-func compilePartsCompiled(src string, lvl opt.Level, maxCycles int64, parts int) (*core.Compiled, error) {
-	sim := core.DefaultSim()
-	sim.MaxCycles = maxCycles
-	cp, err := core.CompileSource(src, core.WithLevel(lvl), core.WithSim(sim),
-		core.WithBackend(core.BackendCompiled), core.WithPartitions(parts))
-	if err != nil {
-		return nil, fmt.Errorf("difftest: O%d partitioned-compiled compile: %w", lvl, err)
 	}
 	return cp, nil
 }

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -66,14 +70,53 @@ type BenchRow struct {
 // read in context — a scaling curve flattens at the physical core
 // count, not at the worker count.
 type BenchReport struct {
-	GoVersion   string           `json:"go_version"`
-	CPUs        int              `json:"cpus"`
-	BenchTime   string           `json:"bench_time"`
-	Rows        []BenchRow       `json:"rows"`
-	Parallel    []ParallelRow    `json:"parallel,omitempty"`
-	Partitioned []PartitionedRow `json:"partitioned,omitempty"`
-	Load        []LoadRow        `json:"load,omitempty"`
-	Chaos       []ChaosRow       `json:"chaos,omitempty"`
+	GoVersion string        `json:"go_version"`
+	CPUs      int           `json:"cpus"`
+	BenchTime string        `json:"bench_time"`
+	Rows      []BenchRow    `json:"rows"`
+	Parallel  []ParallelRow `json:"parallel,omitempty"`
+	Load      []LoadRow     `json:"load,omitempty"`
+	Chaos     []ChaosRow    `json:"chaos,omitempty"`
+}
+
+// MergeBenchJSON writes fresh into the report file at path, replacing
+// only the sections fresh carries — rows (together with the go_version,
+// cpus and bench_time header they were measured under), parallel, load,
+// chaos — and keeping every other section as it is on disk, so no
+// experiment erases another's record. A missing file starts empty; an
+// unreadable one is an error rather than being overwritten. Sections the
+// report type no longer has are dropped.
+func MergeBenchJSON(path string, fresh *BenchReport) error {
+	rep := &BenchReport{}
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, rep); err != nil {
+			return fmt.Errorf("existing %s: %w", path, err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	if fresh.Rows != nil {
+		rep.GoVersion, rep.CPUs, rep.BenchTime, rep.Rows = fresh.GoVersion, fresh.CPUs, fresh.BenchTime, fresh.Rows
+	}
+	if fresh.Parallel != nil {
+		rep.Parallel = fresh.Parallel
+	}
+	if fresh.Load != nil {
+		rep.Load = fresh.Load
+	}
+	if fresh.Chaos != nil {
+		rep.Chaos = fresh.Chaos
+	}
+	if rep.GoVersion == "" {
+		rep.GoVersion, rep.CPUs = runtime.Version(), runtime.NumCPU()
+	}
+	data, err = json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Bench measures simulator throughput for the named workloads at every
@@ -230,14 +273,6 @@ func (r *BenchReport) Benchstat() string {
 		fmt.Fprintf(&b, "BenchmarkParallel/%s/W%d %d %.0f ns/op %.1f ns/event %.2f runs/sec %.2f speedup\n",
 			row.Workload, row.Workers, row.Runs, 1e9/row.RunsPerSec, row.NsPerEvent, row.RunsPerSec, row.Speedup)
 	}
-	for _, row := range r.Partitioned {
-		name := fmt.Sprintf("BenchmarkPartitioned/%s/P%d", row.Workload, row.Partitions)
-		if row.Backend == BackendCodegen {
-			name += "/" + BackendCodegen
-		}
-		fmt.Fprintf(&b, "%s %d %.0f ns/op %.1f ns/event %.4f allocs/event %.2f speedup\n",
-			name, row.Runs, row.NsPerRun, row.NsPerEvent, row.AllocsPerEv, row.Speedup)
-	}
 	return b.String()
 }
 
@@ -263,10 +298,6 @@ func FormatBench(r *BenchReport) string {
 	if len(r.Parallel) > 0 {
 		b.WriteString("\n")
 		b.WriteString(FormatParallel(r.CPUs, r.Parallel))
-	}
-	if len(r.Partitioned) > 0 {
-		b.WriteString("\n")
-		b.WriteString(FormatPartitioned(r.CPUs, r.Partitioned))
 	}
 	return b.String()
 }

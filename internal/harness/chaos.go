@@ -74,28 +74,31 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 // injector is stateful) for each battery pass.
 type chaosSchedule struct {
 	name  string
-	build func(hosts []string, seed int64) *netchaos.Injector
+	build func(hosts []string, busiest string, seed int64) *netchaos.Injector
 }
 
 // chaosSchedules is the battery: each entry attacks one layer of the
-// resilience machinery. Hosts are the cluster's listen addresses in ring
-// order of the peer list.
+// resilience machinery. Hosts are the cluster's listen addresses in the
+// order of the peer list; busiest is the host owning the most chaosMix
+// programs on the ring (see busiestHost).
 func chaosSchedules() []chaosSchedule {
 	return []chaosSchedule{
-		{"peer-kill", func(hosts []string, seed int64) *netchaos.Injector {
-			// The first peer dies after its first arrival and never comes
-			// back: every request it owned must fail over.
+		{"peer-kill", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
+			// The busiest peer dies after its first arrival and never
+			// comes back: every request it owned must fail over. Killing
+			// the busiest owner, not a fixed index, makes the kill fire
+			// whatever ports the cluster happened to listen on.
 			return netchaos.New(netchaos.Plan{},
-				netchaos.PeerWindow{Peer: hosts[0], From: 2})
+				netchaos.PeerWindow{Peer: busiest, From: 2})
 		}},
-		{"conn-reset", func(hosts []string, seed int64) *netchaos.Injector {
+		{"conn-reset", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			return netchaos.New(netchaos.Plan{Faults: []netchaos.Fault{
 				{Op: netchaos.Reset, Path: "/v1/run", Nth: 1},
 				{Op: netchaos.Reset, Path: "/v1/run", Nth: 4},
 				{Op: netchaos.Reset, Peer: hosts[1], Nth: 7},
 			}})
 		}},
-		{"corrupt", func(hosts []string, seed int64) *netchaos.Injector {
+		{"corrupt", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			// Byte 0 is the opening brace of the JSON body: always
 			// detectable, so a corrupted response must be retried, never
 			// decoded into a wrong answer.
@@ -104,26 +107,26 @@ func chaosSchedules() []chaosSchedule {
 				{Op: netchaos.Corrupt, Path: "/v1/run", Nth: 5},
 			}})
 		}},
-		{"truncate", func(hosts []string, seed int64) *netchaos.Injector {
+		{"truncate", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			return netchaos.New(netchaos.Plan{Faults: []netchaos.Fault{
 				{Op: netchaos.Truncate, Path: "/v1/run", Nth: 3},
 				{Op: netchaos.Truncate, Path: "/v1/run", Nth: 6},
 			}})
 		}},
-		{"flaky-5xx", func(hosts []string, seed int64) *netchaos.Injector {
+		{"flaky-5xx", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			return netchaos.New(netchaos.Plan{Faults: []netchaos.Fault{
 				{Op: netchaos.Status, Code: 500, Nth: 1},
 				{Op: netchaos.Status, Code: 502, Nth: 4},
 				{Op: netchaos.Status, Code: 429, Nth: 7},
 			}})
 		}},
-		{"delay", func(hosts []string, seed int64) *netchaos.Injector {
+		{"delay", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			return netchaos.New(netchaos.Plan{Faults: []netchaos.Fault{
 				{Op: netchaos.Delay, Latency: 50 * time.Millisecond, Nth: 2},
 				{Op: netchaos.Delay, Latency: 30 * time.Millisecond, Nth: 5},
 			}}).WithJitter(seed, 0.1, 10*time.Millisecond)
 		}},
-		{"blackhole", func(hosts []string, seed int64) *netchaos.Injector {
+		{"blackhole", func(hosts []string, busiest string, seed int64) *netchaos.Injector {
 			// One request is swallowed whole; the hedge must mask it well
 			// before the request deadline would.
 			return netchaos.New(netchaos.Plan{Faults: []netchaos.Fault{
@@ -197,6 +200,27 @@ func startChaosCluster(n int) (*chaosCluster, error) {
 	return c, nil
 }
 
+// busiestHost returns the listen address of the peer that owns the most
+// programs of mix on the routing ring (ties go to the earlier peer).
+// Ownership hashes the peers' URLs, and the cluster listens on random
+// loopback ports, so which index that is changes from run to run; with
+// n peers and len(mix) programs the busiest one owns at least
+// len(mix)/n of them.
+func (c *chaosCluster) busiestHost(mix []api.RunRequest) string {
+	ring := api.NewRing(c.urls, 0)
+	owned := map[string]int{}
+	for _, rr := range mix {
+		owned[ring.Owner(rr.Program.Key())]++
+	}
+	best := 0
+	for i, u := range c.urls {
+		if owned[u] > owned[c.urls[best]] {
+			best = i
+		}
+	}
+	return c.hosts[best]
+}
+
 func (c *chaosCluster) stop() {
 	for _, hs := range c.https {
 		hs.Close()
@@ -266,7 +290,7 @@ func runChaosSchedule(sched chaosSchedule, mix []api.RunRequest, opts ChaosOptio
 	}
 
 	// Chaos pass: the same traffic through the fault-injecting transport.
-	inj := sched.build(cluster.hosts, opts.Seed)
+	inj := sched.build(cluster.hosts, cluster.busiestHost(mix), opts.Seed)
 	cl, err := client.New(client.Config{
 		Peers:       cluster.urls,
 		HTTPClient:  &http.Client{Transport: &netchaos.Transport{Inj: inj}},

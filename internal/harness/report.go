@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -102,6 +105,101 @@ func funcLOC(path string, names []string) (int, error) {
 		loc += end - start + 1
 	}
 	return loc, nil
+}
+
+// --- code size per package ---
+
+// PackageLOCRow is the non-test Go size of one package.
+type PackageLOCRow struct {
+	// Package is the package directory relative to the module root ("."
+	// for the root package).
+	Package string
+	// Lines counts physical lines, as wc -l does.
+	Lines int
+	// FuncLines counts the lines inside function declarations (funcLOC).
+	FuncLines int
+}
+
+// PackageLOC measures the non-test Go source of every package in the
+// module rooted at root (empty locates this repository via the build
+// path). Like the go tool, it skips testdata and directories whose names
+// start with "." or "_"; it also skips directories holding their own
+// go.mod, which belong to another module. Rows are sorted by package.
+func PackageLOC(root string) ([]PackageLOCRow, error) {
+	if root == "" {
+		_, self, _, ok := runtime.Caller(0)
+		if !ok {
+			return nil, fmt.Errorf("harness: cannot locate source directory")
+		}
+		root = filepath.Join(filepath.Dir(self), "..", "..")
+	}
+	byPkg := map[string]*PackageLOCRow{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		funcs, err := funcLOC(path, nil)
+		if err != nil {
+			return err
+		}
+		pkg, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkg = filepath.ToSlash(pkg)
+		row := byPkg[pkg]
+		if row == nil {
+			row = &PackageLOCRow{Package: pkg}
+			byPkg[pkg] = row
+		}
+		row.Lines += bytes.Count(data, []byte("\n"))
+		row.FuncLines += funcs
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	rows := make([]PackageLOCRow, 0, len(byPkg))
+	for _, r := range byPkg {
+		rows = append(rows, *r)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Package < rows[j].Package })
+	return rows, nil
+}
+
+// FormatPackageLOC renders the per-package size table with its total.
+func FormatPackageLOC(rows []PackageLOCRow) string {
+	var sb strings.Builder
+	sb.WriteString("Non-test Go lines per package\n")
+	fmt.Fprintf(&sb, "%-28s %7s %7s\n", "Package", "Lines", "Funcs")
+	lines, funcs := 0, 0
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%-28s %7d %7d\n", r.Package, r.Lines, r.FuncLines)
+		lines += r.Lines
+		funcs += r.FuncLines
+	}
+	fmt.Fprintf(&sb, "%-28s %7d %7d\n", "Total", lines, funcs)
+	return sb.String()
 }
 
 // --- text rendering ---

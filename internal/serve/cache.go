@@ -45,23 +45,16 @@ func programKey(p api.Program) (cacheKey, error) {
 	if err != nil {
 		return cacheKey{}, err
 	}
-	parts, err := partitionsOf(p.Partitions)
-	if err != nil {
-		return cacheKey{}, err
-	}
-	if parts <= 1 {
-		// 0 and 1 both select the sequential queue; collapse them onto
-		// one cache entry.
-		parts = 0
-	}
 	h := sha256.New()
 	// The backend keys via its normalized name, so "" and "interp"
 	// collapse onto one entry while "compiled" gets its own — a cached
 	// Compiled lazily builds the selected engine's structures, and its
-	// Backend field is immutable after CompileSource. Partitions keys
-	// likewise: a cached Compiled carries its lazily-built domain
-	// assignment, immutable after CompileSource.
-	fmt.Fprintf(h, "v1\x00level=%d\x00backend=%s\x00parts=%d\x00", level, backend, parts)
+	// Backend field is immutable after CompileSource. The deprecated
+	// Partitions field does not key, but the prefix keeps its literal
+	// "parts=0": every sequential entry already on disk was written under
+	// that prefix and must still re-hash to its <keyhex>.json name rather
+	// than be quarantined as corrupt.
+	fmt.Fprintf(h, "v1\x00level=%d\x00backend=%s\x00parts=0\x00", level, backend)
 	if ps := passesOf(p.Passes); ps != nil {
 		fmt.Fprintf(h, "passes=%#v\x00", *ps)
 	}

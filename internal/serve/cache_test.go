@@ -70,11 +70,14 @@ func TestKeyNormalization(t *testing.T) {
 		t.Error(`Backend "" and Backend "interp" (the default) produced distinct keys`)
 	}
 
-	// Partitions 0 and 1 both mean the sequential queue: one key.
-	r = base
-	r.Partitions = 1
-	if k, _ := r.key(); k != k0 {
-		t.Error("Partitions 0 and 1 (both sequential) produced distinct keys")
+	// The deprecated Partitions field is ignored: every value, even one
+	// the removed partitioned mode rejected, keys like its absence.
+	for _, n := range []int{1, 2, 4, -1, 1000} {
+		r = base
+		r.Partitions = n
+		if k, err := r.key(); err != nil || k != k0 {
+			t.Errorf("Partitions %d changed the key (err %v)", n, err)
+		}
 	}
 
 	// Genuinely different compile-time fields key differently.
@@ -84,8 +87,6 @@ func TestKeyNormalization(t *testing.T) {
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Sim: &api.SimConfig{EdgeCap: 8}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Passes: &api.Passes{ConstFold: true, CSE: true, DCE: true}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Backend: api.BackendCompiled}},
-		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Partitions: 2}},
-		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Partitions: 4}},
 	}
 	seen := map[cacheKey]int{k0: -1}
 	for i, r := range distinct {
@@ -119,16 +120,6 @@ func TestKeyNormalization(t *testing.T) {
 	r.Backend = "jit"
 	if _, err := r.key(); err == nil {
 		t.Error("unknown backend keyed without error")
-	}
-	r = base
-	r.Partitions = -1
-	if _, err := r.key(); err == nil {
-		t.Error("negative partitions keyed without error")
-	}
-	r = base
-	r.Partitions = 1000
-	if _, err := r.key(); err == nil {
-		t.Error("out-of-range partitions keyed without error")
 	}
 }
 
@@ -275,5 +266,21 @@ func TestCompileErrorNotCached(t *testing.T) {
 	s := e.Stats()
 	if s.Failed != 2 || s.CacheEntries != 0 {
 		t.Fatalf("stats = failed %d entries %d, want 2/0", s.Failed, s.CacheEntries)
+	}
+}
+
+// TestKeyStableOnDisk pins one cache key to its hex digest. Entries on
+// disk are named by that digest and load quarantines any entry that no
+// longer re-hashes to its name, so a change to programKey's hashed
+// prefix (such as dropping the literal "parts=0") would quarantine every
+// persisted entry at the next restart.
+func TestKeyStableOnDisk(t *testing.T) {
+	const want = "b634411219ad4f901dd664699474516bd48a27120ec31fef33ef479f7a9da33f"
+	k, err := programKey(api.Program{Source: "int f(void){return 1;}", Level: api.LevelFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.String() != want {
+		t.Errorf("key = %s, want %s: persisted cache entries would stop re-hashing to their names", k, want)
 	}
 }

@@ -126,8 +126,9 @@ func (d *diskStore) remove(key cacheKey) {
 }
 
 // load reads every persisted entry, newest first, keeping at most max.
-// Entries past the LRU bound and stale wire versions are deleted (both
-// are legitimate, explicable states); unreadable or truncated files and
+// Entries past the LRU bound, stale wire versions, and entries of the
+// removed partitioned mode are deleted (all legitimate, explicable
+// states); unreadable or truncated files and
 // entries whose content no longer re-hashes to their <keyhex> filename
 // are *quarantined* — moved under quarantine/ and counted, because they
 // are evidence of a torn write or bit rot that an operator should see.
@@ -174,8 +175,11 @@ func (d *diskStore) load(max int) ([]loadedEntry, int) {
 			quarantined++
 			continue
 		}
-		if ent.Version != api.Version {
-			_ = os.Remove(c.path) // stale format, not corruption
+		if ent.Version != api.Version || ent.Program.Partitions > 1 {
+			// Stale format, or an entry written for the removed
+			// partitioned mode (keyed "parts=N", so it can never re-hash
+			// to its name now): outdated, not corruption.
+			_ = os.Remove(c.path)
 			continue
 		}
 		key, err := programKey(ent.Program)

@@ -222,3 +222,27 @@ func TestDiskUnusableDir(t *testing.T) {
 		t.Fatal("New accepted a cache dir under a plain file")
 	}
 }
+
+// TestDiskPartitionedEntryDeleted: an entry persisted for the removed
+// partitioned mode (Partitions > 1, keyed "parts=N" when it was written)
+// can no longer re-hash to its filename. It is outdated, not corrupt, so
+// load deletes it like a stale wire version instead of quarantining it.
+func TestDiskPartitionedEntryDeleted(t *testing.T) {
+	dir := t.TempDir()
+	name := "2222222222222222222222222222222222222222222222222222222222222222.json"
+	body := `{"version":"` + api.Version + `","program":{"source":"int f(void){return 1;}","level":3,"partitions":4}}`
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, Config{Workers: 1, CacheEntries: 4, CacheDir: dir})
+	defer e.Close()
+	if s := e.Stats(); s.DiskLoaded != 0 || s.DiskQuarantined != 0 {
+		t.Fatalf("loaded %d / quarantined %d, want 0 / 0", s.DiskLoaded, s.DiskQuarantined)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
+		t.Fatalf("partitioned entry still on disk: %v", files)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*")); len(q) != 0 {
+		t.Fatalf("partitioned entry quarantined: %v", q)
+	}
+}

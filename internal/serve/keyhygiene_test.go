@@ -37,16 +37,19 @@ func TestRequestFieldInventory(t *testing.T) {
 	checkInventory(t, reflect.TypeOf(Request{}), "Request", keyedFields, runtimeFields)
 
 	// Every field of the embedded wire Program must be consumed by
-	// programKey (cache.go): source, level, passes, sim all are.
+	// programKey (cache.go), except the deprecated Partitions, which is
+	// accepted and ignored.
 	programKeyed := map[string]bool{
-		"Source":     true,
-		"Level":      true,
-		"Passes":     true,
-		"Sim":        true,
-		"Backend":    true,
+		"Source":  true,
+		"Level":   true,
+		"Passes":  true,
+		"Sim":     true,
+		"Backend": true,
+	}
+	programIgnored := map[string]bool{
 		"Partitions": true,
 	}
-	checkInventory(t, reflect.TypeOf(api.Program{}), "api.Program", programKeyed, nil)
+	checkInventory(t, reflect.TypeOf(api.Program{}), "api.Program", programKeyed, programIgnored)
 
 	// The sub-configs hash via %#v of their converted internal structs,
 	// so every wire field flows into the key as long as the wire→internal

@@ -59,15 +59,6 @@ func backendOf(b string) (core.Backend, error) {
 	}
 }
 
-// partitionsOf validates a wire partition count; 0 and 1 both mean the
-// sequential queue (the facade default).
-func partitionsOf(n int) (int, error) {
-	if n < 0 || n > core.MaxPartitions {
-		return 0, fmt.Errorf("invalid partitions %d (want 0..%d)", n, core.MaxPartitions)
-	}
-	return n, nil
-}
-
 // memOf converts a wire memory configuration.
 func memOf(m *api.MemConfig) (memsys.Config, error) {
 	if m == nil {
@@ -132,13 +123,6 @@ func coreOptions(p api.Program) ([]core.Option, error) {
 	}
 	if backend != core.BackendInterpreted {
 		opts = append(opts, core.WithBackend(backend))
-	}
-	parts, err := partitionsOf(p.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	if parts > 1 {
-		opts = append(opts, core.WithPartitions(parts))
 	}
 	if ps := passesOf(p.Passes); ps != nil {
 		opts = append(opts, core.WithPasses(*ps))
