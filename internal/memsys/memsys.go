@@ -456,10 +456,11 @@ type cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	// tags[set][way]; lru[set][way] = recency counter
-	tags  [][]uint32
-	valid [][]bool
-	lru   [][]int64
+	// Way w of set s is entry s*ways+w of each slice; lru holds the
+	// clock value of the entry's last use.
+	tags  []uint32
+	valid []bool
+	lru   []int64
 	clock int64
 }
 
@@ -473,16 +474,12 @@ func newCache(totalBytes, lineBytes, ways int) *cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	c := &cache{sets: sets, ways: ways, lineShift: shift}
-	c.tags = make([][]uint32, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]int64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint32, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lru[i] = make([]int64, ways)
+	return &cache{
+		sets: sets, ways: ways, lineShift: shift,
+		tags:  make([]uint32, sets*ways),
+		valid: make([]bool, sets*ways),
+		lru:   make([]int64, sets*ways),
 	}
-	return c
 }
 
 func (c *cache) addr2set(addr uint32) (set int, tag uint32) {
@@ -494,9 +491,9 @@ func (c *cache) addr2set(addr uint32) (set int, tag uint32) {
 func (c *cache) lookup(addr uint32) bool {
 	set, tag := c.addr2set(addr)
 	c.clock++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.clock
+	for i := set * c.ways; i < (set+1)*c.ways; i++ {
+		if c.valid[i] && c.tags[i] == tag {
+			c.lru[i] = c.clock
 			return true
 		}
 	}
@@ -507,19 +504,19 @@ func (c *cache) lookup(addr uint32) bool {
 func (c *cache) fill(addr uint32) {
 	set, tag := c.addr2set(addr)
 	c.clock++
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
+	victim := set * c.ways
+	for i := victim; i < (set+1)*c.ways; i++ {
+		if !c.valid[i] {
+			victim = i
 			break
 		}
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
+		if c.lru[i] < c.lru[victim] {
+			victim = i
 		}
 	}
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.lru[set][victim] = c.clock
+	c.valid[victim] = true
+	c.tags[victim] = tag
+	c.lru[victim] = c.clock
 }
 
 // --- TLB model ---

@@ -70,14 +70,15 @@ var opNames = [...]string{
 func (o Op) String() string { return opNames[o] }
 
 // Fault is one planned perturbation. Empty selector fields widen the
-// match: Peer is a substring of the request host ("" = any peer), Path a
-// substring of the URL path ("" = any path). Nth selects the 1-based
-// occurrence among matching requests (0 means the first). Each Fault
-// triggers exactly once; when several faults claim the same request, the
-// first in plan order wins (the rest still count and log).
+// match: Peer is the request host, host:port as it appears in the URL,
+// matched exactly ("" = any peer); Path a substring of the URL path
+// ("" = any path). Nth selects the 1-based occurrence among matching
+// requests (0 means the first). Each Fault triggers exactly once; when
+// several faults claim the same request, the first in plan order wins
+// (the rest still count and log).
 type Fault struct {
 	Op   Op
-	Peer string // substring of the request host; "" = any
+	Peer string // request host (host:port), matched exactly; "" = any
 	Path string // substring of the URL path; "" = any
 	Nth  int    // 1-based occurrence of the matching request (0 = first)
 	// Latency is the Delay hold (0 means 1ms).
@@ -132,7 +133,7 @@ func (f Fault) code() int {
 }
 
 func (f Fault) match(host, path string) bool {
-	if f.Peer != "" && !strings.Contains(host, f.Peer) {
+	if f.Peer != "" && host != f.Peer {
 		return false
 	}
 	return f.Path == "" || strings.Contains(path, f.Path)
@@ -143,7 +144,7 @@ func (f Fault) match(host, path string) bool {
 // were down. To of 0 means dead forever — killed, never resurrected.
 // Several windows for one peer model kill/resurrect/kill schedules.
 type PeerWindow struct {
-	Peer     string // substring of the request host; "" = every peer
+	Peer     string // request host (host:port), matched exactly; "" = every peer
 	From, To int
 }
 
@@ -263,7 +264,7 @@ func (in *Injector) decide(host, path string) verdict {
 	in.seq[host]++
 	n := in.seq[host]
 	for _, w := range in.windows {
-		if w.Peer != "" && !strings.Contains(host, w.Peer) {
+		if w.Peer != "" && host != w.Peer {
 			continue
 		}
 		if w.contains(n) {

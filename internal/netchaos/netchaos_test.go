@@ -217,6 +217,26 @@ func TestPathAndPeerSelectors(t *testing.T) {
 	}
 }
 
+// TestPeerMatchesExactHost: a fault or a down window aimed at one peer
+// leaves a peer whose address merely contains it alone.
+func TestPeerMatchesExactHost(t *testing.T) {
+	const target, other = "127.0.0.1:4000", "127.0.0.1:40001"
+	inj := New(Plan{Faults: []Fault{{Op: Status, Peer: target}}})
+	if v := inj.decide(other, "/v1/run"); v.hit {
+		t.Fatalf("fault for %s fired on %s", target, other)
+	}
+	if v := inj.decide(target, "/v1/run"); !v.hit {
+		t.Fatalf("fault for %s did not fire on %s", target, target)
+	}
+	down := New(Plan{}, PeerWindow{Peer: target, From: 1})
+	if v := down.decide(other, "/"); v.down {
+		t.Fatalf("down window for %s refused %s", target, other)
+	}
+	if v := down.decide(target, "/"); !v.down {
+		t.Fatalf("down window for %s let %s through", target, target)
+	}
+}
+
 // TestProxy: the reverse proxy forwards clean traffic, injects planned
 // faults, and renders injected transport failures as 502.
 func TestProxy(t *testing.T) {

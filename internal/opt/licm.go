@@ -22,16 +22,16 @@ type loopEntry struct {
 	predHyper int
 }
 
-// findLoopEntry checks that every merge of the loop has exactly one
-// non-back-edge input, all arriving from the same predecessor hyperblock
-// under the same eta predicate.
-func findLoopEntry(g *pegasus.Graph, hyper int) (*loopEntry, bool) {
+// findLoopEntry checks that every merge of the loop, among its given
+// nodes, has exactly one non-back-edge input, all arriving from the same
+// predecessor hyperblock under the same eta predicate.
+func findLoopEntry(g *pegasus.Graph, hyper int, nodes []*pegasus.Node) (*loopEntry, bool) {
 	hb := g.Hypers[hyper]
 	if !hb.IsLoop || hb.LoopPred == nil || hb.LoopPred.Hyper != hyper {
 		return nil, false
 	}
 	le := &loopEntry{hyper: hyper, predHyper: -1}
-	for _, m := range g.NodesInHyper(hyper) {
+	for _, m := range nodes {
 		if m.Dead || m.Kind != pegasus.KMerge {
 			continue
 		}
@@ -187,12 +187,13 @@ func loopInvariantMotion(c *ctx) (bool, error) {
 		if !g.Hypers[hyper].IsLoop {
 			continue
 		}
-		le, ok := findLoopEntry(g, hyper)
+		nodes := g.NodesInHyper(hyper)
+		le, ok := findLoopEntry(g, hyper, nodes)
 		if !ok {
 			continue
 		}
 		h := &hoister{c: c, le: le, memo: map[*pegasus.Node]pegasus.Ref{}, state: map[*pegasus.Node]int8{}}
-		for _, l := range g.NodesInHyper(hyper) {
+		for _, l := range nodes {
 			if l.Dead || l.Kind != pegasus.KLoad {
 				continue
 			}

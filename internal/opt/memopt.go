@@ -42,9 +42,15 @@ func memMerge(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
 	reach := pegasus.NewReachability(g)
-	// Group candidate ops by hyperblock.
-	for h := range g.Hypers {
-		ops := g.MemOpsInHyper(h)
+	// Group candidate ops by hyperblock. Merging creates no memory
+	// operations and kills only ops of the hyperblock being scanned.
+	byHyper := make([][]*pegasus.Node, len(g.Hypers))
+	for _, n := range g.Nodes {
+		if !n.Dead && (n.IsMemOp() || n.Kind == pegasus.KCall) {
+			byHyper[n.Hyper] = append(byHyper[n.Hyper], n)
+		}
+	}
+	for _, ops := range byHyper {
 		for i := 0; i < len(ops); i++ {
 			a := ops[i]
 			if a.Dead || a.Kind == pegasus.KCall {
@@ -130,7 +136,7 @@ func mergeStores(c *ctx, reach *pegasus.Reachability, a, b, pa, pb *pegasus.Node
 func storeBeforeStore(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
-	uses := g.Uses()
+	uses := g.UseCounts()
 	for _, s2 := range g.Nodes {
 		if s2.Dead || s2.Kind != pegasus.KStore {
 			continue
@@ -144,13 +150,7 @@ func storeBeforeStore(c *ctx) (bool, error) {
 				continue
 			}
 			// s1's token must only feed s2.
-			tokUses := 0
-			for _, u := range uses[s1] {
-				if u.Out == pegasus.OutToken {
-					tokUses++
-				}
-			}
-			if tokUses != 1 {
+			if uses[s1.ID].Tok != 1 {
 				continue
 			}
 			p1, p2 := s1.Preds[0].N, s2.Preds[0].N
@@ -166,7 +166,7 @@ func storeBeforeStore(c *ctx) (bool, error) {
 			if g.IsConstFalse(newPred) {
 				spliceTokens(g, s1)
 				s1.Dead = true
-				uses = g.Uses()
+				uses = g.UseCounts()
 			}
 		}
 	}

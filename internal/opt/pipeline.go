@@ -31,13 +31,13 @@ type circuit struct {
 	calls   bool            // a call touches the class in the loop
 }
 
-// findCircuit locates the token circuit of class cl in loop hyperblock h.
-// It requires the single-hyperblock loop shape: the back eta lives in the
-// same hyperblock.
-func findCircuit(c *ctx, h int, cl int) (*circuit, bool) {
+// findCircuit locates the token circuit of class cl in loop hyperblock h,
+// whose live nodes are given. It requires the single-hyperblock loop
+// shape: the back eta lives in the same hyperblock.
+func findCircuit(c *ctx, h int, nodes []*pegasus.Node, cl int) (*circuit, bool) {
 	g := c.g
 	cir := &circuit{class: cl}
-	for _, n := range g.NodesInHyper(h) {
+	for _, n := range nodes {
 		if n.Dead {
 			continue
 		}
@@ -92,11 +92,11 @@ func (cir *circuit) freeRun() {
 	cir.backEta.Toks[0] = pegasus.T(cir.tm)
 }
 
-// classesIn returns the distinct classes with a token merge in hyper h.
-func classesIn(g *pegasus.Graph, h int) []int {
+// classesIn returns the distinct classes with a token merge among nodes.
+func classesIn(nodes []*pegasus.Node) []int {
 	var out []int
 	seen := map[int]bool{}
-	for _, n := range g.NodesInHyper(h) {
+	for _, n := range nodes {
 		if !n.Dead && n.Kind == pegasus.KMerge && n.TokenOnly && !seen[int(n.TokClass)] {
 			seen[int(n.TokClass)] = true
 			out = append(out, int(n.TokClass))
@@ -152,8 +152,14 @@ func pipelineLoops(c *ctx, allowWrites, decouple bool) (bool, error) {
 			}
 			return false
 		}
-		for _, cl := range classesIn(g, h) {
-			cir, ok := findCircuit(c, h, cl)
+		// h's live nodes, listed again whenever the graph has grown (a
+		// decoupling adds nodes to h).
+		nodes, listed := g.NodesInHyper(h), len(g.Nodes)
+		for _, cl := range classesIn(nodes) {
+			if len(g.Nodes) != listed {
+				nodes, listed = g.NodesInHyper(h), len(g.Nodes)
+			}
+			cir, ok := findCircuit(c, h, nodes, cl)
 			if !ok || cir.calls || cir.alreadyFree() {
 				continue
 			}

@@ -282,30 +282,23 @@ func deadCode(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
 	// First: loads with no value uses but live tokens get spliced out.
-	uses := g.Uses()
+	uses := g.UseCounts()
 	for _, n := range g.Nodes {
 		if n.Dead || n.Kind != pegasus.KLoad {
 			continue
 		}
-		hasValUse := false
-		for _, u := range uses[n] {
-			if u.Out == pegasus.OutValue {
-				hasValUse = true
-				break
-			}
-		}
-		if !hasValUse {
+		if uses[n.ID].Val == 0 {
 			spliceTokens(g, n)
 			n.Dead = true
 			changed = true
 		}
 	}
 	// Mark phase.
-	live := map[*pegasus.Node]bool{}
+	live := make([]bool, g.MaxID())
 	var stack []*pegasus.Node
 	push := func(n *pegasus.Node) {
-		if n != nil && !n.Dead && !live[n] {
-			live[n] = true
+		if n != nil && !n.Dead && !live[n.ID] {
+			live[n.ID] = true
 			stack = append(stack, n)
 		}
 	}
@@ -328,7 +321,7 @@ func deadCode(c *ctx) (bool, error) {
 		})
 	}
 	for _, n := range g.Nodes {
-		if !n.Dead && !live[n] {
+		if !n.Dead && !live[n.ID] {
 			n.Dead = true
 			changed = true
 		}

@@ -12,12 +12,9 @@ const (
 	PortTok
 )
 
-// Use records one use of a node's output.
-type Use struct {
-	User *Node
-	Port Port
-	Idx  int
-	Out  Out // which output of the producer is used
+// UseCount counts the uses of one node's value and token outputs.
+type UseCount struct {
+	Val, Tok int32
 }
 
 // EachInput invokes f over every input reference of n. The pointer allows
@@ -34,21 +31,26 @@ func (n *Node) EachInput(f func(r *Ref, port Port, idx int)) {
 	}
 }
 
-// Uses builds the use index for all live nodes: producer → list of uses.
-func (g *Graph) Uses() map[*Node][]Use {
-	uses := make(map[*Node][]Use, len(g.Nodes))
+// UseCounts counts the uses of every node's outputs by live nodes,
+// indexed by producer ID (length MaxID).
+func (g *Graph) UseCounts() []UseCount {
+	counts := make([]UseCount, g.nextID)
 	for _, n := range g.Nodes {
 		if n.Dead {
 			continue
 		}
-		user := n
 		n.EachInput(func(r *Ref, port Port, idx int) {
-			if r.Valid() {
-				uses[r.N] = append(uses[r.N], Use{User: user, Port: port, Idx: idx, Out: r.Out})
+			if !r.Valid() {
+				return
+			}
+			if r.Out == OutToken {
+				counts[r.N.ID].Tok++
+			} else {
+				counts[r.N.ID].Val++
 			}
 		})
 	}
-	return uses
+	return counts
 }
 
 // ReplaceUses rewires every use of output (old, out) to point at newRef.
@@ -83,19 +85,6 @@ func (n *Node) AddTok(r Ref) {
 	n.Toks = append(n.Toks, r)
 }
 
-// InputNodes returns the distinct producer nodes of n's inputs.
-func (n *Node) InputNodes() []*Node {
-	var out []*Node
-	seen := map[*Node]bool{}
-	n.EachInput(func(r *Ref, port Port, idx int) {
-		if r.Valid() && !seen[r.N] {
-			seen[r.N] = true
-			out = append(out, r.N)
-		}
-	})
-	return out
-}
-
 // IsBackEdge reports whether the edge from producer p into consumer c is a
 // loop back edge: an edge into a merge node of a loop hyperblock from a
 // hyperblock at the same or a later position. Hyperblock IDs are assigned
@@ -106,58 +95,80 @@ func (g *Graph) IsBackEdge(p, c *Node) bool {
 	return c.Kind == KMerge && g.Hypers[c.Hyper].IsLoop && p.Hyper >= c.Hyper
 }
 
-// Forward returns the forward dataflow edges of n (skipping back edges),
-// i.e. n's input producers that are not reached through a loop back edge.
-// A token generator's credit input (its token port) is also excluded: the
-// credit returned by the leading loop is consumed by a *later* iteration
-// of the trailing loop, through the generator's internal counter — it is
-// a cross-iteration edge, not a combinational path (paper Section 6.3).
-func (g *Graph) forwardInputs(n *Node) []*Node {
-	var out []*Node
-	seen := map[*Node]bool{}
-	n.EachInput(func(r *Ref, port Port, idx int) {
-		if !r.Valid() || seen[r.N] {
-			return
+// eachForward calls f on the live producer of every forward input edge of
+// n, in input order (values, predicates, tokens), and stops as soon as f
+// returns false; it reports whether f always returned true. Back edges
+// into loop merges are skipped, and so is a token generator's credit
+// input (its token port): the credit returned by the leading loop is
+// consumed by a *later* iteration of the trailing loop, through the
+// generator's internal counter — it is a cross-iteration edge, not a
+// combinational path (paper Section 6.3). A producer feeding n through
+// several edges is passed once per edge; the walks below skip repeats by
+// their visit state, which keeps their order that of the first edge.
+func (g *Graph) eachForward(n *Node, f func(p *Node) bool) bool {
+	toks := n.Toks
+	if n.Kind == KTokenGen {
+		toks = nil
+	}
+	for _, rs := range [...][]Ref{n.Ins, n.Preds, toks} {
+		for _, r := range rs {
+			if !r.Valid() || r.N.Dead || g.IsBackEdge(r.N, n) {
+				continue
+			}
+			if !f(r.N) {
+				return false
+			}
 		}
-		if n.Kind == KTokenGen && port == PortTok {
-			return
+	}
+	return true
+}
+
+// Visit states of a depth-first walk, indexed by Node.ID; the zero
+// state is unvisited.
+const (
+	onPath uint8 = iota + 1
+	finished
+)
+
+// topo walks the live nodes depth first along forward edges, in node
+// order, and returns them in postorder. If the walk meets a node already
+// on its path, it stops and returns that node as cycle (order is then
+// partial).
+func (g *Graph) topo() (order []*Node, cycle *Node) {
+	state := make([]uint8, g.nextID)
+	order = make([]*Node, 0, len(g.Nodes))
+	var visit func(n *Node) bool
+	visit = func(n *Node) bool {
+		switch state[n.ID] {
+		case onPath:
+			cycle = n
+			return false
+		case finished:
+			return true
 		}
-		if g.IsBackEdge(r.N, n) {
-			return
+		state[n.ID] = onPath
+		if !g.eachForward(n, visit) {
+			return false
 		}
-		seen[r.N] = true
-		out = append(out, r.N)
-	})
-	return out
+		state[n.ID] = finished
+		order = append(order, n)
+		return true
+	}
+	for _, n := range g.Nodes {
+		if !n.Dead && !visit(n) {
+			return order, cycle
+		}
+	}
+	return order, nil
 }
 
 // Topo returns all live nodes in a topological order of the forward edges
 // (back edges into loop merges are ignored). It panics on an unexpected
 // cycle; Verify reports cycles with diagnostics first.
 func (g *Graph) Topo() []*Node {
-	state := map[*Node]int{} // 0 unvisited, 1 in stack, 2 done
-	var order []*Node
-	var visit func(*Node)
-	visit = func(n *Node) {
-		switch state[n] {
-		case 1:
-			panic(fmt.Sprintf("pegasus: cycle through %s in %s", n, g.Name))
-		case 2:
-			return
-		}
-		state[n] = 1
-		for _, p := range g.forwardInputs(n) {
-			if !p.Dead {
-				visit(p)
-			}
-		}
-		state[n] = 2
-		order = append(order, n)
-	}
-	for _, n := range g.Nodes {
-		if !n.Dead {
-			visit(n)
-		}
+	order, cycle := g.topo()
+	if cycle != nil {
+		panic(fmt.Sprintf("pegasus: cycle through %s in %s", cycle, g.Name))
 	}
 	return order
 }
@@ -169,13 +180,15 @@ func (g *Graph) Topo() []*Node {
 // result is cached for a batch of queries and must be invalidated (by
 // building a new Reachability) after the graph changes.
 type Reachability struct {
-	g    *Graph
-	memo map[*Node]map[*Node]bool
+	g *Graph
+	// reachedBy[to.ID] is the set of node IDs that reach to, one bit
+	// per ID; nil until to is first queried.
+	reachedBy [][]uint64
 }
 
 // NewReachability creates a fresh reachability cache for g.
 func NewReachability(g *Graph) *Reachability {
-	return &Reachability{g: g, memo: map[*Node]map[*Node]bool{}}
+	return &Reachability{g: g}
 }
 
 // Reaches reports whether from can reach to along forward dataflow edges
@@ -184,41 +197,24 @@ func (r *Reachability) Reaches(from, to *Node) bool {
 	if from == to {
 		return true
 	}
-	// reachedBy[to] = set of nodes that reach to.
-	if m, ok := r.memo[to]; ok {
-		return m[from]
+	if to.ID >= len(r.reachedBy) {
+		r.reachedBy = append(r.reachedBy, make([][]uint64, r.g.nextID-len(r.reachedBy))...)
 	}
-	m := map[*Node]bool{}
-	var walk func(*Node)
-	walk = func(n *Node) {
-		for _, p := range r.g.forwardInputs(n) {
-			if p.Dead || m[p] {
-				continue
+	set := r.reachedBy[to.ID]
+	if set == nil {
+		set = make([]uint64, (r.g.nextID+63)/64)
+		var mark func(p *Node) bool
+		mark = func(p *Node) bool {
+			if w, b := p.ID/64, uint64(1)<<(p.ID%64); set[w]&b == 0 {
+				set[w] |= b
+				r.g.eachForward(p, mark)
 			}
-			m[p] = true
-			walk(p)
+			return true
 		}
+		r.g.eachForward(to, mark)
+		r.reachedBy[to.ID] = set
 	}
-	walk(to)
-	r.memo[to] = m
-	return m[from]
-}
-
-// TokenSuccs returns, for each live token-producing node, the nodes that
-// consume its token output.
-func (g *Graph) TokenSuccs() map[*Node][]*Node {
-	succs := map[*Node][]*Node{}
-	for _, n := range g.Nodes {
-		if n.Dead {
-			continue
-		}
-		for _, t := range n.Toks {
-			if t.Valid() {
-				succs[t.N] = append(succs[t.N], n)
-			}
-		}
-	}
-	return succs
+	return from.ID < len(set)*64 && set[from.ID/64]&(uint64(1)<<(from.ID%64)) != 0
 }
 
 // NodesInHyper returns the live nodes of hyperblock h.
@@ -226,17 +222,6 @@ func (g *Graph) NodesInHyper(h int) []*Node {
 	var out []*Node
 	for _, n := range g.Nodes {
 		if !n.Dead && n.Hyper == h {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// MemOpsInHyper returns the live loads/stores/calls of hyperblock h.
-func (g *Graph) MemOpsInHyper(h int) []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if !n.Dead && n.Hyper == h && (n.IsMemOp() || n.Kind == KCall) {
 			out = append(out, n)
 		}
 	}

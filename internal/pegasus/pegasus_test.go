@@ -96,8 +96,67 @@ func TestVerifyDetectsCycle(t *testing.T) {
 	// Make the load depend on the store's token while the store depends
 	// on the load's — a forward cycle.
 	load.Toks = append(load.Toks, T(store))
-	if err := g.Verify(); err == nil {
-		t.Error("Verify accepted a token cycle")
+	err := g.Verify()
+	if err == nil {
+		t.Fatal("Verify accepted a token cycle")
+	}
+	// The walk starts from nodes in ID order, so it enters the cycle at
+	// the load and names it when the store leads back to it.
+	if want := "tiny: forward-edge cycle through n3:load"; err.Error() != want {
+		t.Errorf("Verify error = %q, want %q", err, want)
+	}
+}
+
+// chainGraph builds a well-formed graph of n loads threaded on one token
+// chain, all from the same address, each feeding the next load's
+// predicate through a UBool.
+func chainGraph(n int) *Graph {
+	g := NewGraph(nil)
+	g.Name = "chain"
+	g.NewHyper(false)
+	g.Entry = g.NewNode(KEntryTok, 0)
+	addr := g.NewNode(KConst, 0)
+	addr.VT = U32
+	pred := V(g.ConstPred(0, true))
+	tok := T(g.Entry)
+	for i := 0; i < n; i++ {
+		load := g.NewNode(KLoad, 0)
+		load.VT = I32
+		load.Bytes = 4
+		load.Ins = []Ref{V(addr)}
+		load.Preds = []Ref{pred}
+		load.Toks = []Ref{tok}
+		nz := g.NewNode(KUnOp, 0)
+		nz.UnOp = UBool
+		nz.VT = Pred
+		nz.Ins = []Ref{V(load)}
+		pred, tok = V(nz), T(load)
+	}
+	g.Ret = g.NewNode(KReturn, 0)
+	g.Ret.Toks = []Ref{tok}
+	return g
+}
+
+// TestAnalysesAllocateConstant pins that the per-round analyses index
+// their state by node ID: a graph 100 times larger costs the same number
+// of allocations.
+func TestAnalysesAllocateConstant(t *testing.T) {
+	small, large := chainGraph(10), chainGraph(1000)
+	for _, g := range []*Graph{small, large} {
+		if err := g.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, f := range map[string]func(g *Graph){
+		"Verify":    func(g *Graph) { _ = g.Verify() },
+		"Topo":      func(g *Graph) { _ = g.Topo() },
+		"UseCounts": func(g *Graph) { _ = g.UseCounts() },
+	} {
+		a := testing.AllocsPerRun(20, func() { f(small) })
+		b := testing.AllocsPerRun(20, func() { f(large) })
+		if a != b {
+			t.Errorf("%s: %v allocations on %d nodes, %v on %d", name, a, len(small.Nodes), b, len(large.Nodes))
+		}
 	}
 }
 
@@ -129,6 +188,12 @@ func TestReachability(t *testing.T) {
 	if !r.Reaches(load, load) {
 		t.Error("node should reach itself")
 	}
+	// A node created after the cache reaches nothing it was not wired to.
+	late := g.NewNode(KCombine, 0)
+	late.Toks = []Ref{T(load)}
+	if !r.Reaches(load, late) || r.Reaches(late, store) {
+		t.Error("reachability wrong for a node newer than the cache")
+	}
 }
 
 func TestReplaceUses(t *testing.T) {
@@ -147,15 +212,16 @@ func TestReplaceUses(t *testing.T) {
 
 func TestUsesIndex(t *testing.T) {
 	g, load, store := tinyGraph(t)
-	uses := g.Uses()
-	foundTok := false
-	for _, u := range uses[load] {
-		if u.User == store && u.Out == OutToken {
-			foundTok = true
+	uses := g.UseCounts()
+	// load's value feeds the return and its token the store; the store's
+	// token feeds the return.
+	for _, c := range []struct {
+		n    *Node
+		want UseCount
+	}{{load, UseCount{Val: 1, Tok: 1}}, {store, UseCount{Tok: 1}}} {
+		if got := uses[c.n.ID]; got != c.want {
+			t.Errorf("use counts of %s = %+v, want %+v", c.n, got, c.want)
 		}
-	}
-	if !foundTok {
-		t.Error("uses index missing store's token use of load")
 	}
 }
 

@@ -148,36 +148,8 @@ func (g *Graph) verifyShape(n *Node) error {
 
 // verifyAcyclic checks that forward edges form a DAG.
 func (g *Graph) verifyAcyclic() error {
-	state := map[*Node]int{}
-	var cycle *Node
-	var visit func(*Node) bool
-	visit = func(n *Node) bool {
-		switch state[n] {
-		case 1:
-			cycle = n
-			return false
-		case 2:
-			return true
-		}
-		state[n] = 1
-		for _, p := range g.forwardInputs(n) {
-			if p.Dead {
-				continue
-			}
-			if !visit(p) {
-				return false
-			}
-		}
-		state[n] = 2
-		return true
-	}
-	for _, n := range g.Nodes {
-		if n.Dead {
-			continue
-		}
-		if !visit(n) {
-			return fmt.Errorf("%s: forward-edge cycle through %s", g.Name, cycle)
-		}
+	if _, cycle := g.topo(); cycle != nil {
+		return fmt.Errorf("%s: forward-edge cycle through %s", g.Name, cycle)
 	}
 	return nil
 }
