@@ -13,6 +13,9 @@
 //	            [-loaddur 2s] [-short] [-benchout BENCH.json]
 //	experiments -exp chaos [-seed 1] [-short] [-benchout BENCH.json]
 //
+// Every form takes -cpuprofile FILE, which writes a runtime/pprof CPU
+// profile of the experiment to FILE (read it with go tool pprof).
+//
 // -exp load drives a cashd daemon with an open-loop generator and
 // records the offered load vs latency/shed curve (EXPERIMENTS.md
 // documents the protocol). With no -url it starts an in-process daemon
@@ -44,6 +47,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -71,7 +75,16 @@ func main() {
 	loadDur := flag.Duration("loaddur", 2*time.Second, "-exp load: duration per offered rate")
 	short := flag.Bool("short", false, "-exp load/chaos: CI smoke variant")
 	seed := flag.Int64("seed", 1, "-exp chaos: jitter seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	flag.Parse()
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		stopProfile = stop
+		defer stop()
+	}
 
 	ws := workloads.All()
 	var benchNames []string
@@ -499,7 +512,31 @@ func runChaos(seed int64, short bool, out string) error {
 	return nil
 }
 
+// stopProfile ends -cpuprofile; fatal calls it because os.Exit skips
+// deferred calls.
+var stopProfile = func() {}
+
+// startCPUProfile profiles the rest of the command into path and
+// returns the function that stops the profile and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: -cpuprofile:", err)
+		}
+	}, nil
+}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
 }

@@ -10,7 +10,7 @@
 //	           [-backend interp|compiled] [-seq] [-edgecap n]
 //	           [-profile] [-topk n] [-trace out.json]
 //	           [-timeout d] [-jitter seed] [-drop n] [-droptok n] [-memfail n]
-//	           [-parallel n] [-repeat m]
+//	           [-parallel n] [-repeat m] [-cpuprofile file]
 //	           file.c [args...]
 //
 // -backend selects the execution engine: the event-driven interpreter
@@ -28,6 +28,9 @@
 // -trace records the full event stream, writes a Chrome trace-event file
 // (loadable in about://tracing or Perfetto), and prints the trace summary
 // and dynamic critical path.
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the compile and the
+// runs to the given file (read it with go tool pprof).
 //
 // Exit codes distinguish the failure class so scripts can triage without
 // parsing messages:
@@ -47,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -75,6 +79,7 @@ func main() {
 	memFail := flag.Int("memfail", 0, "corrupt the n-th memory response (expect a detected fault)")
 	parallel := flag.Int("parallel", 1, "concurrent simulation streams for -repeat")
 	repeat := flag.Int("repeat", 1, "total number of runs (all must be bit-identical)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the compile and runs to this file")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: spatialsim [flags] file.c [args...]")
@@ -115,6 +120,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spatialsim: -trace and -profile observe the interpreter and cannot be combined with -backend compiled")
 		os.Exit(2)
 	}
+	if *parallel > 1 || *repeat > 1 {
+		if *traceOut != "" || *profile || inj != nil || *seq {
+			fmt.Fprintln(os.Stderr, "spatialsim: -parallel/-repeat cannot be combined with -trace, -profile, -seq, or fault injection")
+			os.Exit(2)
+		}
+		if *parallel < 1 || *repeat < 1 {
+			fmt.Fprintln(os.Stderr, "spatialsim: -parallel and -repeat must be >= 1")
+			os.Exit(2)
+		}
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		stopProfile = stop
+		defer stop()
+	}
 	cfg := core.DefaultSim()
 	cfg.Mem = mcfg
 	cfg.EdgeCap = *edgeCap
@@ -126,14 +149,6 @@ func main() {
 	var res *core.SimResult
 	switch {
 	case *parallel > 1 || *repeat > 1:
-		if *traceOut != "" || *profile || inj != nil || *seq {
-			fmt.Fprintln(os.Stderr, "spatialsim: -parallel/-repeat cannot be combined with -trace, -profile, -seq, or fault injection")
-			os.Exit(2)
-		}
-		if *parallel < 1 || *repeat < 1 {
-			fmt.Fprintln(os.Stderr, "spatialsim: -parallel and -repeat must be >= 1")
-			os.Exit(2)
-		}
 		res, err = runRepeated(cp, *entry, args, *parallel, *repeat)
 		if err != nil {
 			fatal(err)
@@ -328,8 +343,32 @@ func parseMem(s string) (memsys.Config, error) {
 	return memsys.Config{}, fmt.Errorf("unknown memory system %q", s)
 }
 
+// stopProfile ends -cpuprofile; fatal calls it because os.Exit skips
+// deferred calls.
+var stopProfile = func() {}
+
+// startCPUProfile profiles the rest of the command into path and
+// returns the function that stops the profile and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "spatialsim: -cpuprofile:", err)
+		}
+	}, nil
+}
+
 // fatal prints the error and exits with a code identifying its class.
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "spatialsim:", err)
 	os.Exit(exitCode(err))
 }

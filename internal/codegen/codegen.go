@@ -2,13 +2,12 @@ package codegen
 
 // Module is the compiled form of a whole Pegasus program and the public
 // entry point of the package. Compile once, run many times — a Module is
-// immutable after Compile (except the internal state pools, which are
-// concurrency-safe), so one Module may serve concurrent runs, exactly
-// like dataflow.Shared on the interpreted side.
+// immutable after Compile (except the per-graph activation-state pools,
+// which are concurrency-safe), so one Module may serve concurrent runs,
+// exactly like dataflow.Shared on the interpreted side.
 
 import (
 	"context"
-	"sync"
 
 	"spatial/internal/dataflow"
 	"spatial/internal/faultsim"
@@ -22,9 +21,6 @@ type Module struct {
 	// numFrameClasses counts the distinct frame sizes across all graphs;
 	// each gprog.frameClass indexes the VM's per-size frame free lists.
 	numFrameClasses int
-	// vmPool recycles whole VM instances (ring buckets, frame lists,
-	// memory image) across runs of this module.
-	vmPool sync.Pool
 }
 
 // Compile lowers every graph of p. Lowering is two-phase — all gprog

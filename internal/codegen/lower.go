@@ -215,7 +215,6 @@ type gprog struct {
 	name      string
 	numParams int
 	frameSize uint32
-	memSize   uint32
 
 	rules []rule
 	// ruleOf maps node ID → rule index (-1 for static/dead nodes).
@@ -332,7 +331,6 @@ func lowerGraph(mod *Module, gp *gprog) {
 	g := gp.g
 	maxID := g.MaxID()
 	gp.frameSize = mod.prog.Layout.FrameSize[g.Fn]
-	gp.memSize = mod.prog.Layout.MemSize
 	if g.Fn != nil {
 		gp.numParams = len(g.Fn.Params)
 	}

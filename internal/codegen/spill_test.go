@@ -1,8 +1,8 @@
 package codegen_test
 
-// Spill-heap stress: the VM's calendar ring only spans ringLen (512)
-// cycles, so injected delays larger than that force deliveries off the
-// ring into the (time, seq) spill heap. These schedules are the
+// Spill-heap stress: the event queue's calendar ring (internal/evq) only
+// spans 512 cycles, so injected delays larger than that force deliveries
+// off the ring into the (time, seq) spill heap. These schedules are the
 // asynchrony-heavy worst case for the queue, and the VM must still replay
 // the interpreter bit for bit.
 

@@ -3,11 +3,12 @@ package codegen
 // This file is the bytecode executor. It replays the interpreter's event
 // algebra exactly — same push order, same (time, seq) pop order, same
 // statistics — while eliminating its constant factors: rules instead of
-// node dispatch, bare int64 latch FIFOs, one flat occupancy array, a
-// calendar-ring event queue, and inlined arithmetic that never allocates
-// (division by zero yields 0 without an error value). Zero steady-state
-// allocations: the VM itself, activation state, ring buckets, and latch
-// buffers are all pooled or retain capacity across runs.
+// node dispatch, bare int64 latch FIFOs, one flat occupancy array, and
+// inlined arithmetic that never allocates (division by zero yields 0
+// without an error value). The event queue and the memory image are the
+// interpreter's own (internal/evq, pegasus.Memory). Zero steady-state
+// allocations per event: activation state is pooled, and a fresh VM
+// grows its queue slab and memory image in a handful of allocations.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 
 	"spatial/internal/cminor"
 	"spatial/internal/dataflow"
+	"spatial/internal/evq"
 	"spatial/internal/faultsim"
 	"spatial/internal/memsys"
 	"spatial/internal/pegasus"
@@ -145,71 +147,23 @@ type vact struct {
 
 // vev is one scheduled event. dstPort >= 0 latches val there before the
 // fire attempt (a delivery); dstPort < 0 only attempts the fire (a
-// check). Ring events carry no sequence number — their FIFO position is
-// their sequence (see the order proof below) — which keeps the struct to
-// 32 bytes.
+// check).
 type vev struct {
-	time, val int64
-	act       *vact
-	rule      int32
-	dstPort   int32
+	val     int64
+	act     *vact
+	rule    int32
+	dstPort int32
 }
 
-// sev is a spilled event: far-future events wait in a min-heap, where
-// ordering needs an explicit sequence number.
-type sev struct {
-	vev
-	seq int64
-}
-
-// The calendar ring: per-cycle FIFO buckets for events within ringLen
-// cycles of the current base time, plus a spill min-heap for the rest.
-//
-// Order proof sketch: push order is the interpreter's seq order and base
-// never decreases, so (a) events land in a bucket in push order, and a
-// bucket only ever holds events of a single time value (all events at
-// time t are drained while base == t, and nothing pushes at a time <
-// base because pushes happen at e.time >= now == base); (b) a spill
-// event at time t was pushed while t >= base+ringLen, a ring event at
-// time t while t < base+ringLen — since base is monotone the spill push
-// happened strictly earlier. pop therefore drains the spill heap at the
-// base time first, then the base bucket FIFO, and the result is exactly
-// (time, seq) order — the interpreter's heap order — without storing
-// seq per ring event. The spill counter orders spilled events among
-// themselves. When a run needs real sequence numbers (evHook), every
-// event goes through the spill heap instead (spillAll), where the
-// counter is then the interpreter's global seq.
-const (
-	ringBits = 9
-	ringLen  = 1 << ringBits
-	ringMask = ringLen - 1
-)
-
-type vbucket struct {
-	buf  []vev
-	head int32
-}
-
-// vm executes one run of a lowered module. VMs are recycled through the
-// module's pool; getVM restores the pristine state between runs.
+// vm executes one run of a lowered module; each run builds its own, as
+// the interpreter builds its machine.
 type vm struct {
 	mod  *Module
 	cfg  dataflow.Config
-	mem  []byte
+	mem  pegasus.Memory
 	msys *memsys.System
+	q    evq.Queue[vev]
 
-	buckets [ringLen]vbucket
-	base    int64
-	baseIdx int32
-	count   int   // events in ring buckets
-	spill   []sev // far-future events, min-heap on (time, seq)
-	// spillAll routes every push through the spill heap so each event
-	// carries a true global sequence number (evHook runs only).
-	spillAll bool
-	// popSeq is the seq of the last spill-popped event (evHook runs).
-	popSeq int64
-
-	seq   int64
 	now   int64
 	stats dataflow.Stats
 
@@ -234,68 +188,11 @@ type vm struct {
 
 	acts []*vact
 	// arena chunk-allocates vacts: fixed-size chunks are never
-	// reallocated (events hold *vact), consecutive activations share
-	// cache lines, and chunks are retained across runs.
+	// reallocated (events hold *vact), and consecutive activations share
+	// cache lines.
 	arena [][]vact
 
 	evHook func(time, seq int64, act, node int)
-}
-
-// getVM returns a pristine VM for one run, reusing a pooled one when
-// available (its ring buckets, frame free lists, scratch buffers, and
-// memory image keep their capacity).
-func (mod *Module) getVM() *vm {
-	m, ok := mod.vmPool.Get().(*vm)
-	if !ok {
-		return &vm{
-			mod:        mod,
-			mem:        make([]byte, mod.prog.Layout.MemSize),
-			freeFrames: make([][]uint32, mod.numFrameClasses),
-		}
-	}
-	// Drop every retained event: an errored or early-terminated run
-	// leaves stale events (and activation pointers) in the queue.
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.buf = b.buf[:cap(b.buf)]
-		clear(b.buf)
-		b.buf = b.buf[:0]
-		b.head = 0
-	}
-	m.spill = m.spill[:cap(m.spill)]
-	clear(m.spill)
-	m.spill = m.spill[:0]
-	m.acts = m.acts[:cap(m.acts)]
-	clear(m.acts)
-	m.acts = m.acts[:0]
-	for i := range m.arena {
-		ch := m.arena[i][:cap(m.arena[i])]
-		clear(ch) // drop stale gp/st/retAct references
-		m.arena[i] = ch[:0]
-	}
-	for i := range m.freeFrames {
-		m.freeFrames[i] = m.freeFrames[i][:0]
-	}
-	clear(m.mem)
-	m.base, m.baseIdx, m.count = 0, 0, 0
-	m.seq, m.now, m.popSeq = 0, 0, 0
-	m.spillAll = false
-	m.stats = dataflow.Stats{}
-	m.nextActID, m.liveFrames = 0, 0
-	m.mainVal, m.mainDone = 0, false
-	m.ctxTick = 0
-	m.err = nil
-	return m
-}
-
-// release returns the VM to the module's pool, dropping the observer
-// references that must not outlive the run.
-func (mod *Module) release(m *vm) {
-	m.msys = nil
-	m.inj = nil
-	m.ctx = nil
-	m.evHook = nil
-	mod.vmPool.Put(m)
 }
 
 // runVM is the single internal runner behind the Module's Run variants;
@@ -313,21 +210,22 @@ func (mod *Module) runVM(ctx context.Context, entry string, args []int64, cfg da
 	if len(args) != gp.numParams {
 		return nil, fmt.Errorf("dataflow: %s expects %d arguments, got %d", entry, gp.numParams, len(args))
 	}
-	m := mod.getVM()
-	defer mod.release(m)
-	m.cfg = cfg
-	m.sp = mod.prog.Layout.StackBase
-	m.msys = memsys.New(cfg.Mem)
-	m.inj = inj
-	m.ctx = ctx
-	m.evHook = evHook
-	// The ring needs spillAll to give evHook true sequence numbers.
-	m.spillAll = evHook != nil
+	m := &vm{
+		mod:        mod,
+		cfg:        cfg,
+		mem:        mod.prog.Layout.NewMemory(),
+		msys:       memsys.New(cfg.Mem),
+		sp:         mod.prog.Layout.StackBase,
+		freeFrames: make([][]uint32, mod.numFrameClasses),
+		inj:        inj,
+		ctx:        ctx,
+		evHook:     evHook,
+	}
+	if evHook != nil {
+		m.q.SpillAll()
+	}
 	if inj != nil {
 		m.msys.SetPerturber(inj)
-	}
-	for _, c := range mod.prog.Layout.Init {
-		m.writeMem(c.Addr, c.Size, c.Value)
 	}
 	m.newActivation(gp, args, -1, nil)
 	if m.err != nil {
@@ -343,129 +241,17 @@ func (mod *Module) runVM(ctx context.Context, entry string, args []int64, cfg da
 
 // --- event queue ---
 
-// push schedules one event. Scalar arguments and a manual slot store
-// keep the hot path to a single 32-byte write into the bucket tail.
+// push schedules a delivery of val to rule's port dst.
 func (m *vm) push(t, val int64, a *vact, rule, dst int32) {
-	if d := t - m.base; d < ringLen && !m.spillAll {
-		b := &m.buckets[(m.baseIdx+int32(d))&ringMask]
-		n := len(b.buf)
-		if n < cap(b.buf) {
-			b.buf = b.buf[:n+1]
-		} else {
-			b.buf = append(b.buf, vev{})
-		}
-		s := &b.buf[n]
-		s.time, s.val = t, val
-		s.act, s.rule, s.dstPort = a, rule, dst
-		m.count++
-		return
-	}
-	m.spillPush(sev{vev: vev{time: t, val: val, act: a, rule: rule, dstPort: dst}, seq: m.seq})
-	m.seq++
+	e := m.q.Push(t)
+	e.val, e.act, e.rule, e.dstPort = val, a, rule, dst
 }
 
+// pushCheck schedules a fire attempt; the payload comes back zeroed, so
+// val needs no write.
 func (m *vm) pushCheck(t int64, a *vact, ri int32) {
-	m.push(t, 0, a, ri, -1)
-}
-
-// pushNow pushes a check at the current cycle. During event processing
-// base == now (ring pops drain the base bucket, whose single time value
-// is base; spill pops only happen with spill[0].time == base), so the
-// event always belongs in the base bucket.
-func (m *vm) pushNow(a *vact, ri int32) {
-	if m.spillAll {
-		m.spillPush(sev{vev: vev{time: m.now, act: a, rule: ri, dstPort: -1}, seq: m.seq})
-		m.seq++
-		return
-	}
-	b := &m.buckets[m.baseIdx]
-	n := len(b.buf)
-	if n < cap(b.buf) {
-		b.buf = b.buf[:n+1]
-	} else {
-		b.buf = append(b.buf, vev{})
-	}
-	s := &b.buf[n]
-	s.time, s.val = m.now, 0
-	s.act, s.rule, s.dstPort = a, ri, -1
-	m.count++
-}
-
-// pop returns the earliest pending event in (time, seq) order. Must not
-// be called with nothing pending.
-func (m *vm) pop() vev {
-	for {
-		if s := m.spill; len(s) > 0 && s[0].time == m.base {
-			return m.spillPop()
-		}
-		b := &m.buckets[m.baseIdx]
-		if int(b.head) < len(b.buf) {
-			e := b.buf[b.head]
-			b.head++
-			if int(b.head) == len(b.buf) {
-				b.buf = b.buf[:0]
-				b.head = 0
-			}
-			m.count--
-			return e
-		}
-		m.base++
-		m.baseIdx = (m.baseIdx + 1) & ringMask
-		if m.count == 0 && len(m.spill) > 0 && m.spill[0].time > m.base {
-			// Ring empty: skip straight to the next asynchronous event.
-			m.base = m.spill[0].time
-		}
-	}
-}
-
-// spillPush appends e to the (time, seq) min-heap and sifts it up.
-func (m *vm) spillPush(e sev) {
-	s := append(m.spill, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) >> 1
-		if !evLess(&s[i], &s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	m.spill = s
-}
-
-// spillPop removes and returns the heap minimum.
-func (m *vm) spillPop() vev {
-	s := m.spill
-	e := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last].act = nil
-	s = s[:last]
-	i := 0
-	for {
-		c := i*2 + 1
-		if c >= len(s) {
-			break
-		}
-		if c+1 < len(s) && evLess(&s[c+1], &s[c]) {
-			c++
-		}
-		if !evLess(&s[c], &s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	m.spill = s
-	m.popSeq = e.seq
-	return e.vev
-}
-
-func evLess(a, b *sev) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+	e := m.q.Push(t)
+	e.act, e.rule, e.dstPort = a, ri, -1
 }
 
 // --- run loop (mirrors machine.run) ---
@@ -477,7 +263,7 @@ func (m *vm) run() error {
 	hasHook := m.evHook != nil
 	noInj := m.inj == nil
 	maxCycles := m.cfg.MaxCycles
-	for m.count > 0 || len(m.spill) > 0 {
+	for m.q.Len() > 0 {
 		if hasCtx {
 			m.ctxTick++
 			if m.ctxTick >= 1024 {
@@ -487,31 +273,16 @@ func (m *vm) run() error {
 				}
 			}
 		}
-		// Inline pop fast path: no spill, base bucket non-empty. The
-		// slow path (spill events or base advance) stays in pop.
-		var e vev
-		if b := &m.buckets[m.baseIdx]; len(m.spill) == 0 && int(b.head) < len(b.buf) {
-			e = b.buf[b.head]
-			b.head++
-			if int(b.head) == len(b.buf) {
-				b.buf = b.buf[:0]
-				b.head = 0
-			}
-			m.count--
-		} else {
-			e = m.pop()
-		}
-		if e.time > maxCycles {
-			m.now = e.time
+		t, e := m.q.Pop()
+		m.now = t
+		if t > maxCycles {
 			return &dataflow.LivelockError{MaxCycles: maxCycles, Report: m.stuckReport("livelock")}
 		}
-		m.now = e.time
 		m.stats.Events++
 		a := e.act
 		if hasHook {
-			// spillAll mode: every event came through the spill heap,
-			// so popSeq is its true global sequence number.
-			m.evHook(e.time, m.popSeq, a.id, int(a.gp.rules[e.rule].nodeID))
+			// Hooked runs spill every event, so Seq is its push index.
+			m.evHook(t, m.q.Seq(), a.id, int(a.gp.rules[e.rule].nodeID))
 		}
 		if a.done {
 			// Drop events for completed activations: their state has
@@ -616,7 +387,7 @@ func (m *vm) allocFrame(gp *gprog) uint32 {
 		f := frames[len(frames)-1]
 		m.freeFrames[gp.frameClass] = frames[:len(frames)-1]
 		// Zero the recycled frame so first use and reuse are identical.
-		clear(m.mem[f : f+size])
+		m.mem.Clear(f, f+size)
 		return f
 	}
 	f := m.sp
@@ -700,7 +471,7 @@ func (m *vm) consume(a *vact, p int32) int64 {
 	if o == int32(m.cfg.EdgeCap) {
 		st.nodes[pm.prod].full--
 	}
-	m.pushNow(a, pm.prod)
+	m.pushCheck(m.now, a, pm.prod)
 	return v
 }
 
@@ -1079,13 +850,13 @@ func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 	if r.op == opLoad {
 		m.stats.DynLoads++
 		done := m.msys.Submit(m.now, true, addr, int(r.bytes))
-		v := m.readMem(addr, int(r.bytes), r.loadSigned)
+		v := m.mem.Load(addr, int(r.bytes), r.loadSigned)
 		m.emit(a, ri, r, false, v, done)
 		m.emit(a, ri, r, true, 1, m.now+1)
 	} else {
 		m.stats.DynStores++
 		m.msys.Submit(m.now, false, addr, int(r.bytes))
-		m.writeMem(addr, int(r.bytes), ins[1])
+		m.mem.Store(addr, int(r.bytes), ins[1])
 		m.emit(a, ri, r, true, 1, m.now+1)
 	}
 	if m.inj != nil && m.msys.TakeFault() {
@@ -1296,38 +1067,5 @@ func convValue(v int64, bits int, signed bool) int64 {
 		return int64(uint16(v))
 	default:
 		return int64(int32(v))
-	}
-}
-
-// --- memory data access (mirrors sim.go) ---
-
-func (m *vm) readMem(addr uint32, bytes int, signed bool) int64 {
-	if int(addr)+bytes > len(m.mem) {
-		return 0 // out-of-range reads yield 0, like an open bus
-	}
-	var raw uint32
-	for i := 0; i < bytes; i++ {
-		raw |= uint32(m.mem[addr+uint32(i)]) << (8 * i)
-	}
-	switch {
-	case bytes == 1 && signed:
-		return int64(int8(raw))
-	case bytes == 1:
-		return int64(uint8(raw))
-	case bytes == 2 && signed:
-		return int64(int16(raw))
-	case bytes == 2:
-		return int64(uint16(raw))
-	default:
-		return int64(int32(raw))
-	}
-}
-
-func (m *vm) writeMem(addr uint32, bytes int, v int64) {
-	if int(addr)+bytes > len(m.mem) {
-		return
-	}
-	for i := 0; i < bytes; i++ {
-		m.mem[addr+uint32(i)] = byte(v >> (8 * i))
 	}
 }

@@ -129,7 +129,7 @@ func frameMachine() (*machine, *cminor.FuncDecl) {
 	}
 	m := &machine{
 		prog:       &pegasus.Program{Layout: layout},
-		mem:        make([]byte, 96),
+		mem:        layout.NewMemory(),
 		sp:         64,
 		freeFrames: map[uint32][]uint32{},
 	}
@@ -179,7 +179,7 @@ func TestRecycledFrameZeroed(t *testing.T) {
 	m, fn := frameMachine()
 	f := m.allocFrame(fn)
 	for i := f; i < f+32; i++ {
-		m.mem[i] = 0xAB
+		m.mem.Store(i, 1, 0xAB)
 	}
 	gi := &graphInfo{g: pegasus.NewGraph(fn)}
 	m.freeFrame(&activation{gi: gi, frame: f})
@@ -191,7 +191,7 @@ func TestRecycledFrameZeroed(t *testing.T) {
 		t.Fatalf("expected frame reuse: got %d, want %d", f2, f)
 	}
 	for i := f2; i < f2+32; i++ {
-		if m.mem[i] != 0 {
+		if m.mem.Load(i, 1, false) != 0 {
 			t.Fatalf("recycled frame not zeroed at offset %d", i-f2)
 		}
 	}

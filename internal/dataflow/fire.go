@@ -396,13 +396,13 @@ func (m *machine) fireMemOp(a *activation, n *pegasus.Node) bool {
 	if n.Kind == pegasus.KLoad {
 		m.stats.DynLoads++
 		done := m.msys.Submit(m.now, true, addr, n.Bytes)
-		v := m.readMem(addr, n.Bytes, n.VT.Signed)
+		v := m.mem.Load(addr, n.Bytes, n.VT.Signed)
 		m.emit(a, n, pegasus.OutValue, v, done)
 		m.emit(a, n, pegasus.OutToken, 1, m.now+1)
 	} else {
 		m.stats.DynStores++
 		m.msys.Submit(m.now, false, addr, n.Bytes)
-		m.writeMem(addr, n.Bytes, ins[1])
+		m.mem.Store(addr, n.Bytes, ins[1])
 		m.emit(a, n, pegasus.OutToken, 1, m.now+1)
 	}
 	if m.inj != nil && m.msys.TakeFault() {
@@ -483,39 +483,6 @@ func (m *machine) fireReturn(a *activation, n *pegasus.Node) bool {
 	return true
 }
 
-// --- memory data access ---
-
-func (m *machine) readMem(addr uint32, bytes int, signed bool) int64 {
-	if int(addr)+bytes > len(m.mem) {
-		return 0 // out-of-range reads yield 0, like an open bus
-	}
-	var raw uint32
-	for i := 0; i < bytes; i++ {
-		raw |= uint32(m.mem[addr+uint32(i)]) << (8 * i)
-	}
-	switch {
-	case bytes == 1 && signed:
-		return int64(int8(raw))
-	case bytes == 1:
-		return int64(uint8(raw))
-	case bytes == 2 && signed:
-		return int64(int16(raw))
-	case bytes == 2:
-		return int64(uint16(raw))
-	default:
-		return int64(int32(raw))
-	}
-}
-
-func (m *machine) writeMem(addr uint32, bytes int, v int64) {
-	if int(addr)+bytes > len(m.mem) {
-		return
-	}
-	for i := 0; i < bytes; i++ {
-		m.mem[addr+uint32(i)] = byte(v >> (8 * i))
-	}
-}
-
 // Inspector reads a simulation's memory post-mortem — used by tests and
 // the harness to check program outputs. See RunInspect.
 type Inspector struct {
@@ -523,11 +490,8 @@ type Inspector struct {
 }
 
 // ReadWord reads a 4-byte word at an absolute simulated address.
-func (ins *Inspector) ReadWord(addr uint32) int64 { return ins.m.readMem(addr, 4, true) }
+func (ins *Inspector) ReadWord(addr uint32) int64 { return ins.m.mem.Load(addr, 4, true) }
 
-// ReadBytes copies out simulated memory.
-func (ins *Inspector) ReadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	copy(out, ins.m.mem[addr:int(addr)+n])
-	return out
-}
+// ReadBytes copies out n bytes of simulated memory from addr; bytes past
+// the memory size read as 0, like ReadWord.
+func (ins *Inspector) ReadBytes(addr uint32, n int) []byte { return ins.m.mem.ReadBytes(addr, n) }

@@ -94,3 +94,27 @@ func TestProfileHotAndFormat(t *testing.T) {
 		t.Fatalf("Format of a loop kernel should mention etas:\n%s", txt)
 	}
 }
+
+// TestInspectorReadBytesPastMemSize reads a range that runs past the end
+// of simulated memory: the bytes beyond it read as 0, as ReadWord does,
+// instead of panicking.
+func TestInspectorReadBytesPastMemSize(t *testing.T) {
+	p := compileProgram(t, profileSrc)
+	_, insp, err := RunInspect(p, "fill", []int64{8}, DefaultConfig())
+	if err != nil {
+		t.Fatalf("RunInspect: %v", err)
+	}
+	top := p.Layout.MemSize
+	raw := insp.ReadBytes(top-2, 8)
+	if len(raw) != 8 {
+		t.Fatalf("ReadBytes returned %d bytes, want 8", len(raw))
+	}
+	for i, b := range raw {
+		if b != 0 {
+			t.Fatalf("byte %d = %#x, want 0", i, b)
+		}
+	}
+	if got := insp.ReadWord(top - 2); got != 0 {
+		t.Fatalf("ReadWord past MemSize = %d, want 0", got)
+	}
+}

@@ -52,7 +52,7 @@ func runMachine(p *pegasus.Program, entry string, args []int64, cfg Config, o ru
 	m := &machine{
 		prog:       p,
 		cfg:        cfg,
-		mem:        make([]byte, p.Layout.MemSize),
+		mem:        p.Layout.NewMemory(),
 		msys:       memsys.New(cfg.Mem),
 		shared:     sh,
 		sp:         p.Layout.StackBase,
@@ -69,8 +69,8 @@ func runMachine(p *pegasus.Program, entry string, args []int64, cfg Config, o ru
 	if o.inj != nil {
 		m.msys.SetPerturber(o.inj)
 	}
-	for _, c := range p.Layout.Init {
-		m.writeMem(c.Addr, c.Size, c.Value)
+	if o.evHook != nil {
+		m.events.SpillAll()
 	}
 	m.mainAct = m.newActivation(g, args, nil, nil)
 	if m.err != nil {

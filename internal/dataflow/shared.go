@@ -86,12 +86,3 @@ func (s *Shared) RunTracedCtx(ctx context.Context, entry string, args []int64, c
 	}
 	return res, tr.Finish(m.now), nil
 }
-
-// RunInspect is Run returning an Inspector for post-mortem memory reads.
-func (s *Shared) RunInspect(entry string, args []int64, cfg Config) (*Result, *Inspector, error) {
-	res, m, err := runMachine(s.prog, entry, args, cfg, runOpts{shared: s})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Inspector{m: m}, nil
-}

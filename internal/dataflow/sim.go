@@ -10,9 +10,9 @@
 // The engine's data layout is designed for allocation-free steady-state
 // execution (see DESIGN.md "Simulator internals"): per-node input latches
 // are dense slices indexed by port offsets precomputed in graphInfo, the
-// event queue is a typed 4-ary heap over slab indices (events recycled,
-// never garbage), and per-activation state is one flat allocation pooled
-// across activations of the same function.
+// event queue is the slab-backed calendar ring shared with the compiled
+// VM (internal/evq), and per-activation state is one flat allocation
+// pooled across activations of the same function.
 package dataflow
 
 import (
@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"spatial/internal/cminor"
+	"spatial/internal/evq"
 	"spatial/internal/faultsim"
 	"spatial/internal/memsys"
 	"spatial/internal/pegasus"
@@ -400,11 +401,10 @@ func (a *activation) params() []int64 { return a.st.params }
 type machine struct {
 	prog   *pegasus.Program
 	cfg    Config
-	mem    []byte
+	mem    pegasus.Memory
 	msys   *memsys.System
 	shared *Shared
-	events eventQueue
-	seq    int64
+	events evq.Queue[event]
 	now    int64
 	stats  Stats
 
@@ -517,7 +517,7 @@ func (m *machine) allocFrame(fn *cminor.FuncDecl) uint32 {
 		// memory is zero-initialized), so without this a program reading
 		// an uninitialized local would see different values on first use
 		// versus reuse — breaking determinism across activation orders.
-		clear(m.mem[f : f+size])
+		m.mem.Clear(f, f+size)
 		return f
 	}
 	f := m.sp
@@ -544,14 +544,9 @@ func (m *machine) freeFrame(a *activation) {
 	}
 }
 
-func (m *machine) pushEvent(e event) {
-	e.seq = m.seq
-	m.seq++
-	m.events.push(e)
-}
-
 func (m *machine) pushCheck(t int64, a *activation, n *pegasus.Node) {
-	m.pushEvent(event{time: t, kind: evCheck, act: a, node: n})
+	e := m.events.Push(t)
+	e.kind, e.act, e.node = evCheck, a, n
 }
 
 // emit schedules delivery of one output of (a, n) to every consumer and
@@ -606,10 +601,9 @@ func (m *machine) emit(a *activation, n *pegasus.Node, out pegasus.Out, val int6
 		}
 		for k := 0; k < copies; k++ {
 			occ[i]++
-			m.pushEvent(event{
-				time: dt, kind: evDeliver, act: a, node: c.node, dstPort: c.dstPort, val: val,
-				prodNode: int32(n.ID), prodTok: out == pegasus.OutToken, prodEdge: int32(i), prodFire: fireSeq,
-			})
+			e := m.events.Push(dt)
+			e.kind, e.act, e.node, e.dstPort, e.val = evDeliver, a, c.node, c.dstPort, val
+			e.prodNode, e.prodTok, e.prodEdge, e.prodFire = int32(n.ID), out == pegasus.OutToken, int32(i), fireSeq
 		}
 	}
 }
@@ -636,7 +630,7 @@ func (m *machine) capacityFree(a *activation, n *pegasus.Node, out pegasus.Out) 
 }
 
 func (m *machine) run() error {
-	for m.events.len() > 0 {
+	for m.events.Len() > 0 {
 		if m.err != nil {
 			return m.err
 		}
@@ -649,15 +643,15 @@ func (m *machine) run() error {
 				}
 			}
 		}
-		e := m.events.pop()
-		if e.time > m.cfg.MaxCycles {
-			m.now = e.time
+		t, e := m.events.Pop()
+		m.now = t
+		if t > m.cfg.MaxCycles {
 			return &LivelockError{MaxCycles: m.cfg.MaxCycles, Report: m.stuckReport("livelock")}
 		}
-		m.now = e.time
 		m.stats.Events++
 		if m.evHook != nil {
-			m.evHook(e.time, e.seq, e.act.id, e.node)
+			// Hooked runs spill every event, so Seq is its push index.
+			m.evHook(t, m.events.Seq(), e.act.id, e.node)
 		}
 		if e.act.done {
 			// Drop events for completed activations: their state has been
@@ -669,7 +663,7 @@ func (m *machine) run() error {
 		case evDeliver:
 			q := &e.act.st.ports[e.dstPort]
 			q.buf = append(q.buf, latchEntry{
-				val: e.val, fireSeq: e.prodFire, at: e.time,
+				val: e.val, fireSeq: e.prodFire, at: t,
 				prodNode: e.prodNode, prodEdge: e.prodEdge, prodTok: e.prodTok,
 			})
 			m.tryFire(e.act, e.node)

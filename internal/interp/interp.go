@@ -33,7 +33,7 @@ type Machine struct {
 	prog   *cminor.Program
 	an     *alias.Analysis
 	layout *pegasus.Layout
-	mem    []byte
+	mem    pegasus.Memory
 	msys   *memsys.System
 
 	res   Result
@@ -50,13 +50,10 @@ func New(p *pegasus.Program, mcfg memsys.Config) *Machine {
 		prog:     p.Source,
 		an:       p.Alias,
 		layout:   p.Layout,
-		mem:      make([]byte, p.Layout.MemSize),
+		mem:      p.Layout.NewMemory(),
 		msys:     memsys.New(mcfg),
 		sp:       p.Layout.StackBase,
 		maxSteps: 1 << 32,
-	}
-	for _, c := range p.Layout.Init {
-		m.write(c.Addr, c.Size, c.Value)
 	}
 	return m
 }
@@ -82,14 +79,11 @@ func (m *Machine) Run(entry string, args []int64) (*Result, error) {
 }
 
 // ReadWord reads simulated memory post-run.
-func (m *Machine) ReadWord(addr uint32) int64 { return m.read(addr, 4, true) }
+func (m *Machine) ReadWord(addr uint32) int64 { return m.mem.Load(addr, 4, true) }
 
-// ReadBytes copies out simulated memory.
-func (m *Machine) ReadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	copy(out, m.mem[addr:int(addr)+n])
-	return out
-}
+// ReadBytes copies out n bytes of simulated memory from addr; bytes past
+// the memory size read as 0, like ReadWord.
+func (m *Machine) ReadBytes(addr uint32, n int) []byte { return m.mem.ReadBytes(addr, n) }
 
 // frame is one activation record.
 type frame struct {
@@ -112,7 +106,7 @@ func (m *Machine) callFn(fn *cminor.FuncDecl, args []int64) (int64, error) {
 	fr := &frame{fn: fn, vars: map[*cminor.VarDecl]int64{}, base: m.sp}
 	size := m.layout.FrameSize[fn]
 	m.sp += (size + 7) &^ 7
-	if int(m.sp) > len(m.mem) {
+	if m.sp > m.layout.MemSize {
 		return 0, fmt.Errorf("interp: stack overflow in %s", fn.Name)
 	}
 	// Locals start zeroed, matching the dataflow simulator's frame
@@ -120,12 +114,12 @@ func (m *Machine) callFn(fn *cminor.FuncDecl, args []int64) (int64, error) {
 	// reading an uninitialized local would see stale bytes from an
 	// earlier call at the same stack depth, and the two engines would
 	// disagree nondeterministically.
-	clear(m.mem[fr.base:m.sp])
+	m.mem.Clear(fr.base, m.sp)
 	defer func() { m.sp = fr.base }()
 	for i, p := range fn.Params {
 		if obj, ok := m.an.ObjectOf(p); ok {
 			m.storeCost()
-			m.write(fr.base+m.layout.FrameOffset[obj], int(p.Type.Decay().Size()), args[i])
+			m.mem.Store(fr.base+m.layout.FrameOffset[obj], int(p.Type.Decay().Size()), args[i])
 		} else {
 			fr.vars[p] = args[i]
 		}
@@ -200,7 +194,7 @@ func (m *Machine) stmt(fr *frame, s cminor.Stmt) (signal, int64, error) {
 			esz := v.Type.Elem.Size()
 			m.storeCost()
 			m.storeAt(fr.base+m.layout.FrameOffset[obj]+uint32(int64(i)*esz), int(esz))
-			m.write(fr.base+m.layout.FrameOffset[obj]+uint32(int64(i)*esz), int(esz), val)
+			m.mem.Store(fr.base+m.layout.FrameOffset[obj]+uint32(int64(i)*esz), int(esz), val)
 		}
 		return sigNone, 0, nil
 	case *cminor.ExprStmt:
@@ -345,7 +339,7 @@ func (m *Machine) assignVar(fr *frame, v *cminor.VarDecl, val int64) error {
 		addr := m.objAddr(fr, obj)
 		m.storeCost()
 		m.storeAt(addr, sz)
-		m.write(addr, sz, val)
+		m.mem.Store(addr, sz, val)
 		return nil
 	}
 	fr.vars[v] = truncType(val, v.Type)
@@ -409,7 +403,7 @@ func (m *Machine) expr(fr *frame, e cminor.Expr) (int64, error) {
 			sz := int(d.Type.Decay().Size())
 			addr := m.objAddr(fr, obj)
 			m.loadCost(addr, sz)
-			return m.read(addr, sz, d.Type.Decay().IsInteger() && d.Type.Decay().Signed), nil
+			return m.mem.Load(addr, sz, d.Type.Decay().IsInteger() && d.Type.Decay().Signed), nil
 		}
 		return fr.vars[d], nil
 	case *cminor.BinExpr:
@@ -459,14 +453,14 @@ func (m *Machine) expr(fr *frame, e cminor.Expr) (int64, error) {
 			return 0, err
 		}
 		m.loadCost(addr, sz)
-		return m.read(addr, sz, e.Typ.IsInteger() && e.Typ.Signed), nil
+		return m.mem.Load(addr, sz, e.Typ.IsInteger() && e.Typ.Signed), nil
 	case *cminor.DerefExpr:
 		addr, sz, err := m.lvalueAddr(fr, e)
 		if err != nil {
 			return 0, err
 		}
 		m.loadCost(addr, sz)
-		return m.read(addr, sz, e.Typ.IsInteger() && e.Typ.Signed), nil
+		return m.mem.Load(addr, sz, e.Typ.IsInteger() && e.Typ.Signed), nil
 	case *cminor.AddrExpr:
 		switch lv := e.X.(type) {
 		case *cminor.VarRef:
@@ -526,7 +520,7 @@ func (m *Machine) expr(fr *frame, e cminor.Expr) (int64, error) {
 		}
 		m.storeCost()
 		m.storeAt(addr, sz)
-		m.write(addr, sz, val)
+		m.mem.Store(addr, sz, val)
 		return val, nil
 	}
 	return 0, fmt.Errorf("interp: cannot evaluate %T", e)
@@ -603,35 +597,4 @@ func isUnsigned(lt, rt *cminor.Type, e *cminor.BinExpr) bool {
 		return lu || ru
 	}
 	return e.Typ != nil && e.Typ.IsInteger() && !e.Typ.Signed
-}
-
-func (m *Machine) read(addr uint32, bytes int, signed bool) int64 {
-	if int(addr)+bytes > len(m.mem) {
-		return 0
-	}
-	var raw uint32
-	for i := 0; i < bytes; i++ {
-		raw |= uint32(m.mem[addr+uint32(i)]) << (8 * i)
-	}
-	switch {
-	case bytes == 1 && signed:
-		return int64(int8(raw))
-	case bytes == 1:
-		return int64(uint8(raw))
-	case bytes == 2 && signed:
-		return int64(int16(raw))
-	case bytes == 2:
-		return int64(uint16(raw))
-	default:
-		return int64(int32(raw))
-	}
-}
-
-func (m *Machine) write(addr uint32, bytes int, v int64) {
-	if int(addr)+bytes > len(m.mem) {
-		return
-	}
-	for i := 0; i < bytes; i++ {
-		m.mem[addr+uint32(i)] = byte(v >> (8 * i))
-	}
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 
 	"spatial/internal/build"
@@ -213,6 +214,53 @@ void f(void) { out[0] = 11; out[1] = 22; }`
 	}
 	if b := m.ReadBytes(addr, 4); b[0] != 11 {
 		t.Errorf("bytes = %v", b)
+	}
+}
+
+// TestReadBytesPastMemSize reads a range that runs past the end of
+// simulated memory: the bytes beyond it read as 0 instead of panicking.
+func TestReadBytesPastMemSize(t *testing.T) {
+	p := setup(t, `int f(void) { return 1; }`)
+	m := New(p, memsys.PerfectConfig())
+	if _, err := m.Run("f", nil); err != nil {
+		t.Fatal(err)
+	}
+	b := m.ReadBytes(p.Layout.MemSize-2, 8)
+	if len(b) != 8 {
+		t.Fatalf("ReadBytes returned %d bytes, want 8", len(b))
+	}
+	for i, v := range b {
+		if v != 0 {
+			t.Fatalf("byte %d = %#x, want 0", i, v)
+		}
+	}
+}
+
+// TestStackOverflowAtMemSize pins the overflow check to the layout's
+// memory size, not to how much of the image a run has stored: the
+// deepest recursion whose frames fit below MemSize runs, one more frame
+// overflows.
+func TestStackOverflowAtMemSize(t *testing.T) {
+	src := `
+int deep(int n) {
+  int pad[256];
+  pad[0] = n;
+  if (n == 0) return 0;
+  return deep(n - 1) + pad[0] - n + 1;
+}`
+	p := setup(t, src)
+	frame := (p.Layout.FrameSize[p.Source.Func("deep")] + 7) &^ 7
+	fit := int64((p.Layout.MemSize - p.Layout.StackBase) / frame) // frames that fit
+	// deep(n) uses n+1 frames.
+	res, err := New(p, memsys.PerfectConfig()).Run("deep", []int64{fit - 1})
+	if err != nil {
+		t.Fatalf("deep(%d) with %d frames of %d bytes: %v", fit-1, fit, frame, err)
+	}
+	if res.Value != fit-1 {
+		t.Fatalf("deep(%d) = %d", fit-1, res.Value)
+	}
+	if _, err := New(p, memsys.PerfectConfig()).Run("deep", []int64{fit}); err == nil || !strings.Contains(err.Error(), "stack overflow") {
+		t.Fatalf("deep(%d) needs %d frames past MemSize; err = %v, want stack overflow", fit, fit+1, err)
 	}
 }
 

@@ -176,3 +176,101 @@ func (l *Layout) AddressOfObject(o alias.ObjID) (uint32, bool) {
 	a, ok := l.Addr[o]
 	return a, ok
 }
+
+// Memory is one run's simulated memory image: MemSize bytes of address
+// space, zero-initialized, of which only a prefix is stored. The prefix
+// starts at StackBase bytes (the data segment) and doubles on demand, up
+// to MemSize, when a store lands above it; bytes above it read as 0. A
+// run therefore pays for the memory it touches, not for MemSize.
+//
+// Accesses that end past MemSize behave like an open bus: loads read 0
+// and stores are dropped.
+type Memory struct {
+	b    []byte
+	size uint32
+}
+
+// NewMemory returns a fresh image of l with the initial contents
+// (l.Init) stored.
+func (l *Layout) NewMemory() Memory {
+	m := Memory{b: make([]byte, l.StackBase), size: l.MemSize}
+	for _, c := range l.Init {
+		m.Store(c.Addr, c.Size, c.Value)
+	}
+	return m
+}
+
+// Load reads a little-endian value of 1, 2 or 4 bytes, sign- or
+// zero-extending the narrow sizes.
+func (m *Memory) Load(addr uint32, bytes int, signed bool) int64 {
+	end := int(addr) + bytes
+	if end > int(m.size) {
+		return 0
+	}
+	n := bytes
+	if end > len(m.b) {
+		n = len(m.b) - int(addr) // bytes past the stored prefix read 0
+	}
+	var raw uint32
+	for i := 0; i < n; i++ {
+		raw |= uint32(m.b[int(addr)+i]) << (8 * i)
+	}
+	switch {
+	case bytes == 1 && signed:
+		return int64(int8(raw))
+	case bytes == 1:
+		return int64(uint8(raw))
+	case bytes == 2 && signed:
+		return int64(int16(raw))
+	case bytes == 2:
+		return int64(uint16(raw))
+	default:
+		return int64(int32(raw))
+	}
+}
+
+// Store writes the low bytes of v little-endian.
+func (m *Memory) Store(addr uint32, bytes int, v int64) {
+	end := int(addr) + bytes
+	if end > int(m.size) {
+		return
+	}
+	if end > len(m.b) {
+		m.grow(end)
+	}
+	for i := 0; i < bytes; i++ {
+		m.b[int(addr)+i] = byte(v >> (8 * i))
+	}
+}
+
+// grow extends the stored prefix to at least n bytes, doubling (from at
+// least 64, so an empty prefix grows too), capped at the address-space
+// size.
+func (m *Memory) grow(n int) {
+	c := max(len(m.b), 64)
+	for c < n {
+		c *= 2
+	}
+	m.b = append(m.b, make([]byte, min(c, int(m.size))-len(m.b))...)
+}
+
+// Clear zeroes [lo, hi). Only stored bytes need clearing: the rest
+// already read as 0.
+func (m *Memory) Clear(lo, hi uint32) {
+	if int(hi) > len(m.b) {
+		hi = uint32(len(m.b))
+	}
+	if lo < hi {
+		clear(m.b[lo:hi])
+	}
+}
+
+// ReadBytes copies out n bytes starting at addr; bytes past the stored
+// prefix, or past MemSize, read as 0.
+func (m *Memory) ReadBytes(addr uint32, n int) []byte {
+	out := make([]byte, n)
+	if int(addr) < len(m.b) {
+		copy(out, m.b[addr:])
+	}
+	return out
+}
