@@ -14,8 +14,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ is a module of its own, so the root ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

@@ -46,6 +46,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -111,7 +112,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spatialsim:", err)
 		os.Exit(2)
 	}
-	be, err := parseBackend(*backend)
+	be, err := core.ParseBackend(*backend)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatialsim:", err)
 		os.Exit(2)
@@ -155,7 +156,7 @@ func main() {
 		}
 	case *traceOut != "":
 		var tr *core.Trace
-		res, tr, err = cp.RunTraced(*entry, args)
+		res, tr, err = cp.RunTraced(context.Background(), *entry, args)
 		if err != nil {
 			fatal(err)
 		}
@@ -317,16 +318,6 @@ func parseLevel(s string) (opt.Level, error) {
 		return opt.Full, nil
 	}
 	return 0, fmt.Errorf("unknown optimization level %q", s)
-}
-
-func parseBackend(s string) (core.Backend, error) {
-	switch s {
-	case "interp":
-		return core.BackendInterpreted, nil
-	case "compiled":
-		return core.BackendCompiled, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want interp or compiled)", s)
 }
 
 func parseMem(s string) (memsys.Config, error) {

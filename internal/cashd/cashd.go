@@ -401,12 +401,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTracedRun serves a run with trace recording. Traced runs are a
-// diagnostic path: they execute on the handler goroutine (bypassing the
-// worker pool, so a trace request cannot be shed) and do not honor
-// TimeoutMS beyond the engine's own cycle budget.
+// diagnostic path: they execute on the handler goroutine, bypassing the
+// worker pool, so a trace request cannot be shed. Like a plain run, the
+// request's TimeoutMS and the client's connection bound it.
 func (s *Server) handleTracedRun(w http.ResponseWriter, r *http.Request, req api.RunRequest) {
 	start := time.Now()
-	cp, hit, err := s.eng.Resolve(r.Context(), toServeRequest(req))
+	sreq := toServeRequest(req)
+	ctx := r.Context()
+	if sreq.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sreq.Deadline)
+		defer cancel()
+	}
+	cp, hit, err := s.eng.Resolve(ctx, sreq)
 	if err != nil {
 		s.writeError(w, errorFor(err))
 		return
@@ -415,7 +422,7 @@ func (s *Server) handleTracedRun(w http.ResponseWriter, r *http.Request, req api
 	if entry == "" {
 		entry = "main"
 	}
-	res, tr, err := cp.RunTraced(entry, req.Args)
+	res, tr, err := cp.RunTraced(ctx, entry, req.Args)
 	if err != nil {
 		s.writeError(w, errorFor(err))
 		return

@@ -336,6 +336,33 @@ func TestTraceDownload(t *testing.T) {
 	}
 }
 
+// TestTracedRunDeadline: a traced run honours the request's TimeoutMS
+// like a plain run. The spin never returns, so without the deadline it
+// would run to its 20M-cycle budget, which takes tens of seconds traced.
+func TestTracedRunDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})
+
+	rr := api.RunRequest{
+		Program: api.Program{
+			Source: `int f(int n) { while (n > 0) { } return 0; }`,
+			Sim:    &api.SimConfig{MaxCycles: 20_000_000},
+		},
+		Entry: "f", Args: []int64{1}, Trace: true, TimeoutMS: 100,
+	}
+	start := time.Now()
+	resp := post(t, ts.URL+"/v1/run", rr)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if e := decodeBody[api.Error](t, resp); e.Class != api.ClassDeadline {
+		t.Errorf("class %q, want deadline", e.Class)
+	}
+	if elapsed > 5*time.Second {
+		t.Errorf("traced run took %v to honour a 100 ms deadline", elapsed)
+	}
+}
+
 // TestTraceStoreBound: the oldest trace is dropped once the bound hits.
 func TestTraceStoreBound(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}, MaxTraces: 2})

@@ -23,13 +23,13 @@ func BenchmarkInterp(b *testing.B) {
 		b.Fatal(err)
 	}
 	sh := dataflow.Prebuild(cp.Program)
-	res, err := sh.RunCtx(nil, w.Entry, nil, dataflow.DefaultConfig())
+	res, err := sh.Run(w.Entry, nil, dataflow.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.RunCtx(nil, w.Entry, nil, dataflow.DefaultConfig())
+		sh.Run(w.Entry, nil, dataflow.DefaultConfig())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Stats.Events), "ns/event")
 }

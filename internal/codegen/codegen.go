@@ -7,10 +7,10 @@ package codegen
 // exactly like dataflow.Shared on the interpreted side.
 
 import (
-	"context"
+	"errors"
 
 	"spatial/internal/dataflow"
-	"spatial/internal/faultsim"
+	"spatial/internal/memsys"
 	"spatial/internal/pegasus"
 )
 
@@ -50,33 +50,51 @@ func Compile(p *pegasus.Program) *Module {
 	return mod
 }
 
-// Program returns the program this module was compiled from.
-func (mod *Module) Program() *pegasus.Program { return mod.prog }
-
 // Run executes entry(args...) on the compiled bytecode and returns the
 // result value and statistics — bit-identical to dataflow.Run on the
 // same program and config.
 func (mod *Module) Run(entry string, args []int64, cfg dataflow.Config) (*dataflow.Result, error) {
-	return mod.runVM(nil, entry, args, cfg, nil, nil)
+	return mod.RunHooks(entry, args, cfg, dataflow.Hooks{})
 }
 
-// RunCtx is Run with cooperative cancellation, mirroring
-// dataflow.RunCtx.
-func (mod *Module) RunCtx(ctx context.Context, entry string, args []int64, cfg dataflow.Config) (*dataflow.Result, error) {
-	return mod.runVM(ctx, entry, args, cfg, nil, nil)
-}
-
-// RunFaulted is Run under fault injection, mirroring
-// dataflow.RunFaulted: the same injector state produces the same fault
-// deliveries at the same events as the interpreter. ctx may be nil.
-func (mod *Module) RunFaulted(ctx context.Context, entry string, args []int64, cfg dataflow.Config, inj *faultsim.Injector) (*dataflow.Result, error) {
-	return mod.runVM(ctx, entry, args, cfg, inj, nil)
-}
-
-// RunEvents is Run with an observer invoked for every processed event,
-// mirroring dataflow.RunEvents — the two streams must match element for
-// element.
-func (mod *Module) RunEvents(entry string, args []int64, cfg dataflow.Config,
-	hook func(time, seq int64, act, node int)) (*dataflow.Result, error) {
-	return mod.runVM(nil, entry, args, cfg, nil, hook)
+// RunHooks is Run with the hooks of h, mirroring dataflow.Shared.RunHooks:
+// the same injector state produces the same fault deliveries at the same
+// events, and h.Events sees the interpreter's event stream element for
+// element. The VM has no profiler or tracer, so a run with h.Profile or
+// h.Trace set fails; observe those runs on the interpreter.
+func (mod *Module) RunHooks(entry string, args []int64, cfg dataflow.Config, h dataflow.Hooks) (*dataflow.Result, error) {
+	if h.Profile != nil || h.Trace != nil {
+		return nil, errors.New("codegen: the compiled VM cannot profile or trace a run; use the interpreter")
+	}
+	_, cfg, err := dataflow.CheckRun(mod.prog, entry, args, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := &vm{
+		mod:        mod,
+		cfg:        cfg,
+		mem:        mod.prog.Layout.NewMemory(),
+		msys:       memsys.New(cfg.Mem),
+		sp:         mod.prog.Layout.StackBase,
+		freeFrames: make([][]uint32, mod.numFrameClasses),
+		inj:        h.Inject,
+		ctx:        h.Ctx,
+		evHook:     h.Events,
+	}
+	if h.Events != nil {
+		m.q.SpillAll()
+	}
+	if h.Inject != nil {
+		m.msys.SetPerturber(h.Inject)
+	}
+	m.newActivation(mod.progs[entry], args, -1, nil)
+	if m.err != nil {
+		return nil, m.err
+	}
+	if err := m.run(); err != nil {
+		return nil, err
+	}
+	m.stats.Cycles = m.now
+	m.stats.Mem = m.msys.Stats()
+	return &dataflow.Result{Value: m.mainVal, Stats: m.stats}, nil
 }

@@ -7,7 +7,6 @@ package codegen_test
 // drift is a bug, not noise.
 
 import (
-	"context"
 	"testing"
 
 	"spatial/internal/codegen"
@@ -62,15 +61,15 @@ func TestEventStreamIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []ev
-		if _, err := dataflow.RunEvents(cp.Program, w.Entry, nil, dataflow.DefaultConfig(),
-			func(time, seq int64, act, node int) {
+		if _, err := dataflow.Prebuild(cp.Program).RunHooks(w.Entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
+			Events: func(time, seq int64, act, node int) {
 				want = append(want, ev{time, seq, act, node})
-			}); err != nil {
+			}}); err != nil {
 			t.Fatal(err)
 		}
 		i, diverged := 0, false
-		_, err = codegen.Compile(cp.Program).RunEvents(w.Entry, nil, dataflow.DefaultConfig(),
-			func(time, seq int64, act, node int) {
+		_, err = codegen.Compile(cp.Program).RunHooks(w.Entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
+			Events: func(time, seq int64, act, node int) {
 				if diverged {
 					return
 				}
@@ -84,7 +83,7 @@ func TestEventStreamIdentity(t *testing.T) {
 					return
 				}
 				i++
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +104,7 @@ func TestFaultedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := codegen.Compile(cp.Program)
+	sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
 	cfg := dataflow.DefaultConfig()
 	cfg.MaxCycles = 1 << 22 // cut livelocks off fast
 	mk := []struct {
@@ -136,8 +135,8 @@ func TestFaultedIdentity(t *testing.T) {
 	}
 	for _, fr := range mk {
 		injI, injC := fr.inj(), fr.inj()
-		want, errI := dataflow.RunFaulted(context.Background(), cp.Program, w.Entry, nil, cfg, injI)
-		got, errC := mod.RunFaulted(context.Background(), w.Entry, nil, cfg, injC)
+		want, errI := sh.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injI})
+		got, errC := mod.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injC})
 		switch {
 		case (errI == nil) != (errC == nil):
 			t.Errorf("%s: outcome diverged: interp err=%v, compiled err=%v", fr.name, errI, errC)

@@ -7,7 +7,6 @@ package codegen_test
 // the interpreter bit for bit.
 
 import (
-	"context"
 	"testing"
 
 	"spatial/internal/codegen"
@@ -24,7 +23,7 @@ func TestSpillHeapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := codegen.Compile(cp.Program)
+	sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
 	cfg := dataflow.DefaultConfig()
 	cfg.MaxCycles = 1 << 24 // delays of thousands of cycles stretch the run
 	mk := []struct {
@@ -49,12 +48,12 @@ func TestSpillHeapStress(t *testing.T) {
 	}
 	for _, fr := range mk {
 		injI := fr.inj()
-		want, errI := dataflow.RunFaulted(context.Background(), cp.Program, w.Entry, nil, cfg, injI)
+		want, errI := sh.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injI})
 		if errI != nil {
 			t.Fatalf("%s: interpreter aborted: %v", fr.name, errI)
 		}
 		inj := fr.inj()
-		got, err := mod.RunFaulted(context.Background(), w.Entry, nil, cfg, inj)
+		got, err := mod.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: inj})
 		if err != nil {
 			t.Errorf("%s: aborted: %v", fr.name, err)
 			continue

@@ -195,50 +195,6 @@ type vm struct {
 	evHook func(time, seq int64, act, node int)
 }
 
-// runVM is the single internal runner behind the Module's Run variants;
-// it mirrors dataflow.runMachine.
-func (mod *Module) runVM(ctx context.Context, entry string, args []int64, cfg dataflow.Config,
-	inj *faultsim.Injector, evHook func(time, seq int64, act, node int)) (*dataflow.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.Normalized()
-	gp := mod.progs[entry]
-	if gp == nil {
-		return nil, fmt.Errorf("dataflow: no function %q", entry)
-	}
-	if len(args) != gp.numParams {
-		return nil, fmt.Errorf("dataflow: %s expects %d arguments, got %d", entry, gp.numParams, len(args))
-	}
-	m := &vm{
-		mod:        mod,
-		cfg:        cfg,
-		mem:        mod.prog.Layout.NewMemory(),
-		msys:       memsys.New(cfg.Mem),
-		sp:         mod.prog.Layout.StackBase,
-		freeFrames: make([][]uint32, mod.numFrameClasses),
-		inj:        inj,
-		ctx:        ctx,
-		evHook:     evHook,
-	}
-	if evHook != nil {
-		m.q.SpillAll()
-	}
-	if inj != nil {
-		m.msys.SetPerturber(inj)
-	}
-	m.newActivation(gp, args, -1, nil)
-	if m.err != nil {
-		return nil, m.err
-	}
-	if err := m.run(); err != nil {
-		return nil, err
-	}
-	m.stats.Cycles = m.now
-	m.stats.Mem = m.msys.Stats()
-	return &dataflow.Result{Value: m.mainVal, Stats: m.stats}, nil
-}
-
 // --- event queue ---
 
 // push schedules a delivery of val to rule's port dst.

@@ -80,7 +80,7 @@ func WithTrace(tc TraceConfig) Option {
 	return optionFunc(func(c *config) { c.trc = tc })
 }
 
-// Backend selects the execution engine behind Run/RunCtx/RunWith/
+// Backend selects the execution engine behind Run, RunCtx and
 // RunFaulted.
 type Backend uint8
 
@@ -92,19 +92,35 @@ const (
 	// BackendCompiled lowers each graph to specialized flat bytecode
 	// (internal/codegen) once, then executes the bytecode. Bit-identical
 	// to the interpreter (values, cycles, events) and several times
-	// faster. Observed runs — RunTraced and RunProfiled — always use the
-	// interpreter regardless of this setting: observers hook its
-	// machinery, and observed runs are not hot paths.
+	// faster. RunTraced and RunProfiled still interpret: the VM has no
+	// tracer or profiler.
 	BackendCompiled
 )
 
-// String names the backend with the wire-level names ("interp",
-// "compiled") used by the api package and the CLI flags.
+// backendNames are the wire-level backend names, shared by the api
+// package and the CLI flags.
+var backendNames = [...]string{BackendInterpreted: "interp", BackendCompiled: "compiled"}
+
+// String names the backend with its wire-level name.
 func (b Backend) String() string {
-	if b == BackendCompiled {
-		return "compiled"
+	if int(b) < len(backendNames) {
+		return backendNames[b]
 	}
-	return "interp"
+	return fmt.Sprintf("Backend(%d)", uint8(b))
+}
+
+// ParseBackend is the inverse of Backend.String. The empty string selects
+// the default, BackendInterpreted, as it does on the wire.
+func ParseBackend(s string) (Backend, error) {
+	if s == "" {
+		return BackendInterpreted, nil
+	}
+	for b, name := range backendNames {
+		if s == name {
+			return Backend(b), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown backend %q (want interp or compiled)", s)
 }
 
 // WithBackend selects the execution engine (default BackendInterpreted).
@@ -131,16 +147,16 @@ type Compiled struct {
 	Program *pegasus.Program
 	Source  *cminor.Program
 	Level   opt.Level
-	// Sim is the default simulator configuration Run uses; RunWith
-	// overrides it per call. CompileSource normalizes it, so this is
-	// exactly the configuration a Run executes under.
+	// Sim is the simulator configuration runs use (RunTracedWith takes
+	// its own). CompileSource normalizes it, so this is exactly the
+	// configuration a Run executes under.
 	Sim SimConfig
 	// Trace is the trace-collection configuration RunTraced uses.
 	Trace TraceConfig
 	// Deadline is the wall-clock budget each Run gets (see WithDeadline);
 	// zero means unbounded.
 	Deadline time.Duration
-	// Backend is the execution engine Run/RunCtx/RunWith/RunFaulted use
+	// Backend is the execution engine Run, RunCtx and RunFaulted use
 	// (see WithBackend); RunTraced and RunProfiled always interpret.
 	Backend Backend
 
@@ -223,14 +239,6 @@ func PerfectMemory() memsys.Config { return memsys.PerfectConfig() }
 // Section 7.3 with the given port count.
 func PaperMemory(ports int) memsys.Config { return memsys.PaperConfig(ports) }
 
-// simConfig returns the effective default simulator configuration.
-func (c *Compiled) simConfig() SimConfig {
-	if c.Sim == (SimConfig{}) {
-		return dataflow.DefaultConfig()
-	}
-	return c.Sim
-}
-
 // deadlineCtx applies the program's wall-clock budget (WithDeadline) on
 // top of the caller's context. The CancelFunc must always be called.
 func (c *Compiled) deadlineCtx(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -243,58 +251,46 @@ func (c *Compiled) deadlineCtx(ctx context.Context) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
+// run is the one run path of every method below: it recovers panics,
+// applies the deadline, picks the engine and classifies the error. The
+// compiled VM runs if and only if the backend is BackendCompiled and no
+// profiler or tracer observes the run; every other run interprets.
+func (c *Compiled) run(ctx context.Context, entry string, args []int64, cfg SimConfig, h dataflow.Hooks) (res *SimResult, err error) {
+	defer guard(&err)
+	ctx, cancel := c.deadlineCtx(ctx)
+	defer cancel()
+	h.Ctx = ctx
+	if c.Backend == BackendCompiled && h.Profile == nil && h.Trace == nil {
+		res, err = c.compiledInfo().RunHooks(entry, args, cfg, h)
+	} else {
+		res, err = c.sharedInfo().RunHooks(entry, args, cfg, h)
+	}
+	return res, classify(ErrSim, err)
+}
+
 // Run executes entry(args...) on the dataflow (spatial) simulator with
 // the program's default configuration (see WithMemory / WithSim). All
 // failures come back as ErrSim-classed errors (ErrInternal for recovered
 // panics); deadlocks and livelocks carry a *DeadlockError/*LivelockError
 // with a structured StuckReport, reachable through errors.As.
 func (c *Compiled) Run(entry string, args []int64) (*SimResult, error) {
-	return c.RunCtx(context.Background(), entry, args)
+	return c.run(context.Background(), entry, args, c.Sim, dataflow.Hooks{})
 }
 
 // RunCtx is Run with cooperative cancellation: the simulator polls ctx
 // between events, so canceling it (or exceeding the WithDeadline budget)
 // aborts the run with an ErrSim-classed error wrapping
 // dataflow.ErrCanceled.
-func (c *Compiled) RunCtx(ctx context.Context, entry string, args []int64) (res *SimResult, err error) {
-	defer guard(&err)
-	ctx, cancel := c.deadlineCtx(ctx)
-	defer cancel()
-	if c.Backend == BackendCompiled {
-		res, err = c.compiledInfo().RunCtx(ctx, entry, args, c.simConfig())
-	} else {
-		res, err = c.sharedInfo().RunCtx(ctx, entry, args, c.simConfig())
-	}
-	return res, classify(ErrSim, err)
+func (c *Compiled) RunCtx(ctx context.Context, entry string, args []int64) (*SimResult, error) {
+	return c.run(ctx, entry, args, c.Sim, dataflow.Hooks{})
 }
 
 // RunFaulted is RunCtx under fault injection: inj perturbs edge
 // deliveries, fire attempts, and memory responses during the run. Use
 // NewInjector (planned faults) or NewJitterInjector (seeded random
 // delays) to build inj; a nil inj behaves like RunCtx.
-func (c *Compiled) RunFaulted(ctx context.Context, entry string, args []int64, inj *FaultInjector) (res *SimResult, err error) {
-	defer guard(&err)
-	ctx, cancel := c.deadlineCtx(ctx)
-	defer cancel()
-	if c.Backend == BackendCompiled {
-		res, err = c.compiledInfo().RunFaulted(ctx, entry, args, c.simConfig(), inj)
-	} else {
-		res, err = c.sharedInfo().RunFaulted(ctx, entry, args, c.simConfig(), inj)
-	}
-	return res, classify(ErrSim, err)
-}
-
-// RunWith executes with an explicit simulator configuration.
-func (c *Compiled) RunWith(entry string, args []int64, cfg SimConfig) (res *SimResult, err error) {
-	defer guard(&err)
-	ctx, cancel := c.deadlineCtx(nil)
-	defer cancel()
-	if c.Backend == BackendCompiled {
-		res, err = c.compiledInfo().RunCtx(ctx, entry, args, cfg)
-	} else {
-		res, err = c.sharedInfo().RunCtx(ctx, entry, args, cfg)
-	}
-	return res, classify(ErrSim, err)
+func (c *Compiled) RunFaulted(ctx context.Context, entry string, args []int64, inj *FaultInjector) (*SimResult, error) {
+	return c.run(ctx, entry, args, c.Sim, dataflow.Hooks{Inject: inj})
 }
 
 // Profile counts node firings during a profiled run.
@@ -302,12 +298,13 @@ type Profile = dataflow.Profile
 
 // RunProfiled executes like Run while recording per-operator firing
 // counts.
-func (c *Compiled) RunProfiled(entry string, args []int64) (res *SimResult, prof *Profile, err error) {
-	defer guard(&err)
-	ctx, cancel := c.deadlineCtx(nil)
-	defer cancel()
-	res, prof, err = c.sharedInfo().RunProfiledCtx(ctx, entry, args, c.simConfig())
-	return res, prof, classify(ErrSim, err)
+func (c *Compiled) RunProfiled(entry string, args []int64) (*SimResult, *Profile, error) {
+	prof := dataflow.NewProfile()
+	res, err := c.run(context.Background(), entry, args, c.Sim, dataflow.Hooks{Profile: prof})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, prof, nil
 }
 
 // TraceConfig parameterizes trace collection (see WithTrace).
@@ -322,33 +319,36 @@ type CritPath = trace.CritPath
 // DefaultTrace returns the standard trace-collection configuration.
 func DefaultTrace() TraceConfig { return trace.DefaultConfig() }
 
-// RunTraced executes like Run while recording the full event stream:
-// node firings with start/end cycles, stall attribution, and memory
-// events. The Trace supports critical-path extraction
-// (Trace.CriticalPath) and Chrome trace-event export (Trace.WriteChrome).
-func (c *Compiled) RunTraced(entry string, args []int64) (res *SimResult, tr *Trace, err error) {
-	return c.RunTracedWith(entry, args, c.simConfig(), c.Trace)
+// RunTraced is RunCtx while recording the full event stream: node
+// firings with start/end cycles, stall attribution, and memory events.
+// The Trace supports critical-path extraction (Trace.CriticalPath) and
+// Chrome trace-event export (Trace.WriteChrome).
+func (c *Compiled) RunTraced(ctx context.Context, entry string, args []int64) (*SimResult, *Trace, error) {
+	return c.runTraced(ctx, entry, args, c.Sim, c.Trace)
 }
 
 // RunTracedWith is RunTraced with explicit simulator and trace
-// configurations.
-func (c *Compiled) RunTracedWith(entry string, args []int64, cfg SimConfig, tc TraceConfig) (res *SimResult, tr *Trace, err error) {
+// configurations and no caller context.
+func (c *Compiled) RunTracedWith(entry string, args []int64, cfg SimConfig, tc TraceConfig) (*SimResult, *Trace, error) {
+	return c.runTraced(context.Background(), entry, args, cfg, tc)
+}
+
+// runTraced is the traced run behind RunTraced and RunTracedWith; its
+// guard also covers assembling the Trace.
+func (c *Compiled) runTraced(ctx context.Context, entry string, args []int64, cfg SimConfig, tc TraceConfig) (res *SimResult, tr *Trace, err error) {
 	defer guard(&err)
-	ctx, cancel := c.deadlineCtx(nil)
-	defer cancel()
-	res, tr, err = c.sharedInfo().RunTracedCtx(ctx, entry, args, cfg, tc)
-	return res, tr, classify(ErrSim, err)
+	tracer := trace.New(tc)
+	if res, err = c.run(ctx, entry, args, cfg, dataflow.Hooks{Trace: tracer}); err != nil {
+		return nil, nil, err
+	}
+	return res, tracer.Finish(res.Stats.Cycles), nil
 }
 
 // RunSequential executes on the in-order AST interpreter (the sequential
 // baseline) against the program's default memory system.
 func (c *Compiled) RunSequential(entry string, args []int64) (res *interp.Result, err error) {
 	defer guard(&err)
-	mem := c.Sim.Mem
-	if mem == (memsys.Config{}) {
-		mem = memsys.PerfectConfig()
-	}
-	res, err = interp.New(c.Program, mem).Run(entry, args)
+	res, err = interp.New(c.Program, c.Sim.Mem).Run(entry, args)
 	return res, classify(ErrSim, err)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -88,13 +89,11 @@ func TestDumpAndDot(t *testing.T) {
 }
 
 func TestRunWithMemoryConfigs(t *testing.T) {
-	cp, err := CompileSource(demo, WithLevel(opt.Full))
+	cp, err := CompileSource(demo, WithLevel(opt.Full), WithMemory(PaperMemory(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultSim()
-	cfg.Mem = PaperMemory(1)
-	res, err := cp.RunWith("process", []int64{32}, cfg)
+	res, err := cp.Run("process", []int64{32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestRunTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := cp.RunTraced("process", []int64{32})
+	res, tr, err := cp.RunTraced(context.Background(), "process", []int64{32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ type evRecord struct {
 func recordEvents(t *testing.T, p *pegasus.Program, entry string) ([]evRecord, *Result) {
 	t.Helper()
 	var evs []evRecord
-	res, _, err := runMachine(p, entry, nil, DefaultConfig(), runOpts{
-		evHook: func(time, seq int64, act int, node *pegasus.Node) {
-			evs = append(evs, evRecord{time, seq, act, node.ID})
+	res, err := Prebuild(p).RunHooks(entry, nil, DefaultConfig(), Hooks{
+		Events: func(time, seq int64, act, node int) {
+			evs = append(evs, evRecord{time, seq, act, node})
 		},
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ func TestDelayFaultsAbsorbed(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		inj := faultsim.NewJitter(seed, 0.2, 6)
-		res, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+		res, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 		if err != nil {
 			t.Fatalf("seed %d: jitter not absorbed: %v", seed, err)
 		}
@@ -45,7 +45,7 @@ func TestDelayFaultsAbsorbed(t *testing.T) {
 	}
 	for i, plan := range plans {
 		inj := faultsim.New(plan)
-		res, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+		res, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 		if err != nil {
 			t.Fatalf("plan %d (%v): not absorbed: %v", i, plan, err)
 		}
@@ -72,7 +72,7 @@ func TestDroppedTokenDiagnosed(t *testing.T) {
 	inj := faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
 		{Op: faultsim.Drop, Graph: "f", Node: store.ID, Edge: -1, Token: true, Nth: 1},
 	}})
-	_, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+	_, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 	if err == nil {
 		t.Fatal("dropped token was silently absorbed")
 	}
@@ -124,7 +124,7 @@ func TestDroppedValueWedgesLoopRing(t *testing.T) {
 		inj := faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
 			{Op: faultsim.Drop, Graph: "f", Node: -1, Edge: -1, Nth: nth},
 		}})
-		res, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+		res, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 		if err == nil {
 			if res.Value != want.Value {
 				if len(inj.Triggered()) == 0 {
@@ -156,7 +156,7 @@ func TestMemFailDetected(t *testing.T) {
 	inj := faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
 		{Op: faultsim.MemFail, Node: -1, Edge: -1, Nth: 1},
 	}})
-	_, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+	_, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 	if !errors.Is(err, ErrMemFault) {
 		t.Fatalf("want ErrMemFault, got %v", err)
 	}
@@ -176,7 +176,7 @@ func TestDuplicateDeliveryNotSilent(t *testing.T) {
 	inj := faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
 		{Op: faultsim.Duplicate, Graph: "nosuch", Node: -1, Edge: -1, Nth: 1},
 	}})
-	res, err := RunFaulted(nil, p, "f", nil, DefaultConfig(), inj)
+	res, err := Prebuild(p).RunHooks("f", nil, DefaultConfig(), Hooks{Inject: inj})
 	if err != nil || res.Value != want.Value || len(inj.Triggered()) != 0 {
 		t.Fatalf("non-matching plan perturbed the run: %v %v %v", res, err, inj.Triggered())
 	}

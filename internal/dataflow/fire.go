@@ -482,16 +482,3 @@ func (m *machine) fireReturn(a *activation, n *pegasus.Node) bool {
 	m.emit(a.retAct, call, pegasus.OutToken, 1, m.now+1)
 	return true
 }
-
-// Inspector reads a simulation's memory post-mortem — used by tests and
-// the harness to check program outputs. See RunInspect.
-type Inspector struct {
-	m *machine
-}
-
-// ReadWord reads a 4-byte word at an absolute simulated address.
-func (ins *Inspector) ReadWord(addr uint32) int64 { return ins.m.mem.Load(addr, 4, true) }
-
-// ReadBytes copies out n bytes of simulated memory from addr; bytes past
-// the memory size read as 0, like ReadWord.
-func (ins *Inspector) ReadBytes(addr uint32, n int) []byte { return ins.m.mem.ReadBytes(addr, n) }

@@ -20,7 +20,8 @@ type Profile struct {
 	cycles int64
 }
 
-func newProfile() *Profile {
+// NewProfile returns an empty profile to pass as Hooks.Profile.
+func NewProfile() *Profile {
 	return &Profile{fires: map[*pegasus.Node]int64{}, ByKind: map[string]int64{}}
 }
 

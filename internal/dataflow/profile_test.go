@@ -3,6 +3,8 @@ package dataflow
 import (
 	"strings"
 	"testing"
+
+	"spatial/internal/pegasus"
 )
 
 const profileSrc = `
@@ -14,11 +16,18 @@ int fill(int n) {
   return out[n - 1];
 }`
 
+// profileRun runs p with a profile attached through Hooks.Profile.
+func profileRun(p *pegasus.Program, entry string, args []int64) (*Result, *Profile, error) {
+	prof := NewProfile()
+	res, err := Prebuild(p).RunHooks(entry, args, DefaultConfig(), Hooks{Profile: prof})
+	return res, prof, err
+}
+
 func TestInspectorReadsGlobals(t *testing.T) {
 	p := compileProgram(t, profileSrc)
-	res, insp, err := RunInspect(p, "fill", []int64{8}, DefaultConfig())
+	res, m, err := Prebuild(p).run("fill", []int64{8}, DefaultConfig(), Hooks{})
 	if err != nil {
-		t.Fatalf("RunInspect: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if res.Value != 49 {
 		t.Fatalf("fill(8) = %d, want 49", res.Value)
@@ -35,11 +44,11 @@ func TestInspectorReadsGlobals(t *testing.T) {
 		t.Fatal("global `out` not in layout")
 	}
 	for i := int64(0); i < 8; i++ {
-		if got := insp.ReadWord(base + uint32(4*i)); got != i*i {
+		if got := m.mem.Load(base+uint32(4*i), 4, true); got != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, got, i*i)
 		}
 	}
-	raw := insp.ReadBytes(base, 8)
+	raw := m.mem.ReadBytes(base, 8)
 	if len(raw) != 8 {
 		t.Fatalf("ReadBytes returned %d bytes, want 8", len(raw))
 	}
@@ -51,9 +60,9 @@ func TestInspectorReadsGlobals(t *testing.T) {
 
 func TestProfileHotAndFormat(t *testing.T) {
 	p := compileProgram(t, profileSrc)
-	res, prof, err := RunProfiled(p, "fill", []int64{8}, DefaultConfig())
+	res, prof, err := profileRun(p, "fill", []int64{8})
 	if err != nil {
-		t.Fatalf("RunProfiled: %v", err)
+		t.Fatalf("profiled run: %v", err)
 	}
 	hot := prof.Hot(3)
 	if len(hot) != 3 {
@@ -100,12 +109,12 @@ func TestProfileHotAndFormat(t *testing.T) {
 // instead of panicking.
 func TestInspectorReadBytesPastMemSize(t *testing.T) {
 	p := compileProgram(t, profileSrc)
-	_, insp, err := RunInspect(p, "fill", []int64{8}, DefaultConfig())
+	_, m, err := Prebuild(p).run("fill", []int64{8}, DefaultConfig(), Hooks{})
 	if err != nil {
-		t.Fatalf("RunInspect: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	top := p.Layout.MemSize
-	raw := insp.ReadBytes(top-2, 8)
+	raw := m.mem.ReadBytes(top-2, 8)
 	if len(raw) != 8 {
 		t.Fatalf("ReadBytes returned %d bytes, want 8", len(raw))
 	}
@@ -114,7 +123,7 @@ func TestInspectorReadBytesPastMemSize(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want 0", i, b)
 		}
 	}
-	if got := insp.ReadWord(top - 2); got != 0 {
+	if got := m.mem.Load(top-2, 4, true); got != 0 {
 		t.Fatalf("ReadWord past MemSize = %d, want 0", got)
 	}
 }

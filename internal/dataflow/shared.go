@@ -1,12 +1,6 @@
 package dataflow
 
-import (
-	"context"
-
-	"spatial/internal/faultsim"
-	"spatial/internal/pegasus"
-	"spatial/internal/trace"
-)
+import "spatial/internal/pegasus"
 
 // Shared is the per-program table of graphInfo structures, built once and
 // then reused by every subsequent run of the same program — including
@@ -39,9 +33,6 @@ func Prebuild(p *pegasus.Program) *Shared {
 	return s
 }
 
-// Program returns the program the shared structures were built for.
-func (s *Shared) Program() *pegasus.Program { return s.prog }
-
 // info returns the prebuilt graphInfo of g. Every graph reachable by a
 // run is in p.Funcs, so the lookup never misses; the map is never written
 // after Prebuild, making concurrent lookups safe without locking.
@@ -51,38 +42,13 @@ func (s *Shared) info(g *pegasus.Graph) *graphInfo { return s.infos[g.Name] }
 // to call from many goroutines at once; each call is an independent run
 // with its own memory image and event queue.
 func (s *Shared) Run(entry string, args []int64, cfg Config) (*Result, error) {
-	return s.RunCtx(nil, entry, args, cfg)
+	return s.RunHooks(entry, args, cfg, Hooks{})
 }
 
-// RunCtx is Run with cooperative cancellation (ctx may be nil).
-func (s *Shared) RunCtx(ctx context.Context, entry string, args []int64, cfg Config) (*Result, error) {
-	res, _, err := runMachine(s.prog, entry, args, cfg, runOpts{ctx: ctx, shared: s})
+// RunHooks is Run with the controls and observers of h (see Hooks). The
+// hooks belong to this run alone: an injector, profile or tracer must not
+// be shared between concurrent runs.
+func (s *Shared) RunHooks(entry string, args []int64, cfg Config, h Hooks) (*Result, error) {
+	res, _, err := s.run(entry, args, cfg, h)
 	return res, err
-}
-
-// RunFaulted is RunCtx under fault injection; the injector itself is
-// stateful and must not be shared between concurrent runs.
-func (s *Shared) RunFaulted(ctx context.Context, entry string, args []int64, cfg Config, inj *faultsim.Injector) (*Result, error) {
-	res, _, err := runMachine(s.prog, entry, args, cfg, runOpts{ctx: ctx, inj: inj, shared: s})
-	return res, err
-}
-
-// RunProfiledCtx is RunCtx with per-node firing profiling.
-func (s *Shared) RunProfiledCtx(ctx context.Context, entry string, args []int64, cfg Config) (*Result, *Profile, error) {
-	prof := newProfile()
-	res, _, err := runMachine(s.prog, entry, args, cfg, runOpts{prof: prof, ctx: ctx, shared: s})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// RunTracedCtx is RunCtx with full event tracing.
-func (s *Shared) RunTracedCtx(ctx context.Context, entry string, args []int64, cfg Config, tcfg trace.Config) (*Result, *trace.Trace, error) {
-	tr := trace.New(tcfg)
-	res, m, err := runMachine(s.prog, entry, args, cfg, runOpts{tr: tr, ctx: ctx, shared: s})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr.Finish(m.now), nil
 }

@@ -76,25 +76,15 @@ func TestSharedCompiledParallel(t *testing.T) {
 	}
 }
 
-// TestSharedProgramMismatch verifies the guard against pairing a Shared
-// table with a different program.
-func TestSharedProgramMismatch(t *testing.T) {
-	p1 := optProgram(t, sharedTestSrc, opt.Full)
-	p2 := optProgram(t, sharedTestSrc, opt.Full)
-	sh := Prebuild(p1)
-	if _, _, err := runMachine(p2, "f", nil, DefaultConfig(), runOpts{shared: sh}); err == nil {
-		t.Fatal("expected an error running with a foreign Shared table")
-	}
-}
-
-// TestSharedMatchesUnshared verifies that runs through a Shared table are
-// bit-identical to runs that build private structures, at every level.
+// TestSharedMatchesUnshared verifies that a run through a reused Shared
+// table, its actState pools warm from an earlier run, is bit-identical to
+// a run on a freshly built table, at every level.
 func TestSharedMatchesUnshared(t *testing.T) {
 	for _, lv := range []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full} {
 		p := optProgram(t, sharedTestSrc, lv)
 		sh := Prebuild(p)
 		cfg := DefaultConfig()
-		a, err := Run(p, "f", nil, cfg)
+		a, err := sh.Run("f", nil, cfg)
 		if err != nil {
 			t.Fatalf("@%s: %v", lv, err)
 		}

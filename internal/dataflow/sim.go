@@ -41,30 +41,12 @@ type Config struct {
 
 // DefaultConfig returns the standard simulation setup: one-place edges on
 // a dual-ported perfect memory.
-func DefaultConfig() Config {
-	return Config{Mem: memsys.PerfectConfig(), EdgeCap: 1, MaxCycles: 200_000_000, MaxActivations: 1 << 20}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Mem == (memsys.Config{}) {
-		c.Mem = memsys.PerfectConfig()
-	}
-	if c.EdgeCap <= 0 {
-		c.EdgeCap = 1
-	}
-	if c.MaxCycles <= 0 {
-		c.MaxCycles = 200_000_000
-	}
-	if c.MaxActivations <= 0 {
-		c.MaxActivations = 1 << 20
-	}
-	return c
-}
+func DefaultConfig() Config { return Config{}.Normalized() }
 
 // Validate rejects nonsensical configurations with actionable messages.
 // Zero fields mean "use the default" and pass; negative values are
-// errors, not silently patched. Every Run* entry point and Normalized's
-// facade callers validate before defaulting.
+// errors, not silently patched. Both engines validate (through CheckRun)
+// before defaulting, and so do Normalized's facade callers.
 func (c Config) Validate() error {
 	if c.EdgeCap < 0 {
 		return fmt.Errorf("dataflow: EdgeCap %d is negative; use 0 for the default (1) or a positive buffer depth", c.EdgeCap)
@@ -83,7 +65,21 @@ func (c Config) Validate() error {
 // facade normalizes once at compile time so the Config it reports
 // matches what actually ran; it validates first (see Validate), so
 // nonsensical values fail loudly there instead of being silently fixed.
-func (c Config) Normalized() Config { return c.withDefaults() }
+func (c Config) Normalized() Config {
+	if c.Mem == (memsys.Config{}) {
+		c.Mem = memsys.PerfectConfig()
+	}
+	if c.EdgeCap <= 0 {
+		c.EdgeCap = 1
+	}
+	if c.MaxCycles <= 0 {
+		c.MaxCycles = 200_000_000
+	}
+	if c.MaxActivations <= 0 {
+		c.MaxActivations = 1 << 20
+	}
+	return c
+}
 
 // Stats aggregates execution statistics.
 type Stats struct {

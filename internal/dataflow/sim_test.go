@@ -324,7 +324,7 @@ void f(void) {
   for (i = 0; i < 4; i++) out[i] = (i + 1) * 11;
 }`
 	p := compileProgram(t, src)
-	_, insp, err := RunInspect(p, "f", nil, DefaultConfig())
+	_, m, err := Prebuild(p).run("f", nil, DefaultConfig(), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ void f(void) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		got := insp.ReadWord(outObj + uint32(4*i))
+		got := m.mem.Load(outObj+uint32(4*i), 4, true)
 		if got != int64((i+1)*11) {
 			t.Errorf("out[%d] = %d, want %d", i, got, (i+1)*11)
 		}
@@ -460,7 +460,7 @@ int f(void) {
   return s;
 }`
 	p := compileProgram(t, src)
-	res, prof, err := RunProfiled(p, "f", nil, DefaultConfig())
+	res, prof, err := profileRun(p, "f", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"spatial/internal/memsys"
 	"spatial/internal/opt"
+	"spatial/internal/pegasus"
 	"spatial/internal/trace"
 )
 
@@ -23,15 +24,25 @@ int kernel(int n) {
   return s;
 }`
 
+// traceRun runs p with a tracer attached through Hooks.Trace.
+func traceRun(p *pegasus.Program, entry string, args []int64, cfg Config, tcfg trace.Config) (*Result, *trace.Trace, error) {
+	tr := trace.New(tcfg)
+	res, err := Prebuild(p).RunHooks(entry, args, cfg, Hooks{Trace: tr})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tr.Finish(res.Stats.Cycles), nil
+}
+
 func runTraced(t *testing.T, src, entry string, args []int64, cfg Config, level opt.Level) (*Result, *trace.Trace) {
 	t.Helper()
 	p := compileProgram(t, src)
 	if err := opt.OptimizeAt(p, level); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	res, tr, err := RunTraced(p, entry, args, cfg, trace.Config{})
+	res, tr, err := traceRun(p, entry, args, cfg, trace.Config{})
 	if err != nil {
-		t.Fatalf("RunTraced: %v", err)
+		t.Fatalf("traced run: %v", err)
 	}
 	return res, tr
 }
@@ -42,9 +53,9 @@ func TestRunTracedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	got, tr, err := RunTraced(p, "kernel", []int64{32}, DefaultConfig(), trace.Config{})
+	got, tr, err := traceRun(p, "kernel", []int64{32}, DefaultConfig(), trace.Config{})
 	if err != nil {
-		t.Fatalf("RunTraced: %v", err)
+		t.Fatalf("traced run: %v", err)
 	}
 	if got.Value != want.Value || got.Stats.Cycles != want.Stats.Cycles {
 		t.Fatalf("traced run diverged: value %d vs %d, cycles %d vs %d",
@@ -186,9 +197,9 @@ func TestTraceStallsRecorded(t *testing.T) {
 
 func TestTraceTruncation(t *testing.T) {
 	p := compileProgram(t, traceSrc)
-	_, tr, err := RunTraced(p, "kernel", []int64{32}, DefaultConfig(), trace.Config{MaxFirings: 10})
+	_, tr, err := traceRun(p, "kernel", []int64{32}, DefaultConfig(), trace.Config{MaxFirings: 10})
 	if err != nil {
-		t.Fatalf("RunTraced: %v", err)
+		t.Fatalf("traced run: %v", err)
 	}
 	if !tr.Truncated {
 		t.Fatal("trace not marked truncated at MaxFirings=10")

@@ -41,7 +41,7 @@ func programKey(p api.Program) (cacheKey, error) {
 	if err := sim.Validate(); err != nil {
 		return cacheKey{}, err
 	}
-	backend, err := backendOf(p.Backend)
+	backend, err := core.ParseBackend(p.Backend)
 	if err != nil {
 		return cacheKey{}, err
 	}

@@ -46,19 +46,6 @@ func passesOf(p *api.Passes) *opt.Options {
 	}
 }
 
-// backendOf validates and converts a wire backend name; the empty string
-// selects the interpreter, matching the facade's default.
-func backendOf(b string) (core.Backend, error) {
-	switch b {
-	case "", api.BackendInterp:
-		return core.BackendInterpreted, nil
-	case api.BackendCompiled:
-		return core.BackendCompiled, nil
-	default:
-		return 0, fmt.Errorf("invalid backend %q (want %q or %q)", b, api.BackendInterp, api.BackendCompiled)
-	}
-}
-
 // memOf converts a wire memory configuration.
 func memOf(m *api.MemConfig) (memsys.Config, error) {
 	if m == nil {
@@ -117,7 +104,7 @@ func coreOptions(p api.Program) ([]core.Option, error) {
 		return nil, err
 	}
 	opts := []core.Option{core.WithLevel(level)}
-	backend, err := backendOf(p.Backend)
+	backend, err := core.ParseBackend(p.Backend)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,8 @@ type Passes = opt.Options
 // MemConfig describes a memory system for WithMemory.
 type MemConfig = memsys.Config
 
-// SimConfig configures a dataflow simulation (see Compiled.RunWith).
+// SimConfig configures a dataflow simulation (see WithSim and
+// Compiled.RunTracedWith).
 type SimConfig = core.SimConfig
 
 // SimResult is the outcome of a dataflow simulation.

@@ -188,7 +188,7 @@ int f(int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := cp.RunTraced("f", []int64{16})
+	res, tr, err := cp.RunTraced(context.Background(), "f", []int64{16})
 	if err != nil {
 		t.Fatal(err)
 	}
