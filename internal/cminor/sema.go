@@ -74,6 +74,9 @@ func (c *checker) checkGlobalInit(g *VarDecl) error {
 			return errf(g.Pos, "initializer for global %s is not constant", g.Name)
 		}
 	}
+	if err := checkInitListShape(g); err != nil {
+		return err
+	}
 	for _, e := range g.InitList {
 		if err := c.checkExpr(e, false); err != nil {
 			return err
@@ -82,8 +85,26 @@ func (c *checker) checkGlobalInit(g *VarDecl) error {
 			return errf(g.Pos, "initializer element for global %s is not constant", g.Name)
 		}
 	}
-	if g.Type.Kind == TypeArray && g.Type.Len > 0 && int64(len(g.InitList)) > g.Type.Len {
-		return errf(g.Pos, "too many initializers for %s", g.Name)
+	return nil
+}
+
+// checkInitListShape rejects a brace initializer on a variable that is
+// not an array, and one with more elements than the array holds: both
+// would store past the variable. Elements are stored one per array
+// element, so an array of arrays (which C initializes element by scalar
+// element) is rejected too.
+func checkInitListShape(v *VarDecl) error {
+	if len(v.InitList) == 0 {
+		return nil
+	}
+	if v.Type.Kind != TypeArray {
+		return errf(v.Pos, "brace initializer for non-array %s of type %s", v.Name, v.Type)
+	}
+	if v.Type.Elem.Kind == TypeArray {
+		return errf(v.Pos, "brace initializer for multidimensional array %s is not supported", v.Name)
+	}
+	if v.Type.Len > 0 && int64(len(v.InitList)) > v.Type.Len {
+		return errf(v.Pos, "too many initializers for %s", v.Name)
 	}
 	return nil
 }
@@ -155,6 +176,9 @@ func (c *checker) checkStmt(s Stmt) error {
 			if err := c.checkAssignable(v.Type.Decay(), v.Init, v.Pos); err != nil {
 				return err
 			}
+		}
+		if err := checkInitListShape(v); err != nil {
+			return err
 		}
 		for _, e := range v.InitList {
 			if err := c.checkExpr(e, false); err != nil {

@@ -34,20 +34,34 @@ func BenchmarkInterp(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Stats.Events), "ns/event")
 }
 
+// BenchmarkCodegen times the VM on g721_e alone and on all 22 suite
+// programs (the sim-vm benchmark workload's operations), at O3.
 func BenchmarkCodegen(b *testing.B) {
-	w := workloads.ByName("g721_e")
-	cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod := codegen.Compile(cp.Program)
-	res, err := mod.Run(w.Entry, nil, dataflow.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
+	b.Run("g721_e", func(b *testing.B) { benchVM(b, workloads.ByName("g721_e")) })
+	b.Run("suite", func(b *testing.B) { benchVM(b, workloads.All()...) })
+}
+
+// benchVM runs every workload once per iteration on the VM.
+func benchVM(b *testing.B, ws ...*workloads.Workload) {
+	mods := make([]*codegen.Module, len(ws))
+	var events int64
+	for i, w := range ws {
+		cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mods[i] = codegen.Compile(cp.Program)
+		res, err := mods[i].Run(w.Entry, nil, dataflow.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Stats.Events
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mod.Run(w.Entry, nil, dataflow.DefaultConfig())
+		for j, mod := range mods {
+			mod.Run(ws[j].Entry, nil, dataflow.DefaultConfig())
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Stats.Events), "ns/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }

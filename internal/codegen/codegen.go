@@ -63,14 +63,23 @@ func (mod *Module) Run(entry string, args []int64, cfg dataflow.Config) (*datafl
 // element. The VM has no profiler or tracer, so a run with h.Profile or
 // h.Trace set fails; observe those runs on the interpreter.
 func (mod *Module) RunHooks(entry string, args []int64, cfg dataflow.Config, h dataflow.Hooks) (*dataflow.Result, error) {
+	var m vm // on the stack: initVM and exec do not leak it
+	if err := mod.initVM(&m, entry, args, cfg, h); err != nil {
+		return nil, err
+	}
+	return m.exec(mod.progs[entry], args)
+}
+
+// initVM checks a run's preconditions and sets m up for the run.
+func (mod *Module) initVM(m *vm, entry string, args []int64, cfg dataflow.Config, h dataflow.Hooks) error {
 	if h.Profile != nil || h.Trace != nil {
-		return nil, errors.New("codegen: the compiled VM cannot profile or trace a run; use the interpreter")
+		return errors.New("codegen: the compiled VM cannot profile or trace a run; use the interpreter")
 	}
 	_, cfg, err := dataflow.CheckRun(mod.prog, entry, args, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := &vm{
+	*m = vm{
 		mod:        mod,
 		cfg:        cfg,
 		mem:        mod.prog.Layout.NewMemory(),
@@ -87,7 +96,12 @@ func (mod *Module) RunHooks(entry string, args []int64, cfg dataflow.Config, h d
 	if h.Inject != nil {
 		m.msys.SetPerturber(h.Inject)
 	}
-	m.newActivation(mod.progs[entry], args, -1, nil)
+	return nil
+}
+
+// exec runs the entry activation gp(args...) to completion.
+func (m *vm) exec(gp *gprog, args []int64) (*dataflow.Result, error) {
+	m.newActivation(gp, args, -1, nil)
 	if m.err != nil {
 		return nil, m.err
 	}

@@ -60,6 +60,7 @@ const (
 	opStore
 	opCall
 	opReturn
+	numOps
 )
 
 // argMode classifies a lowered operand.
@@ -103,18 +104,14 @@ type rule struct {
 	loadSigned bool // opLoad: sign-extend sub-word loads
 	needVal    bool // opLoad: value output has consumers
 	hasValue   bool // opCall: callee returns a value
-	// gated marks all-inputs rules (simple/mem/call/return): the rule
-	// cannot fire while any needPort is empty, so the VM skips the fire
-	// attempt entirely when the node's missing-input counter is nonzero.
-	gated   bool
-	bin     cminor.BinOpKind
-	un      pegasus.UnOpKind
-	nodeID  int32 // pegasus node ID (fault matching, stuck reports)
-	toBits  int32 // opConv
-	bytes   int32 // opLoad/opStore access size
-	tokN    int32 // opTokGen initial credit
-	tokPort int32 // opTokGen: port of Toks[0]
-	lat     int64 // output latency in cycles
+	bin        cminor.BinOpKind
+	un         pegasus.UnOpKind
+	nodeID     int32 // pegasus node ID (fault matching, stuck reports)
+	toBits     int32 // opConv
+	bytes      int32 // opLoad/opStore access size
+	tokN       int32 // opTokGen initial credit
+	tokPort    int32 // opTokGen: port of Toks[0]
+	lat        int64 // output latency in cycles
 
 	// shape marks a specialized operand pattern (shBin2/shUn1/shConv1)
 	// that the pre-gated firing path executes without the generic
@@ -162,12 +159,31 @@ type pmeta struct {
 	_     int32
 }
 
-// Pre-dispatch gate bits, one byte per rule (vnode.flags — static, but
-// carried in the per-activation state so the run loop's gate reads one
-// cache line instead of two).
+// Gate kinds (vnode.gate): which of the node's counters prove that a
+// fire attempt would fail, so the VM can skip it without dispatching.
+// Lowering sets the gate; it lives in the per-activation state so the run
+// loop's skip reads one cache line instead of two, and a once-only rule
+// closes its gate to gateNever when it fires.
 const (
-	flagGated    uint8 = 1 << iota // rule is input-gated (see rule.gated)
-	flagFireOnce                   // rule fires at most once per activation
+	// gateNone: always attempt. Token generators, whose readiness also
+	// depends on their credit and their predicate's value, and merges or
+	// etas with dynamic inputs their fire path does not read.
+	gateNone uint8 = iota
+	// gateAll: all-input kinds (simple/mem/call/return), blocked while any
+	// needPort is empty or any consumer edge is full. Passing proves the
+	// rule fireable.
+	gateAll
+	// gateMerge: blocked while a consumer edge is full or every source
+	// latch is empty (missing equals the source count, held in counter).
+	// Passing proves the merge fireable.
+	gateMerge
+	// gateEta: blocked while the predicate or the data latch is empty.
+	// Passing does not prove the eta fireable: a true predicate still
+	// needs room on its output edges.
+	gateEta
+	// gateNever: always blocked. The entry token, which fires only from
+	// newActivation, and a once-only rule after it has fired.
+	gateNever
 )
 
 // Specialized firing shapes (rule.shape).
@@ -490,10 +506,6 @@ func lowerGraph(mod *Module, gp *gprog) {
 		r.lat = opLatencyOf(n)
 		r.fireOnce = gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok
 		lw.lowerRule(n, r)
-		switch r.op {
-		case opBin, opUn, opConv, opMux, opCombine, opLoad, opStore, opCall, opReturn:
-			r.gated = true
-		}
 		if len(r.preds) == 0 && len(r.toks) == 0 {
 			switch {
 			case r.op == opBin && len(r.ins) == 2 && r.ins[0].mode == argPort && r.ins[1].mode == argPort:
@@ -507,26 +519,21 @@ func lowerGraph(mod *Module, gp *gprog) {
 	}
 	// Pristine per-rule dynamic state: missing-input counters start at
 	// the full dynamic input count (all latches empty), token generators
-	// at their initial credit, gate bits baked in.
+	// at their initial credit, gated merges at their source count.
 	gp.nodeInit = make([]vnode, nRules)
-	for ri := range gp.rules {
-		var f uint8
-		if gp.rules[ri].gated {
-			f |= flagGated
-		}
-		if gp.rules[ri].fireOnce {
-			f |= flagFireOnce
-		}
-		gp.nodeInit[ri].flags = f
-	}
 	for id := 0; id < maxID; id++ {
 		if n := gp.nodeByID[id]; n == nil || gp.static[id] {
 			continue
 		}
 		ri := gp.ruleOf[id]
-		gp.nodeInit[ri].missing = int32(gp.dynIns[id])
-		if gp.rules[ri].op == opTokGen {
-			gp.nodeInit[ri].counter = gp.rules[ri].tokN
+		r, ns := &gp.rules[ri], &gp.nodeInit[ri]
+		ns.missing = int32(gp.dynIns[id])
+		ns.gate = gateOf(r, gp.dynIns[id])
+		switch r.op {
+		case opTokGen:
+			ns.counter = r.tokN
+		case opMerge:
+			ns.counter = int32(len(r.srcPorts))
 		}
 	}
 	if g.Entry != nil && gp.nodeByID[g.Entry.ID] != nil && !gp.static[g.Entry.ID] {
@@ -540,6 +547,34 @@ func lowerGraph(mod *Module, gp *gprog) {
 		}
 	}
 	gp.numSlots = lw.slots
+}
+
+// gateOf picks a lowered rule's gate kind. A merge or eta is gated only
+// when its dynamic inputs are exactly the ports its fire path reads, so
+// its missing counter counts those ports and nothing else.
+func gateOf(r *rule, dynIns int) uint8 {
+	switch r.op {
+	case opBin, opUn, opConv, opMux, opCombine, opLoad, opStore, opCall, opReturn:
+		return gateAll
+	case opMerge:
+		if dynIns == len(r.srcPorts) {
+			return gateMerge
+		}
+	case opEta:
+		if dynIns == isPort(r.predArg)+isPort(r.dataArg) {
+			return gateEta
+		}
+	case opEntry:
+		return gateNever
+	}
+	return gateNone
+}
+
+func isPort(g oparg) int {
+	if g.mode == argPort {
+		return 1
+	}
+	return 0
 }
 
 // lowerRule fills the kind-specific fields of one rule.

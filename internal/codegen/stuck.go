@@ -40,9 +40,10 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 	r := &gp.rules[ri]
 	ns := &a.st.nodes[ri]
 	if gp.dynIns[n.ID] == 0 {
-		// Fire-once node: blocked only if it never managed to fire,
-		// which can only be backpressure.
-		if ns.firedOnce {
+		// Fire-once node: blocked only if it never managed to fire
+		// (firing closes its gate for good), which can only be
+		// backpressure.
+		if ns.gate == gateNever {
 			return b, false
 		}
 		b.Waits = m.backpressureEdges(a, r)

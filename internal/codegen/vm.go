@@ -22,26 +22,42 @@ import (
 	"spatial/internal/pegasus"
 )
 
-// vnode is the per-rule dynamic state: delivery-order floors, the token
-// generator's credit counter, the missing-input counter (number of
-// currently empty dynamic input latches), the full-edge counter (number
-// of consumer edges at capacity), and the fired-once mark. missing and
-// full let the run loop skip fire attempts of gated rules without
-// dispatching, and replace the interpreter's per-attempt capacity scan
-// with one comparison: every firing rule's capacity gate is exactly
-// "no consumer edge full", because ops only ever emit on classes they
-// gate on (returns and entries have no in-graph consumers at all).
-// The gate-hot fields (missing, full, flags, firedOnce) lead so the run
-// loop's skip decision reads the struct's first bytes.
+// vnode is the per-rule dynamic state: delivery-order floors, the
+// missing-input counter (number of currently empty dynamic input
+// latches), the full-edge counter (number of consumer edges at
+// capacity), the gate that reads them (see blocked), and counter: a token
+// generator's credit, or a gated merge's source count. missing and full
+// replace the interpreter's per-attempt input and capacity scans with
+// comparisons: every all-input rule's capacity gate is exactly "no
+// consumer edge full", because ops only ever emit on classes they gate on
+// (returns and entries have no in-graph consumers at all). The gate-hot
+// fields (missing, full, gate, counter) lead so the run loop's skip
+// decision reads the struct's first 16 bytes.
 type vnode struct {
-	missing   int32
-	full      int32
-	flags     uint8
-	firedOnce bool
-	_         [2]byte
-	counter   int32
-	lastVal   int64
-	lastTok   int64
+	missing int32
+	full    int32
+	gate    uint8
+	_       [3]byte
+	counter int32
+	lastVal int64
+	lastTok int64
+}
+
+// blocked reports whether the node's gate proves that a fire attempt
+// would fail. A false result proves only what the gate kind says (see the
+// gate constants); the fire paths check the rest.
+func (ns *vnode) blocked() bool {
+	switch ns.gate {
+	case gateAll:
+		return ns.missing > 0 || ns.full > 0
+	case gateMerge:
+		return ns.full > 0 || ns.missing == ns.counter
+	case gateEta:
+		return ns.missing > 0
+	case gateNever:
+		return true
+	}
+	return false
 }
 
 // vq is one input latch: a FIFO of raw values held inline, so a
@@ -177,6 +193,10 @@ type vm struct {
 	mainVal  int64
 	mainDone bool
 
+	// failed counts fire attempts that reached a rule's fire path and
+	// failed, by opcode (tests read it; only the failure path writes it).
+	failed [numOps]int64
+
 	insBuf   []int64
 	predsBuf []int64
 	toksBuf  []int64
@@ -254,17 +274,15 @@ func (m *vm) run() error {
 			q.push(e.val)
 		}
 		if noInj {
-			// An attempt that would fail on a missing input (or an
-			// already fired once-only rule) has no observable effect:
-			// skip the dispatch without touching the full rule struct.
-			// Disabled under fault injection, which must probe the
-			// injector on every attempt like the interpreter.
-			if f := ns.flags; (f&flagGated != 0 && (ns.missing > 0 || ns.full > 0)) ||
-				(f&flagFireOnce != 0 && ns.firedOnce) {
+			// An attempt the gate proves would fail has no observable
+			// effect: skip the dispatch without touching the rule struct.
+			if ns.blocked() {
 				continue
 			}
+			m.tryFire(a, e.rule, ns)
+		} else {
+			m.tryFireFaulted(a, e.rule)
 		}
-		m.tryFire(a, e.rule, &a.gp.rules[e.rule])
 		if m.err != nil {
 			return m.err
 		}
@@ -554,43 +572,57 @@ func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64, co
 
 // --- firing rules (mirror fire.go) ---
 
-// tryFire attempts to fire the rule as many times as it can, preserving
-// the interpreter's exact attempt sequence: done check, freeze probe,
-// fire-once gate, dispatch — then the whole sequence again after every
-// success until an attempt fails.
-func (m *vm) tryFire(a *vact, ri int32, r *rule) {
+// tryFire fires a rule whose gate is open, and again after every success
+// while its gate stays open. This is the interpreter's attempt sequence
+// (done check, freeze probe, fire-once gate, dispatch, repeated until an
+// attempt fails) minus the attempts the gate proves would fail, which
+// have no observable effect without fault injection.
+func (m *vm) tryFire(a *vact, ri int32, ns *vnode) {
+	r := &a.gp.rules[ri]
+	for {
+		// The open gate proves an all-input rule fireable, so its fire
+		// path skips its own rechecks (pre); the other fire paths check
+		// for themselves.
+		if !m.dispatch(a, ri, r, true) {
+			m.failed[r.op]++
+			return
+		}
+		if a.done {
+			return
+		}
+		if r.fireOnce {
+			ns.gate = gateNever
+			return
+		}
+		if ns.blocked() {
+			return
+		}
+	}
+}
+
+// tryFireFaulted is tryFire under fault injection, which must probe the
+// injector on every attempt like the interpreter: the freeze probe comes
+// first, and only a gate closed for good (gateNever) is trusted.
+func (m *vm) tryFireFaulted(a *vact, ri int32) {
+	r := &a.gp.rules[ri]
 	for {
 		if a.done {
 			return
 		}
-		// pre records that the gate has proven the rule fireable (every
-		// input latched, no output edge full), letting the gated fire
-		// paths skip their own rechecks.
-		pre := false
-		if m.inj != nil {
-			if thaw := m.inj.FrozenUntil(m.now, a.gp.name, int(r.nodeID)); thaw > m.now {
-				m.pushCheck(thaw, a, ri)
-				return
-			}
-		} else if r.gated {
-			if ns := &a.st.nodes[ri]; ns.missing > 0 || ns.full > 0 {
-				return
-			}
-			pre = true
-		}
-		if r.fireOnce {
-			ns := &a.st.nodes[ri]
-			if ns.firedOnce {
-				return
-			}
-			if m.dispatch(a, ri, r, pre) {
-				ns.firedOnce = true
-				continue
-			}
+		if thaw := m.inj.FrozenUntil(m.now, a.gp.name, int(r.nodeID)); thaw > m.now {
+			m.pushCheck(thaw, a, ri)
 			return
 		}
-		if !m.dispatch(a, ri, r, pre) {
+		ns := &a.st.nodes[ri]
+		if ns.gate == gateNever {
 			return
+		}
+		if !m.dispatch(a, ri, r, false) {
+			m.failed[r.op]++
+			return
+		}
+		if r.fireOnce && !a.done {
+			ns.gate = gateNever
 		}
 	}
 }

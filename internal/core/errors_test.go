@@ -20,6 +20,18 @@ int f(void) {
   return g;
 }`
 
+// badInitSources hold brace initializers the checker must reject: on
+// non-array globals and locals (unchecked, these panic in the layout or
+// store the second element into the next global), past an array's end,
+// and on an array of arrays.
+var badInitSources = []string{
+	`int A = {0};`,
+	`int bench(void){ int x = {5}; return x; }`,
+	`int *p = {0, 7}; int q; int bench(void){ return q; }`,
+	`int bench(void){ int a[1] = {1, 7}; int b[1]; return b[0]; }`,
+	`int A[2][2] = {1, 2}; int bench(void){ return A[0][1]; }`,
+}
+
 // TestErrorClasses: every failure out of the facade carries exactly one
 // of the three sentinel classes, matchable with errors.Is.
 func TestErrorClasses(t *testing.T) {
@@ -28,6 +40,11 @@ func TestErrorClasses(t *testing.T) {
 	}
 	if _, err := CompileSource(`int f(void) { return 1; }`, WithSim(SimConfig{EdgeCap: -1})); !errors.Is(err, ErrCompile) {
 		t.Fatalf("invalid sim config not classed ErrCompile: %v", err)
+	}
+	for _, src := range badInitSources {
+		if _, err := CompileSource(src); !errors.Is(err, ErrCompile) {
+			t.Fatalf("%q: not classed ErrCompile: %v", src, err)
+		}
 	}
 
 	cp, err := CompileSource(`

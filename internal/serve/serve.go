@@ -155,6 +155,7 @@ func (s Stats) HitRate() float64 {
 type job struct {
 	req    Request
 	ctx    context.Context
+	cancel context.CancelFunc // releases ctx's deadline timer; nil without one
 	queued time.Time
 	done   chan jobResult
 }
@@ -274,69 +275,106 @@ type BatchResult struct {
 
 // DoBatch submits every request and waits for all of them, returning
 // results in request order. Unlike Do, admission blocks instead of
-// rejecting — the batch itself bounds the number of waiters, so there is
-// no unbounded growth — making DoBatch an all-or-errors bulk interface.
+// rejecting, which makes DoBatch an all-or-errors bulk interface. The
+// caller's goroutine admits the items one at a time, in order, and then
+// collects their results in order, so a batch of any size adds no
+// goroutines: at most QueueDepth items wait in the queue while the
+// workers run the others. Every item's Deadline counts from the DoBatch
+// call, so it bounds the item's whole time in the engine, including the
+// time it waits behind earlier items.
 func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchResult {
+	start := time.Now()
 	out := make([]BatchResult, len(reqs))
-	var wg sync.WaitGroup
-	wg.Add(len(reqs))
+	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
-		go func(i int, r Request) {
-			defer wg.Done()
-			resp, err := e.submit(ctx, r, true)
-			out[i] = BatchResult{Resp: resp, Err: err}
-		}(i, r)
+		jobs[i], out[i].Err = e.enqueue(ctx, r, start, true)
 	}
-	wg.Wait()
+	for i, j := range jobs {
+		if j != nil {
+			out[i].Resp, out[i].Err = j.wait()
+		}
+	}
 	return out
 }
 
-// submit enqueues a job and waits for its result. block selects the
-// admission policy: false rejects with ErrOverload when the queue is
-// full, true waits for a slot (DoBatch).
+// submit enqueues a job and waits for its result.
 func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response, error) {
+	j, err := e.enqueue(ctx, req, time.Now(), block)
+	if err != nil {
+		return nil, err
+	}
+	return j.wait()
+}
+
+// enqueue admits one request as a job that entered the engine at start;
+// its context carries the request's deadline, counted from start. block
+// selects the admission policy: false rejects with ErrOverload when the
+// queue is full, true waits for a slot (DoBatch). The caller must wait on
+// an admitted job, which releases its context.
+func (e *Engine) enqueue(ctx context.Context, req Request, start time.Time, block bool) (*job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	j := &job{req: req, ctx: ctx, queued: start, done: make(chan jobResult, 1)}
 	if req.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-		defer cancel()
+		j.ctx, j.cancel = context.WithDeadline(ctx, start.Add(req.Deadline))
 	}
-	j := &job{req: req, ctx: ctx, queued: time.Now(), done: make(chan jobResult, 1)}
+	if err := e.admit(j, block); err != nil {
+		j.release()
+		return nil, err
+	}
+	return j, nil
+}
 
+func (e *Engine) admit(j *job, block bool) error {
 	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
 	if e.closed {
-		e.closeMu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if block {
 		// Blocking admission: hold the RLock so Close cannot close the
 		// queue mid-send; Close's Lock waits for us.
 		select {
 		case e.queue <- j:
-		case <-ctx.Done():
-			e.closeMu.RUnlock()
-			return nil, ctx.Err()
-		}
-	} else {
-		select {
-		case e.queue <- j:
-		default:
-			e.closeMu.RUnlock()
-			e.rejected.Add(1)
-			return nil, fmt.Errorf("%w (depth %d)", ErrOverload, e.cfg.QueueDepth)
+			return nil
+		case <-j.ctx.Done():
+			return j.ctx.Err()
 		}
 	}
-	e.closeMu.RUnlock()
+	select {
+	case e.queue <- j:
+		return nil
+	default:
+		e.rejected.Add(1)
+		return fmt.Errorf("%w (depth %d)", ErrOverload, e.cfg.QueueDepth)
+	}
+}
 
+// wait blocks until the job's result arrives or its context is done, then
+// releases the context. A result that has already arrived wins over a
+// context that is done too: DoBatch collects in order, so an item that
+// finished in time is often collected after its deadline has passed.
+func (j *job) wait() (*Response, error) {
+	defer j.release()
 	select {
 	case r := <-j.done:
 		return r.resp, r.err
-	case <-ctx.Done():
+	case <-j.ctx.Done():
+	}
+	select {
+	case r := <-j.done:
+		return r.resp, r.err
+	default:
 		// The worker will observe the canceled context and drop the job;
 		// the buffered done channel never blocks it.
-		return nil, ctx.Err()
+		return nil, j.ctx.Err()
+	}
+}
+
+func (j *job) release() {
+	if j.cancel != nil {
+		j.cancel()
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,129 @@ func TestDoBatch(t *testing.T) {
 	s := e.Stats()
 	if s.Completed != uint64(len(reqs)) || s.CacheMisses != 1 {
 		t.Fatalf("stats = completed %d misses %d, want %d/1", s.Completed, s.CacheMisses, len(reqs))
+	}
+}
+
+// TestDoBatchBoundedGoroutines runs a batch far larger than the queue
+// and requires every result in order while the goroutine count stays
+// within a small constant of its value before the call: the batch admits
+// its items from the caller's goroutine, not one goroutine per item.
+func TestDoBatchBoundedGoroutines(t *testing.T) {
+	e := newEngine(t, Config{Workers: 2, QueueDepth: 8, CacheEntries: 4})
+	defer e.Close()
+	reqs := make([]Request, 20000)
+	for i := range reqs {
+		reqs[i] = testReq(srcAdd, api.LevelFull, "f", int64(i), 1)
+		reqs[i].Deadline = time.Minute
+	}
+	before := runtime.NumGoroutine()
+	stop, peak := make(chan struct{}), make(chan int)
+	go func() {
+		high := 0
+		for {
+			if n := runtime.NumGoroutine(); n > high {
+				high = n
+			}
+			select {
+			case <-stop:
+				peak <- high
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	out := e.DoBatch(context.Background(), reqs)
+	close(stop)
+	// The sampler itself is one goroutine above the baseline.
+	if high := <-peak; high > before+3 {
+		t.Errorf("goroutines peaked at %d during the batch, %d before it", high, before)
+	}
+	if len(out) != len(reqs) {
+		t.Fatalf("got %d results, want %d", len(out), len(reqs))
+	}
+	for i, r := range out {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+		if want := int64(i + 1); r.Resp.Value != want {
+			t.Fatalf("item %d = %d, want %d", i, r.Resp.Value, want)
+		}
+	}
+}
+
+// gatedBatchEngine returns a one-worker, one-slot engine whose compiles of
+// srcLoop wait until gate closes after d, and warms its cache with srcAdd
+// so srcAdd items run at once.
+func gatedBatchEngine(t *testing.T, d time.Duration) *Engine {
+	t.Helper()
+	e := newEngine(t, Config{Workers: 1, QueueDepth: 1, CacheEntries: 4})
+	if _, err := e.Do(context.Background(), testReq(srcAdd, api.LevelFull, "f", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	time.AfterFunc(d, func() { close(gate) })
+	e.compileFn = func(r Request) (*core.Compiled, error) {
+		if r.Source == srcLoop {
+			<-gate
+		}
+		return compileRequest(r)
+	}
+	return e
+}
+
+// TestDoBatchKeepsArrivedResults runs a batch whose first item finishes
+// at once with a 50 ms deadline, while a slow item blocks admission of the
+// rest for 80 ms, so collection reaches item 0 after its deadline. The
+// result that arrived in time must win over the expired context on every
+// repeat.
+func TestDoBatchKeepsArrivedResults(t *testing.T) {
+	for rep := 0; rep < 10; rep++ {
+		e := gatedBatchEngine(t, 80*time.Millisecond)
+		reqs := []Request{
+			testReq(srcAdd, api.LevelFull, "f", 1, 2),
+			testReq(srcLoop, api.LevelFull, "f", 4),   // holds the worker
+			testReq(srcAdd, api.LevelFull, "f", 3, 4), // holds the queue slot
+			testReq(srcAdd, api.LevelFull, "f", 5, 6), // admitted after the gate
+		}
+		reqs[0].Deadline = 50 * time.Millisecond
+		start := time.Now()
+		out := e.DoBatch(context.Background(), reqs)
+		if elapsed := time.Since(start); elapsed < reqs[0].Deadline {
+			t.Fatalf("batch took %v, not past item 0's deadline", elapsed)
+		}
+		for i, want := range []int64{3, 14, 7, 11} {
+			if out[i].Err != nil {
+				t.Fatalf("repeat %d, item %d: %v", rep, i, out[i].Err)
+			}
+			if out[i].Resp.Value != want {
+				t.Fatalf("repeat %d, item %d = %d, want %d", rep, i, out[i].Resp.Value, want)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestDoBatchDeadlineFromCall checks that an item's deadline counts from
+// the DoBatch call: the last item's 50 ms expire while a slow item holds
+// the batch for 80 ms, although the item itself would run at once.
+func TestDoBatchDeadlineFromCall(t *testing.T) {
+	e := gatedBatchEngine(t, 80*time.Millisecond)
+	defer e.Close()
+	reqs := []Request{
+		testReq(srcLoop, api.LevelFull, "f", 4),   // holds the worker
+		testReq(srcAdd, api.LevelFull, "f", 1, 2), // holds the queue slot
+		testReq(srcAdd, api.LevelFull, "f", 3, 4), // admitted after the gate
+		testReq(srcAdd, api.LevelFull, "f", 5, 6),
+	}
+	reqs[3].Deadline = 50 * time.Millisecond
+	out := e.DoBatch(context.Background(), reqs)
+	for i := 0; i < 3; i++ {
+		if out[i].Err != nil {
+			t.Fatalf("item %d: %v", i, out[i].Err)
+		}
+	}
+	if out[3].Resp != nil || !errors.Is(out[3].Err, context.DeadlineExceeded) {
+		t.Fatalf("item 3 = %+v, %v; want no response and DeadlineExceeded", out[3].Resp, out[3].Err)
 	}
 }
 
