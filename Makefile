@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet build test bench bench-go examples fuzz
+.PHONY: all check fmt vet build test bench-go examples fuzz
 
 all: check
 
@@ -25,17 +25,11 @@ build:
 test:
 	$(GO) test ./...
 
-# bench measures simulator throughput on the baseline workload set at
-# every optimization level and writes BENCH.json. BENCHARGS narrows or
-# extends the sweep, e.g. BENCHARGS="-bench mesa,epic_e -benchtime 50ms".
-BENCHARGS ?=
-bench:
-	$(GO) run ./cmd/experiments -exp bench -benchout BENCH.json $(BENCHARGS)
-
-# bench-go compiles and runs every go-test benchmark once (the
-# paper-table regeneration benchmarks; CI smoke).
+# bench-go compiles and runs every go-test benchmark once and no tests
+# (the paper-table regeneration benchmarks; CI smoke). The benchmark
+# that gates performance is bench/ (bench/README.md).
 bench-go:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # fuzz runs the differential fuzzer for a short budget: generated
 # programs must match the interpreter oracle at every optimization

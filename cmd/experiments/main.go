@@ -4,24 +4,21 @@
 //
 // Usage:
 //
-//	experiments [-exp table1|table2|fig18|fig19|ablation|spatial|section2|all]
+//	experiments [-exp section2|table1|table2|fig18|fig19|ablation|spatial|irsize|area|all]
 //	            [-bench name[,name...]] [-quick]
-//	experiments -exp bench [-bench name[,name...]] [-benchtime 200ms]
-//	            [-benchout BENCH.json] [-allocbudget 0.01]
-//	experiments -exp serve [-bench name[,name...]] [-benchtime 200ms]
 //	experiments -exp load [-url http://host:port] [-rates 25,50,100,200,400]
-//	            [-loaddur 2s] [-short] [-benchout BENCH.json]
-//	experiments -exp chaos [-seed 1] [-short] [-benchout BENCH.json]
+//	            [-loaddur 2s] [-short]
+//	experiments -exp chaos [-seed 1] [-short]
 //
 // Every form takes -cpuprofile FILE, which writes a runtime/pprof CPU
-// profile of the experiment to FILE (read it with go tool pprof).
+// profile of the experiment to FILE (read it with go tool pprof). Any
+// other -exp name is an error that lists the valid ones.
 //
 // -exp load drives a cashd daemon with an open-loop generator and
 // records the offered load vs latency/shed curve (EXPERIMENTS.md
 // documents the protocol). With no -url it starts an in-process daemon
 // on loopback. -short is the CI smoke variant: one modest rate for ten
 // seconds, failing on any non-2xx response or any shed request.
-// -benchout merges the curve into the existing BENCH.json report.
 //
 // -exp chaos drives an in-process multi-peer cashd cluster through the
 // deterministic fault schedules of internal/netchaos (peer kill,
@@ -29,25 +26,20 @@
 // delays, a black hole) and fails unless every request either succeeds
 // bit-identically to the fault-free reference or fails with a typed
 // error — no hangs, no silent wrong answers. -short is the CI smoke
-// variant (fewer requests, the three sharpest schedules). -benchout
-// merges the availability/latency-under-faults rows into BENCH.json.
+// variant (fewer requests, the three sharpest schedules).
 //
-// -exp serve measures the batch simulation service: the worker scaling
-// curve (runs/sec and per-stream ns/event at 1/2/4/8 workers, with
-// per-stream determinism verified against the serial run) and the
-// compile cache (hit rate and throughput for a request mix that repeats
-// each program many times).
+// Simulator and service throughput are measured by the benchmark in
+// bench/ (see bench/README.md), not here.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -58,93 +50,18 @@ import (
 	"spatial/internal/harness"
 	"spatial/internal/memsys"
 	"spatial/internal/opt"
-	"spatial/internal/serve"
 	"spatial/internal/workloads"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, fig18, fig19, ablation, spatial, irsize, area, section2, bench, serve, load, chaos, all")
-	bench := flag.String("bench", "", "restrict to a comma-separated benchmark list")
-	quick := flag.Bool("quick", false, "use a reduced sweep for fig19")
-	benchTime := flag.Duration("benchtime", 200*time.Millisecond, "minimum timed duration per (workload, level) for -exp bench")
-	benchOut := flag.String("benchout", "", "merge the -exp bench/load/chaos rows into this JSON report")
-	allocBudget := flag.Float64("allocbudget", -1, "fail -exp bench if any allocs/event exceeds this (negative disables)")
-	backend := flag.String("backend", "both", "-exp bench: engines to measure: both, interp, compiled")
-	loadURL := flag.String("url", "", "-exp load: target daemon base URL (empty starts one in-process)")
-	loadRates := flag.String("rates", "", "-exp load: comma-separated offered rates in req/s")
-	loadDur := flag.Duration("loaddur", 2*time.Second, "-exp load: duration per offered rate")
-	short := flag.Bool("short", false, "-exp load/chaos: CI smoke variant")
-	seed := flag.Int64("seed", 1, "-exp chaos: jitter seed")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
-	flag.Parse()
-	if *cpuProfile != "" {
-		stop, err := startCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		stopProfile = stop
-		defer stop()
-	}
-
-	ws := workloads.All()
-	var benchNames []string
-	if *bench != "" {
-		for _, name := range strings.Split(*bench, ",") {
-			if workloads.ByName(name) == nil {
-				fatal(fmt.Errorf("unknown benchmark %q", name))
-			}
-			benchNames = append(benchNames, name)
-		}
-		ws = nil
-		for _, name := range benchNames {
-			ws = append(ws, workloads.ByName(name))
-		}
-	}
-
-	// The throughput baseline is explicitly requested, never part of
-	// "all": it is a perf measurement, not a paper table, and it wants a
-	// quiet machine.
-	if *exp == "bench" {
-		backends, err := benchBackends(*backend)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runBench(benchNames, *benchTime, *benchOut, *allocBudget, backends); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "serve" {
-		if err := runServe(benchNames, *benchTime); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "load" {
-		if err := runLoad(*loadURL, *loadRates, *loadDur, *short, *benchOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "chaos" {
-		if err := runChaos(*seed, *short, *benchOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Println()
-	}
-
-	run("section2", func() error { return section2() })
-	run("table1", func() error {
+// paperExps are the paper's tables and figures, in the order -exp all
+// prints them. Each runs on the workloads -bench selects; only fig19
+// reads -quick.
+var paperExps = []struct {
+	name string
+	run  func(ws []*workloads.Workload, quick bool) error
+}{
+	{"section2", func([]*workloads.Workload, bool) error { return section2() }},
+	{"table1", func([]*workloads.Workload, bool) error {
 		rows, err := harness.Table1("")
 		if err != nil {
 			return err
@@ -157,27 +74,27 @@ func main() {
 		fmt.Println()
 		fmt.Print(harness.FormatPackageLOC(pkgs))
 		return nil
-	})
-	run("table2", func() error {
+	}},
+	{"table2", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.Table2(ws)
 		if err != nil {
 			return err
 		}
 		fmt.Print(harness.FormatTable2(rows))
 		return nil
-	})
-	run("fig18", func() error {
+	}},
+	{"fig18", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.Fig18(ws)
 		if err != nil {
 			return err
 		}
 		fmt.Print(harness.FormatFig18(rows))
 		return nil
-	})
-	run("fig19", func() error {
+	}},
+	{"fig19", func(ws []*workloads.Workload, quick bool) error {
 		levels := []opt.Level{opt.None, opt.Medium, opt.Full}
 		mems := harness.MemSystems()
-		if *quick {
+		if quick {
 			mems = []memsys.Config{memsys.PerfectConfig(), memsys.PaperConfig(2)}
 		}
 		rows, err := harness.Fig19(ws, levels, mems)
@@ -186,8 +103,8 @@ func main() {
 		}
 		fmt.Print(harness.FormatFig19(rows))
 		return nil
-	})
-	run("ablation", func() error {
+	}},
+	{"ablation", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.Ablation(ws)
 		if err != nil {
 			return err
@@ -199,31 +116,99 @@ func main() {
 		}
 		fmt.Printf("loop decoupling applicable: %d loops across the suite\n", n)
 		return nil
-	})
-	run("spatial", func() error {
+	}},
+	{"spatial", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.SpatialVsSeq(ws, opt.Full)
 		if err != nil {
 			return err
 		}
 		fmt.Print(harness.FormatSpatial(rows, opt.Full))
 		return nil
-	})
-	run("irsize", func() error {
+	}},
+	{"irsize", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.IRSize(ws)
 		if err != nil {
 			return err
 		}
 		fmt.Print(harness.FormatIRSize(rows))
 		return nil
-	})
-	run("area", func() error {
+	}},
+	{"area", func(ws []*workloads.Workload, _ bool) error {
 		rows, err := harness.Area(ws)
 		if err != nil {
 			return err
 		}
 		fmt.Print(harness.FormatArea(rows))
 		return nil
-	})
+	}},
+}
+
+// expNames lists every valid -exp value: the paper experiments, the two
+// service experiments, which -exp all leaves out, and all.
+func expNames() []string {
+	var names []string
+	for _, e := range paperExps {
+		names = append(names, e.name)
+	}
+	return append(names, "load", "chaos", "all")
+}
+
+func main() {
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames(), ", "))
+	bench := flag.String("bench", "", "restrict to a comma-separated benchmark list")
+	quick := flag.Bool("quick", false, "use a reduced sweep for fig19")
+	loadURL := flag.String("url", "", "-exp load: target daemon base URL (empty starts one in-process)")
+	loadRates := flag.String("rates", "", "-exp load: comma-separated offered rates in req/s")
+	loadDur := flag.Duration("loaddur", 2*time.Second, "-exp load: duration per offered rate")
+	short := flag.Bool("short", false, "-exp load/chaos: CI smoke variant")
+	seed := flag.Int64("seed", 1, "-exp chaos: jitter seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
+	flag.Parse()
+	if !slices.Contains(expNames(), *exp) {
+		fatal(fmt.Errorf("unknown experiment %q (want one of: %s)", *exp, strings.Join(expNames(), ", ")))
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		stopProfile = stop
+		defer stop()
+	}
+
+	ws := workloads.All()
+	if *bench != "" {
+		ws = nil
+		for _, name := range strings.Split(*bench, ",") {
+			w := workloads.ByName(name)
+			if w == nil {
+				fatal(fmt.Errorf("unknown benchmark %q", name))
+			}
+			ws = append(ws, w)
+		}
+	}
+
+	switch *exp {
+	case "load":
+		if err := runLoad(*loadURL, *loadRates, *loadDur, *short); err != nil {
+			fatal(err)
+		}
+		return
+	case "chaos":
+		if err := runChaos(*seed, *short); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	for _, e := range paperExps {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		if err := e.run(ws, *quick); err != nil {
+			fatal(fmt.Errorf("%s: %w", e.name, err))
+		}
+		fmt.Println()
+	}
 }
 
 // section2 reproduces the paper's opening comparison: the number of
@@ -253,145 +238,6 @@ void f(unsigned *p, unsigned a[], int i) {
 	return nil
 }
 
-// benchBackends maps the -backend flag onto the harness backend names.
-func benchBackends(flagVal string) ([]string, error) {
-	switch flagVal {
-	case "", "both":
-		return nil, nil // harness default: interp then codegen
-	case "interp":
-		return []string{harness.BackendInterp}, nil
-	case "compiled":
-		return []string{harness.BackendCodegen}, nil
-	default:
-		return nil, fmt.Errorf("invalid -backend %q (want both, interp, or compiled)", flagVal)
-	}
-}
-
-// runBench measures simulator throughput over the baseline workload set
-// at every optimization level on the selected backends (default both,
-// paired so each codegen row carries its same-run speedup), plus the
-// batch-parallel scaling curve, prints the table plus
-// benchstat-comparable lines, optionally merges the rows into BENCH.json,
-// and enforces the allocs/event budget and — on multi-core machines
-// only — the scaling assertion (the CI smoke gate). Rows measured with
-// GOMAXPROCS=1 are flagged degenerate and exempt from the speedup
-// check: time-slicing one core cannot scale.
-func runBench(names []string, benchTime time.Duration, out string, allocBudget float64, backends []string) error {
-	if len(names) == 0 {
-		names = harness.BenchSet
-	}
-	rep, err := harness.Bench(names, benchTime, backends)
-	if err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	rep.Parallel, err = harness.BenchParallel(names, harness.BenchWorkers, benchTime)
-	if err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	fmt.Print(harness.FormatBench(rep))
-	fmt.Println()
-	fmt.Print(rep.Benchstat())
-	if out != "" {
-		if err := harness.MergeBenchJSON(out, rep); err != nil {
-			return fmt.Errorf("bench: %w", err)
-		}
-		fmt.Printf("\nmerged rows into %s\n", out)
-	}
-	if allocBudget >= 0 {
-		if worst := rep.MaxAllocsPerEvent(); worst > allocBudget {
-			return fmt.Errorf("bench: allocs/event %.4f exceeds budget %.4f", worst, allocBudget)
-		}
-		fmt.Printf("allocs/event within budget %.4f (worst %.4f)\n", allocBudget, rep.MaxAllocsPerEvent())
-	}
-	return benchAssertScaling(rep)
-}
-
-// benchAssertScaling is the multi-core smoke gate: each workload's
-// batch-parallel curve must clear 1.0× somewhere — best point across
-// the sweep, so one noisy measurement cannot fail CI. Degenerate rows
-// (measured with GOMAXPROCS=1) are reported but never asserted.
-func benchAssertScaling(rep *harness.BenchReport) error {
-	bestPar := map[string]float64{}
-	for _, row := range rep.Parallel {
-		if row.Workers > 1 && !row.Degenerate && row.Speedup > bestPar[row.Workload] {
-			bestPar[row.Workload] = row.Speedup
-		}
-	}
-	for name, best := range bestPar {
-		if best <= 1.0 {
-			return fmt.Errorf("bench: %s parallel speedup peaked at %.2fx on a multi-core machine", name, best)
-		}
-	}
-	if n := len(bestPar); n > 0 {
-		fmt.Printf("scaling gate: %d workload curves cleared 1.0x\n", n)
-	} else if len(rep.Parallel) > 0 {
-		fmt.Println("scaling gate: skipped (GOMAXPROCS=1, rows flagged degenerate)")
-	}
-	return nil
-}
-
-// runServe measures the batch simulation service layer end to end:
-// first the worker scaling curve (shared compiled structures, every
-// stream's result verified against the serial reference), then the
-// compile cache's effect on a request mix that repeats each program.
-func runServe(names []string, benchTime time.Duration) error {
-	if len(names) == 0 {
-		names = harness.BenchSet
-	}
-	rows, err := harness.BenchParallel(names, harness.BenchWorkers, benchTime)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	fmt.Print(harness.FormatParallel(runtime.NumCPU(), rows))
-
-	// Cache experiment: each program appears `repeats` times in the mix;
-	// a perfect cache compiles each program once and serves the rest.
-	const repeats = 8
-	eng, err := serve.New(serve.Config{})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	var reqs []serve.Request
-	for _, name := range names {
-		w := workloads.ByName(name)
-		for i := 0; i < repeats; i++ {
-			reqs = append(reqs, serve.Request{
-				Program: api.Program{Source: w.Source, Level: api.LevelFull},
-				Entry:   w.Entry,
-			})
-		}
-	}
-	start := time.Now()
-	out := eng.DoBatch(context.Background(), reqs)
-	elapsed := time.Since(start)
-	for i, r := range out {
-		if r.Err != nil {
-			return fmt.Errorf("serve: request %d (%s): %w", i, reqs[i].Entry, r.Err)
-		}
-	}
-	// Determinism across the batch: all repeats of one program must agree.
-	for i := 0; i < len(out); i += repeats {
-		ref := out[i].Resp
-		for j := i + 1; j < i+repeats; j++ {
-			got := out[j].Resp
-			if got.Value != ref.Value || got.Stats.Cycles != ref.Stats.Cycles || got.Stats.Events != ref.Stats.Events {
-				return fmt.Errorf("serve: %s repeat %d diverged: (%d,%d,%d) vs (%d,%d,%d)",
-					names[i/repeats], j-i, got.Value, got.Stats.Cycles, got.Stats.Events,
-					ref.Value, ref.Stats.Cycles, ref.Stats.Events)
-			}
-		}
-	}
-	s := eng.Stats()
-	fmt.Printf("\nCompile cache (%d requests = %d programs x %d repeats, %d workers)\n",
-		len(reqs), len(names), repeats, runtime.GOMAXPROCS(0))
-	fmt.Printf("  completed %d, failed %d, cache hits %d, shared flights %d, misses %d, hit rate %.1f%%\n",
-		s.Completed, s.Failed, s.CacheHits, s.CacheShared, s.CacheMisses, 100*s.HitRate())
-	fmt.Printf("  batch time %s (%.2f runs/sec), all repeats bit-identical\n",
-		elapsed.Round(time.Millisecond), float64(len(reqs))/elapsed.Seconds())
-	return nil
-}
-
 // loadMix is the request set the load generator cycles through: small
 // distinct programs, so the curve measures service overhead and queueing
 // (after four compile misses everything is a cache hit), not compiler
@@ -413,11 +259,11 @@ int f(void) {
 	return mix
 }
 
-// runLoad drives cashd with the open-loop generator and prints (and
-// optionally records) the offered-load curve. An empty url starts an
-// in-process daemon on loopback — the loopback stack costs the same for
-// every rate, so the curve's shape is still the service's.
-func runLoad(url, ratesCSV string, dur time.Duration, short bool, out string) error {
+// runLoad drives cashd with the open-loop generator and prints the
+// offered-load curve. An empty url starts an in-process daemon on
+// loopback — the loopback stack costs the same for every rate, so the
+// curve's shape is still the service's.
+func runLoad(url, ratesCSV string, dur time.Duration, short bool) error {
 	rates := []int{25, 50, 100, 200, 400}
 	if short {
 		// CI smoke: one modest rate, long enough to catch flakiness, with
@@ -459,13 +305,6 @@ func runLoad(url, ratesCSV string, dur time.Duration, short bool, out string) er
 	}
 	fmt.Print(harness.FormatLoad(rows))
 
-	if out != "" {
-		if err := harness.MergeBenchJSON(out, &harness.BenchReport{Load: rows}); err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		fmt.Printf("merged load curve into %s\n", out)
-	}
-
 	if short {
 		for _, r := range rows {
 			if r.Errors > 0 || r.Shed > 0 {
@@ -486,7 +325,7 @@ func runLoad(url, ratesCSV string, dur time.Duration, short bool, out string) er
 // either succeeds bit-identically or fails typed; hangs, wrong answers,
 // and unclassified errors each fail the run. -short trims the battery to
 // the three sharpest schedules for CI.
-func runChaos(seed int64, short bool, out string) error {
+func runChaos(seed int64, short bool) error {
 	opts := harness.ChaosOptions{Seed: seed}
 	if short {
 		opts.Requests = 45
@@ -497,13 +336,6 @@ func runChaos(seed int64, short bool, out string) error {
 		return err
 	}
 	fmt.Print(harness.FormatChaos(opts, rows))
-
-	if out != "" {
-		if err := harness.MergeBenchJSON(out, &harness.BenchReport{Chaos: rows}); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		fmt.Printf("merged chaos rows into %s\n", out)
-	}
 
 	if err := harness.ChaosGate(rows); err != nil {
 		return err

@@ -1,14 +1,14 @@
 package codegen_test
 
 // Allocation gates. Steady state: after a warm-up run has filled the
-// per-graph activation-state pools, repeat runs of a compiled Module must
-// allocate (almost) nothing per event — the whole point of the
-// flat-bytecode engine is that the hot loop touches no allocator. Each
-// run builds a fresh VM, whose event-queue slab, frame lists, activation
-// arena and memory image grow in a handful of allocations, so the budget
-// is per *run*, not per event: a fixed few are fine, anything that
-// scales with events is not. Fresh runs: with every pool emptied, a run
-// pays only for the state it touches, on both engines.
+// per-graph activation-state pools, repeat runs of a compiled program
+// must allocate (almost) nothing per event, on either engine — the hot
+// loop touches no allocator. Each run builds a fresh VM or machine,
+// whose event-queue slab, frame lists, activation arena and memory image
+// grow in a handful of allocations, so the budget is per *run*, not per
+// event: a fixed few are fine, anything that scales with events is not.
+// Fresh runs: with every pool emptied, a run pays only for the state it
+// touches, on both engines.
 
 import (
 	"runtime"
@@ -21,34 +21,64 @@ import (
 	"spatial/internal/workloads"
 )
 
+// TestSteadyStateAllocs holds the engines to a fixed handful of
+// allocations per run and none per event, counted over whole runs after
+// a warm-up: both engines on mesa and epic_e (the two smallest suite
+// programs) at every level, and the VM on g721_e at O3, where the
+// interpreter reads about 290 allocations per run. Every repeat must
+// return the warm-up's Result exactly.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation counting measures the race detector, not the VM")
+		t.Skip("allocation counting measures the race detector, not the engines")
 	}
-	w := workloads.ByName("g721_e")
-	cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := codegen.Compile(cp.Program)
+	all := []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
+	inputs := []struct {
+		name   string
+		levels []opt.Level
+		vmOnly bool
+	}{{"g721_e", []opt.Level{opt.Full}, true}, {"mesa", all, false}, {"epic_e", all, false}}
 	cfg := dataflow.DefaultConfig()
-	res, err := mod.Run(w.Entry, nil, cfg) // warm-up sizes every pool
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := float64(res.Stats.Events)
-	perRun := testing.AllocsPerRun(10, func() {
-		if _, err := mod.Run(w.Entry, nil, cfg); err != nil {
-			t.Error(err)
+	for _, in := range inputs {
+		w := workloads.ByName(in.name)
+		for _, level := range in.levels {
+			cp, err := core.CompileSource(w.Source, core.WithLevel(level))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
+			for _, eng := range []struct {
+				name string
+				run  func() (*dataflow.Result, error)
+			}{
+				{"interpreter", func() (*dataflow.Result, error) { return sh.Run(w.Entry, nil, cfg) }},
+				{"vm", func() (*dataflow.Result, error) { return mod.Run(w.Entry, nil, cfg) }},
+			} {
+				if in.vmOnly && eng.name != "vm" {
+					continue
+				}
+				ref, err := eng.run() // warm-up sizes every pool
+				if err != nil {
+					t.Fatalf("%s @%s [%s]: %v", w.Name, level, eng.name, err)
+				}
+				perRun := testing.AllocsPerRun(10, func() {
+					res, err := eng.run()
+					if err != nil {
+						t.Fatalf("%s @%s [%s]: %v", w.Name, level, eng.name, err)
+					}
+					if *res != *ref {
+						t.Fatalf("%s @%s [%s]: repeat diverged from the warm-up:\n got %+v\nwant %+v", w.Name, level, eng.name, res, ref)
+					}
+				})
+				// A per-event allocation regression reads >= 1.0 per event;
+				// 0.001 leaves room only for the fixed per-run handful.
+				if perEvent := perRun / float64(ref.Stats.Events); perEvent > 0.001 {
+					t.Errorf("%s @%s [%s]: %.1f allocs/run = %.4f allocs/event (budget 0.001)", w.Name, level, eng.name, perRun, perEvent)
+				}
+				if perRun > 64 {
+					t.Errorf("%s @%s [%s]: %.1f allocs/run (budget 64 fixed)", w.Name, level, eng.name, perRun)
+				}
+			}
 		}
-	})
-	// The harness bench gate allows 0.05 allocs/event; hold the engine
-	// itself to far less — a fixed handful per run, none per event.
-	if perEvent := perRun / events; perEvent > 0.001 {
-		t.Errorf("steady-state allocations: %.1f allocs/run = %.4f allocs/event (budget 0.001)", perRun, perEvent)
-	}
-	if perRun > 64 {
-		t.Errorf("steady-state allocations: %.1f allocs/run (budget 64 fixed)", perRun)
 	}
 }
 

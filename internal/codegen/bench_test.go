@@ -1,8 +1,9 @@
 package codegen_test
 
-// Paired engine benchmarks, reported in ns/event (the unit BENCH.json
-// and EXPERIMENTS.md use). Run both to measure the compiled backend's
-// speedup on this host:
+// Paired engine benchmarks, reported in ns/event (the unit of
+// EXPERIMENTS.md and of the benchmark's codegen.run_ns_per_event and
+// dataflow.run_ns_per_event). Run both to measure the compiled
+// backend's speedup on a given host:
 //
 //	go test ./internal/codegen/ -run xxx -bench 'Interp|Codegen' -benchtime 2s
 

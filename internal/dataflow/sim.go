@@ -18,6 +18,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"spatial/internal/cminor"
@@ -50,6 +51,10 @@ func DefaultConfig() Config { return Config{}.Normalized() }
 func (c Config) Validate() error {
 	if c.EdgeCap < 0 {
 		return fmt.Errorf("dataflow: EdgeCap %d is negative; use 0 for the default (1) or a positive buffer depth", c.EdgeCap)
+	}
+	if c.EdgeCap > math.MaxInt32 {
+		// Both engines keep edge occupancy in int32.
+		return fmt.Errorf("dataflow: EdgeCap %d exceeds %d, the deepest buffer the engines can hold", c.EdgeCap, math.MaxInt32)
 	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("dataflow: MaxCycles %d is negative; use 0 for the default budget or a positive cycle count", c.MaxCycles)

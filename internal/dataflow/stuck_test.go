@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatial/internal/cminor"
+	"spatial/internal/memsys"
 	"spatial/internal/opt"
 	"spatial/internal/pegasus"
 )
@@ -218,9 +219,16 @@ func TestConfigValidate(t *testing.T) {
 		want   string
 	}{
 		{func(c *Config) { c.EdgeCap = -1 }, "EdgeCap"},
+		// Both engines narrow EdgeCap to int32.
+		{func(c *Config) { c.EdgeCap = 1 << 31 }, "EdgeCap"},
+		{func(c *Config) { c.EdgeCap = 1<<32 + 1 }, "EdgeCap"},
 		{func(c *Config) { c.MaxCycles = -5 }, "MaxCycles"},
 		{func(c *Config) { c.MaxActivations = -2 }, "MaxActivations"},
 		{func(c *Config) { c.Mem.Ports = -1 }, "Ports"},
+		// A cache model allocates per line up front: 2 GiB of L2 would
+		// cost 832 MB.
+		{func(c *Config) { c.Mem = memsys.PaperConfig(2); c.Mem.L1Bytes = memsys.MaxCacheBytes + 1 }, "L1Bytes"},
+		{func(c *Config) { c.Mem = memsys.PaperConfig(2); c.Mem.L2Bytes = 1 << 31 }, "L2Bytes"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -25,20 +25,20 @@ import (
 // typed *api.Error — never a hang, never a silent wrong answer, never a
 // raw transport error leaked to the caller.
 type ChaosRow struct {
-	Schedule string `json:"schedule"`
-	Seed     int64  `json:"seed"`
-	Requests int    `json:"requests"`
-	OK       int    `json:"ok"`           // bit-identical successes
-	Typed    int    `json:"typed_errors"` // failed, but with a typed api.Error
-	Wrong    int    `json:"wrong_answers"`
-	Unclass  int    `json:"unclassified"` // failed with an untyped error — a contract breach
-	Hangs    int    `json:"hangs"`        // no answer past deadline + grace — a contract breach
+	Schedule string
+	Seed     int64
+	Requests int
+	OK       int // bit-identical successes
+	Typed    int // failed, but with a typed api.Error
+	Wrong    int
+	Unclass  int // failed with an untyped error — a contract breach
+	Hangs    int // no answer past deadline + grace — a contract breach
 
-	AvailabilityPct float64 `json:"availability_pct"` // OK over Requests
-	P50NS           int64   `json:"p50_ns"`           // median OK latency under faults
-	P99NS           int64   `json:"p99_ns"`
+	AvailabilityPct float64 // OK over Requests
+	P50NS           int64   // median OK latency under faults
+	P99NS           int64
 
-	Triggered int `json:"triggered"` // injections that actually fired
+	Triggered int // injections that actually fired
 }
 
 // ChaosOptions parameterizes ChaosBattery. Zero values select defaults.

@@ -19,15 +19,15 @@ import (
 // (the honest way to find a service's knee — a closed loop self-throttles
 // and hides it), and records what came back.
 type LoadRow struct {
-	RateRPS  int `json:"rate_rps"`  // offered request rate
-	Offered  int `json:"offered"`   // requests actually fired
-	OK       int `json:"ok"`        // 200 responses
-	Shed     int `json:"shed"`      // 429 responses (admission queue full)
-	Errors   int `json:"errors"`    // transport failures and other statuses
-	CacheHit int `json:"cache_hit"` // OK responses served from the compile cache
+	RateRPS  int // offered request rate
+	Offered  int // requests actually fired
+	OK       int // 200 responses
+	Shed     int // 429 responses (admission queue full)
+	Errors   int // transport failures and other statuses
+	CacheHit int // OK responses served from the compile cache
 
-	P50NS int64 `json:"p50_ns"` // median OK latency
-	P99NS int64 `json:"p99_ns"` // 99th percentile OK latency
+	P50NS int64 // median OK latency
+	P99NS int64 // 99th percentile OK latency
 }
 
 // ShedRate is the fraction of offered requests shed.

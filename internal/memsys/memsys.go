@@ -34,6 +34,12 @@ type Config struct {
 	PageBytes   int
 }
 
+// MaxCacheBytes bounds L1Bytes and L2Bytes. A cache model allocates its
+// tags up front, 13 bytes per line, so a size taken from untrusted input
+// must not reach it unchecked. 4 MiB is the size of the simulated memory
+// and 16× the paper's L2.
+const MaxCacheBytes = 4 << 20
+
 // Kind selects the memory model.
 type Kind int
 
@@ -157,6 +163,12 @@ func (c Config) Validate() error {
 	}
 	if c.PageBytes > 0 && c.PageBytes&(c.PageBytes-1) != 0 {
 		return fmt.Errorf("memsys: PageBytes %d must be a power of two", c.PageBytes)
+	}
+	if c.L1Bytes > MaxCacheBytes {
+		return fmt.Errorf("memsys: L1Bytes %d exceeds %d, the size of the simulated memory", c.L1Bytes, MaxCacheBytes)
+	}
+	if c.L2Bytes > MaxCacheBytes {
+		return fmt.Errorf("memsys: L2Bytes %d exceeds %d, the size of the simulated memory", c.L2Bytes, MaxCacheBytes)
 	}
 	if c.L1Bytes > 0 && c.LineBytes > 0 && c.L1Bytes < c.LineBytes {
 		return fmt.Errorf("memsys: L1Bytes %d is smaller than one line (%d bytes)", c.L1Bytes, c.LineBytes)

@@ -11,6 +11,7 @@ import (
 
 	"spatial/api"
 	"spatial/internal/core"
+	"spatial/internal/workloads"
 )
 
 // TestOverloadBackpressure fills the pool and the queue, then verifies
@@ -297,6 +298,65 @@ func TestParallelDeterminism(t *testing.T) {
 	s := e.Stats()
 	if s.CacheMisses != uint64(len(mix)) {
 		t.Fatalf("misses = %d, want %d (every repeat served from cache)", s.CacheMisses, len(mix))
+	}
+}
+
+// TestBatchScales: on a multi-core host, a batch of mesa or epic_e runs
+// at O3 finishes sooner on an engine with one worker per CPU than on a
+// one-worker engine, and every run returns the serial result. The two
+// engines alternate, and the test passes at the first of up to ten
+// attempts that reads a speedup above 1.0: other packages' tests share
+// the CPUs under go test ./..., and one attempt can then read below 1.0.
+func TestBatchScales(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("GOMAXPROCS 1: the workers time-slice one CPU")
+	}
+	if testing.Short() {
+		t.Skip("wall-clock timing")
+	}
+	for _, name := range []string{"mesa", "epic_e"} {
+		t.Run(name, func(t *testing.T) {
+			w := workloads.ByName(name)
+			req := testReq(w.Source, api.LevelFull, w.Entry)
+			batch := make([]Request, 8*procs)
+			for i := range batch {
+				batch[i] = req
+			}
+			one := newEngine(t, Config{Workers: 1, CacheEntries: 1})
+			defer one.Close()
+			many := newEngine(t, Config{Workers: procs, CacheEntries: 1})
+			defer many.Close()
+			ref, err := one.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := many.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			timeBatch := func(e *Engine) time.Duration {
+				start := time.Now()
+				for i, r := range e.DoBatch(context.Background(), batch) {
+					if r.Err != nil {
+						t.Fatalf("item %d: %v", i, r.Err)
+					}
+					if r.Resp.Value != ref.Value || r.Resp.Stats != ref.Stats {
+						t.Fatalf("item %d diverged from the serial run: %d %+v, want %d %+v", i, r.Resp.Value, r.Resp.Stats, ref.Value, ref.Stats)
+					}
+				}
+				return time.Since(start)
+			}
+			var speedups []float64
+			for attempt := 0; attempt < 10; attempt++ {
+				speedup := float64(timeBatch(one)) / float64(timeBatch(many))
+				speedups = append(speedups, speedup)
+				if speedup > 1.0 {
+					t.Logf("%.3fx with %d workers at attempt %d", speedup, procs, attempt+1)
+					return
+				}
+			}
+			t.Errorf("%d workers never beat 1 worker on %d CPUs; speedups %.3f", procs, runtime.NumCPU(), speedups)
+		})
 	}
 }
 
