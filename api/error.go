@@ -37,12 +37,6 @@ const (
 	ClassUnavailable Class = "unavailable"
 )
 
-// HeaderFailover marks a request deliberately sent to a non-owning peer
-// (breaker failover or a hedged read). A daemon seeing it serves the
-// request instead of 307-redirecting to the owner — which may be the
-// very peer the client is routing around.
-const HeaderFailover = "X-Cashd-Failover"
-
 // HTTPStatus maps a class to its HTTP status code. Unknown classes map
 // to 500 so a future class degrades safely.
 func (c Class) HTTPStatus() int {

@@ -8,9 +8,10 @@ import (
 
 // Ring is a consistent-hash ring over daemon addresses: it assigns every
 // program Key to exactly one owner, and adding or removing a node moves
-// only ~1/N of the key space. The client and every daemon build the ring
-// from the same peer list (order-insensitive), so they agree on
-// ownership without coordination.
+// only ~1/N of the key space. Only clients build it: daemons are
+// peer-unaware and serve any program. Clients built from the same peer
+// list (order-insensitive) agree on ownership without coordination, so
+// each program's compile stays warm in one daemon's cache.
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  []string

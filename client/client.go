@@ -1,29 +1,27 @@
 // Package client is the Go client for cashd, the network-facing
 // simulation service. It speaks the versioned wire contract of package
 // spatial/api and adds the client-side half of the service's operational
-// behavior:
+// behavior. Daemons are peer-unaware and serve any program they are
+// sent; all routing lives here.
 //
-//   - Retries with exponential backoff when the daemon sheds load
-//     (HTTP 429), honoring the server's Retry-After hint when present.
-//     Backoff is capped at MaxBackoff and jittered ±20% so synchronized
-//     clients de-correlate.
+//   - Retries with capped exponential backoff when a daemon sheds load
+//     (HTTP 429). The schedule is the client's own: BaseBackoff doubling
+//     per attempt, capped at MaxBackoff.
 //   - Context deadlines: the request context bounds every attempt
 //     including backoff sleeps, and a context error is reported as an
 //     api.Error with ClassDeadline.
 //   - Shard routing: with several peers configured, each program is sent
-//     to the peer that owns its key on the shared consistent-hash ring,
+//     to the peer that owns its key on a consistent-hash ring (api.Ring),
 //     and batches are partitioned per owner then reassembled in request
-//     order. A daemon's 307 redirects are followed as a fallback, so an
-//     out-of-date peer list still reaches the right shard — routing is a
-//     fast path, not a correctness requirement.
-//   - Peer failover: each peer has a circuit breaker (closed/open/
-//     half-open over a sliding failure-rate window). When a peer is
-//     unreachable, resets the connection, or answers 5xx, the request
-//     walks the ring to the next live owner — carrying api.HeaderFailover
-//     so the substitute serves instead of redirecting back to the dead
-//     primary. One dead daemon costs 1/N capacity, not a hung key range.
-//   - Hedged reads: with Config.Hedge set, a Run that has not answered
-//     after a p99-based delay is raced against the next live peer; the
+//     order. Routing buys cache locality, not correctness: any daemon
+//     can serve any program, so a stale peer list still gets the right
+//     answer.
+//   - Peer failover: when a peer is unreachable, resets the connection,
+//     returns an unusable body, or answers 5xx, the request walks the
+//     ring to the next owner at once. One dead daemon costs 1/N
+//     capacity, not a hung key range.
+//   - Hedged reads: with HedgeDelay set, a Run that has not answered
+//     after that delay is raced against the next peer on the ring; the
 //     first answer wins and the loser is canceled.
 //
 // Typed failures surface as *api.Error; inspect .Class or call
@@ -40,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -59,22 +56,16 @@ type Config struct {
 	HTTPClient *http.Client
 	// MaxRetries bounds retry attempts after a retriable failure; 0
 	// means 4. Overload sheds back off on the same peer; peer faults
-	// (unreachable, 5xx) fail over to the next live owner immediately.
+	// (unreachable, 5xx) fail over to the next owner immediately.
 	MaxRetries int
 	// BaseBackoff is the first retry's backoff; it doubles per attempt.
-	// 0 means 50ms. A server Retry-After hint overrides the schedule.
+	// 0 means 50ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps every backoff sleep, including a server
-	// Retry-After hint; 0 means 1s. Each sleep is jittered ±20%
-	// deterministically by attempt index.
+	// MaxBackoff caps every backoff sleep; 0 means 1s.
 	MaxBackoff time.Duration
-	// Breaker tunes the per-peer circuit breakers.
-	Breaker BreakerConfig
-	// Hedge enables hedged Run reads: if the primary has not answered
-	// after HedgeDelay, a duplicate is raced to the next live peer.
-	Hedge bool
-	// HedgeDelay is the hedging trigger; 0 means adaptive (the observed
-	// p99 of recent successful requests, 50ms until enough samples).
+	// HedgeDelay enables hedged Run reads: if the owner has not answered
+	// after HedgeDelay, a duplicate is raced to the next peer on the
+	// ring. 0 means no hedging.
 	HedgeDelay time.Duration
 }
 
@@ -83,15 +74,6 @@ type Client struct {
 	cfg  Config
 	ring *api.Ring
 	http *http.Client
-	now  func() time.Time
-
-	bmu      sync.Mutex
-	breakers map[string]*breaker
-
-	latMu  sync.Mutex
-	lats   []time.Duration // ring buffer of recent successful latencies
-	latIdx int
-	latN   int
 }
 
 // New builds a client for the given daemon set.
@@ -113,50 +95,13 @@ func New(cfg Config) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	c := &Client{
-		cfg:      cfg,
-		ring:     ring,
-		http:     hc,
-		now:      time.Now,
-		breakers: make(map[string]*breaker),
-		lats:     make([]time.Duration, 128),
-	}
-	for _, p := range ring.Nodes() {
-		c.breakers[p] = newBreaker(cfg.Breaker, c.now)
-	}
-	return c, nil
+	return &Client{cfg: cfg, ring: ring, http: hc}, nil
 }
-
-// owner returns the peer that owns p's slice of the key space.
-func (c *Client) owner(p api.Program) string { return c.ring.Owner(p.Key()) }
 
 // candidates returns p's full failover sequence: the owning peer first,
 // then the ring walk every client agrees on.
 func (c *Client) candidates(p api.Program) []string {
 	return c.ring.Owners(p.Key(), len(c.ring.Nodes()))
-}
-
-// candidatesFor builds a failover sequence led by an explicit primary
-// (used by Batch, whose sub-batches are grouped by owner).
-func (c *Client) candidatesFor(primary string) []string {
-	out := []string{primary}
-	for _, p := range c.ring.Nodes() {
-		if p != primary {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func (c *Client) breakerFor(peer string) *breaker {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	b, ok := c.breakers[peer]
-	if !ok {
-		b = newBreaker(c.cfg.Breaker, c.now)
-		c.breakers[peer] = b
-	}
-	return b
 }
 
 // Compile compiles (and caches) a program on its owning shard without
@@ -170,7 +115,7 @@ func (c *Client) Compile(ctx context.Context, p api.CompileRequest) (*api.Compil
 }
 
 // Run executes one simulation on the program's owning shard, hedging to
-// the next live peer when configured.
+// the next peer when configured.
 func (c *Client) Run(ctx context.Context, r api.RunRequest) (*api.RunResponse, error) {
 	var out api.RunResponse
 	if err := c.hedgedPost(ctx, c.candidates(r.Program), "/"+api.Version+"/run", r, &out); err != nil {
@@ -190,7 +135,7 @@ func (c *Client) Batch(ctx context.Context, b api.BatchRequest) (*api.BatchRespo
 	// Partition run indices by owning peer, preserving relative order.
 	parts := make(map[string][]int)
 	for i, rr := range b.Runs {
-		o := c.owner(rr.Program)
+		o := c.ring.Owner(rr.Program.Key())
 		parts[o] = append(parts[o], i)
 	}
 	results := make([]api.BatchItem, len(b.Runs))
@@ -204,7 +149,9 @@ func (c *Client) Batch(ctx context.Context, b api.BatchRequest) (*api.BatchRespo
 				sub.Runs[j] = b.Runs[i]
 			}
 			var out api.BatchResponse
-			err := c.post(ctx, c.candidatesFor(peer), "/"+api.Version+"/batch", sub, &out)
+			// The sub-batch fails over along its first run's ring walk,
+			// which starts at the owner the runs share.
+			err := c.post(ctx, c.candidates(sub.Runs[0].Program), "/"+api.Version+"/batch", sub, &out)
 			if err == nil && len(out.Results) != len(idxs) {
 				err = &api.Error{Class: api.ClassInternal,
 					Message: fmt.Sprintf("client: peer %s returned %d results for %d runs", peer, len(out.Results), len(idxs))}
@@ -259,9 +206,6 @@ type PeerHealth struct {
 	Latency time.Duration `json:"latency"`
 	// Err describes the failure when OK is false.
 	Err string `json:"error,omitempty"`
-	// Breaker is the peer's circuit state after the check:
-	// "closed", "open", or "half-open".
-	Breaker string `json:"breaker"`
 }
 
 // HealthReport is the typed result of Health: one entry per peer, in
@@ -283,9 +227,7 @@ func (r *HealthReport) Down() []PeerHealth {
 
 // Health checks every peer's liveness endpoint. It returns the full
 // per-peer report, plus a non-nil error naming the down peers when any
-// check failed (so existing callers that only look at the error keep
-// working). Outcomes feed the circuit breakers: a healthy check closes
-// a peer's breaker, a failed one opens it.
+// check failed (so callers that only look at the error keep working).
 func (c *Client) Health(ctx context.Context) (*HealthReport, error) {
 	rep := &HealthReport{}
 	var down []string
@@ -295,9 +237,9 @@ func (c *Client) Health(ctx context.Context) (*HealthReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := c.now()
+		start := time.Now()
 		resp, err := c.http.Do(req)
-		ph.Latency = c.now().Sub(start)
+		ph.Latency = time.Since(start)
 		if err != nil {
 			ph.Err = err.Error()
 		} else {
@@ -309,9 +251,6 @@ func (c *Client) Health(ctx context.Context) (*HealthReport, error) {
 				ph.OK = true
 			}
 		}
-		b := c.breakerFor(peer)
-		b.observeHealth(ph.OK)
-		ph.Breaker = b.stateName()
 		rep.Peers = append(rep.Peers, ph)
 		if !ph.OK {
 			down = append(down, fmt.Sprintf("%s: %s", peer, ph.Err))
@@ -323,44 +262,14 @@ func (c *Client) Health(ctx context.Context) (*HealthReport, error) {
 	return rep, nil
 }
 
-// pickPeer walks the preference sequence and returns the first peer
-// whose breaker admits a request and that has not already faulted during
-// this call, plus whether the admission holds that peer's half-open
-// probe slot. When everything is excluded it falls back to the primary:
-// while peers exist the client always probes rather than refusing — but
-// a fallback attempt does not own a probe slot, and its outcome must
-// not move the refused breaker (probe=false).
-func (c *Client) pickPeer(cands []string, skip map[string]bool) (peer string, probe bool) {
-	for _, p := range cands {
-		if skip[p] {
-			continue
-		}
-		if ok, probe := c.breakerFor(p).allow(); ok {
-			return p, probe
-		}
-	}
-	return cands[0], false
-}
-
-// post sends one JSON request with the retry/failover loop. Overload
-// sheds back off (capped, jittered, honoring Retry-After) and retry;
-// peer faults (unreachable, reset, 5xx, malformed body) mark the peer in
-// its breaker and fail over to the next candidate without sleeping.
-// Permanent errors (compile, sim, bad request) return immediately. All
-// sleeps respect ctx.
+// post sends one JSON request with the retry/failover loop, starting at
+// cands[0]. Overload sheds back off on the same peer (capped
+// exponential) and retry; peer faults (unreachable, reset, 5xx,
+// malformed body) move to the next candidate without sleeping, and
+// sweep the list again once every candidate has faulted. Permanent
+// errors (compile, sim, bad request) return immediately. All sleeps
+// respect ctx.
 func (c *Client) post(ctx context.Context, cands []string, path string, body, out any) error {
-	if len(cands) == 0 {
-		return &api.Error{Class: api.ClassUnavailable, Message: "client: no peers for key",
-			Status: api.ClassUnavailable.HTTPStatus()}
-	}
-	return c.postAs(ctx, cands, cands[0], path, body, out)
-}
-
-// postAs is post with the true primary named explicitly: any attempt to
-// a different peer carries the failover header, even when (as in a
-// hedge) the candidate sequence has been rotated so the substitute
-// leads.
-func (c *Client) postAs(ctx context.Context, cands []string, primary, path string, body, out any) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -368,47 +277,26 @@ func (c *Client) postAs(ctx context.Context, cands []string, primary, path strin
 	if err != nil {
 		return err
 	}
-	var skip map[string]bool
+	next := 0
 	for attempt := 0; ; attempt++ {
-		peer, probe := c.pickPeer(cands, skip)
-		start := c.now()
-		oc, err := c.do(ctx, peer, path, data, out, peer != primary)
-		c.breakerFor(peer).record(oc, probe)
+		fault, err := c.do(ctx, cands[next], path, data, out)
 		if err == nil {
-			c.observeLatency(c.now().Sub(start))
 			return nil
 		}
 		if ctx.Err() != nil {
 			return ctxError(ctx, err)
 		}
 		var ae *api.Error
-		if !errors.As(err, &ae) {
-			return err
-		}
-		if attempt >= c.cfg.MaxRetries {
+		if !errors.As(err, &ae) || attempt >= c.cfg.MaxRetries {
 			return err
 		}
 		switch {
-		case oc == outcomeFault:
+		case fault:
 			// The peer misbehaved; walk to the next candidate at once.
-			if skip == nil {
-				skip = make(map[string]bool, len(cands))
-			}
-			skip[peer] = true
-			if len(skip) >= len(cands) {
-				// Every peer faulted once: clear and sweep again.
-				skip = nil
-			}
+			next = (next + 1) % len(cands)
 		case ae.Temporary():
 			// Overload shed: the peer is alive but busy; back off.
-			wait := backoffFor(attempt, c.cfg.BaseBackoff, c.cfg.MaxBackoff)
-			if ae.RetryAfterMS > 0 {
-				wait = time.Duration(ae.RetryAfterMS) * time.Millisecond
-				if wait > c.cfg.MaxBackoff {
-					wait = c.cfg.MaxBackoff
-				}
-			}
-			t := time.NewTimer(wait)
+			t := time.NewTimer(backoffFor(attempt, c.cfg.BaseBackoff, c.cfg.MaxBackoff))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -423,14 +311,13 @@ func (c *Client) postAs(ctx context.Context, cands []string, primary, path strin
 	}
 }
 
-// hedgedPost is post plus read hedging: when enabled and a fallback peer
-// exists, a duplicate request races to the next live candidate after the
-// hedge delay; the first success wins and the loser's context is
-// canceled. Safe only for idempotent reads — Run and Compile are
-// content-addressed and deterministic, so duplicates are free except for
-// the wasted work.
+// hedgedPost is post plus read hedging: when HedgeDelay is set and a
+// second peer exists, a duplicate request races to the next candidate
+// after the delay; the first success wins and the loser's context is
+// canceled. Safe only for idempotent reads — Run is content-addressed
+// and deterministic, so duplicates are free except for the wasted work.
 func (c *Client) hedgedPost(ctx context.Context, cands []string, path string, body, out any) error {
-	if !c.cfg.Hedge || len(cands) < 2 {
+	if c.cfg.HedgeDelay <= 0 || len(cands) < 2 {
 		return c.post(ctx, cands, path, body, out)
 	}
 	if ctx == nil {
@@ -445,12 +332,12 @@ func (c *Client) hedgedPost(ctx context.Context, cands []string, path string, bo
 	ch := make(chan res, 2)
 	launch := func(seq []string) {
 		var raw json.RawMessage
-		err := c.postAs(hctx, seq, cands[0], path, body, &raw)
+		err := c.post(hctx, seq, path, body, &raw)
 		ch <- res{raw, err}
 	}
 	go launch(cands)
 	launched := 1
-	timer := time.NewTimer(c.hedgeDelay())
+	timer := time.NewTimer(c.cfg.HedgeDelay)
 	defer timer.Stop()
 	var firstErr error
 	for done := 0; done < launched; {
@@ -477,38 +364,6 @@ func (c *Client) hedgedPost(ctx context.Context, cands []string, path string, bo
 	return firstErr
 }
 
-// hedgeDelay is the configured hedge trigger, or the observed p99 of
-// recent successful requests when adaptive.
-func (c *Client) hedgeDelay() time.Duration {
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay
-	}
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	const fallback = 50 * time.Millisecond
-	if c.latN < 8 {
-		return fallback
-	}
-	cp := make([]time.Duration, c.latN)
-	copy(cp, c.lats[:c.latN])
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	p99 := cp[len(cp)*99/100]
-	if p99 < 2*time.Millisecond {
-		p99 = 2 * time.Millisecond
-	}
-	return p99
-}
-
-func (c *Client) observeLatency(d time.Duration) {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	c.lats[c.latIdx] = d
-	c.latIdx = (c.latIdx + 1) % len(c.lats)
-	if c.latN < len(c.lats) {
-		c.latN++
-	}
-}
-
 // maxResponseBytes bounds how much of a response body one attempt will
 // buffer; traces stream through Trace, so service responses stay small.
 const maxResponseBytes = 16 << 20
@@ -522,29 +377,20 @@ func drainBody(r io.Reader) {
 	io.Copy(io.Discard, io.LimitReader(r, maxResponseBytes))
 }
 
-// do performs one HTTP attempt against peer, classifying the result for
-// the peer's circuit breaker. failover marks the request as deliberately
-// off-owner so the daemon serves it instead of redirecting.
-func (c *Client) do(ctx context.Context, peer, path string, data []byte, out any, failover bool) (outcome, error) {
+// do performs one HTTP attempt against peer and reports whether a
+// failure was the peer's fault, so post knows to try another peer.
+func (c *Client) do(ctx context.Context, peer, path string, data []byte, out any) (fault bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(data))
 	if err != nil {
-		return outcomeNeutral, err
+		return false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if failover {
-		req.Header.Set(api.HeaderFailover, "1")
-	}
-	// GetBody lets the transport replay the body across the daemon's
-	// 307 shard redirects.
-	req.GetBody = func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return outcomeNeutral, ctxError(ctx, err)
+			return false, ctxError(ctx, err)
 		}
-		return outcomeFault, &api.Error{Class: api.ClassUnavailable,
+		return true, &api.Error{Class: api.ClassUnavailable,
 			Message: fmt.Sprintf("client: %s unreachable: %v", peer, err),
 			Status:  api.ClassUnavailable.HTTPStatus()}
 	}
@@ -559,19 +405,17 @@ func (c *Client) do(ctx context.Context, peer, path string, data []byte, out any
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				// Canceled mid-read — a losing hedge or the caller's own
-				// budget. The torn body says nothing about peer health; a
-				// fault here would poison a healthy peer's breaker every
-				// time its hedge loses the race.
-				return outcomeNeutral, ctxError(ctx, err)
+				// Canceled mid-read: a losing hedge or the caller's own
+				// budget, not a fault of the peer.
+				return false, ctxError(ctx, err)
 			}
 			// A 200 with an unusable body is a peer fault (truncated or
 			// corrupted response), never a wrong answer to the caller.
-			return outcomeFault, &api.Error{Class: api.ClassUnavailable,
+			return true, &api.Error{Class: api.ClassUnavailable,
 				Message: fmt.Sprintf("client: %s returned a malformed response: %v", peer, err),
 				Status:  api.ClassUnavailable.HTTPStatus()}
 		}
-		return outcomeOK, nil
+		return false, nil
 	}
 	apiErr := decodeError(resp)
 	drainBody(resp.Body)
@@ -580,27 +424,16 @@ func (c *Client) do(ctx context.Context, peer, path string, data []byte, out any
 	case api.ClassInternal, api.ClassClosed, api.ClassUnavailable:
 		// The peer (or a proxy in front of it) is unhealthy for this
 		// request; a different peer may do better.
-		return outcomeFault, apiErr
-	case api.ClassOverload, api.ClassDeadline:
-		// Alive but busy, or the caller's own budget: not peer health.
-		return outcomeNeutral, apiErr
+		return true, apiErr
 	default:
-		// 4xx: the request's fault; the peer answered correctly.
-		return outcomeOK, apiErr
+		// Overload, deadline, or the request's own fault (4xx).
+		return false, apiErr
 	}
 }
 
 // backoffFor returns the sleep before retry `attempt` (0-based): the
-// exponential schedule base·2^attempt capped at max, with ±20%
-// deterministic jitter (a multiplicative hash of the attempt index) so
-// synchronized retry storms spread out without shared RNG state.
+// exponential schedule base·2^attempt, capped at max.
 func backoffFor(attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
 	d := base
 	for i := 0; i < attempt && d < max; i++ {
 		d *= 2
@@ -608,9 +441,7 @@ func backoffFor(attempt int, base, max time.Duration) time.Duration {
 	if d > max {
 		d = max
 	}
-	h := uint64(attempt+1) * 0x9E3779B97F4A7C15
-	frac := float64(h>>40) / float64(1<<24) // [0, 1)
-	return time.Duration(float64(d) * (0.8 + 0.4*frac))
+	return d
 }
 
 // decodeError turns a non-200 response into a *api.Error, synthesizing

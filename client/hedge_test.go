@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,62 +16,9 @@ import (
 	"spatial/api"
 )
 
-// TestHedgeLoserNeutral: a hedge loser canceled mid-body is neutral for
-// its peer's breaker. Before the fix, the torn read was classified as a
-// peer fault, so a peer that merely lost the race — while answering
-// 200 — had its breaker poisoned on every hedged read; with an eager
-// breaker config one loss was enough to open the circuit against a
-// healthy peer.
-func TestHedgeLoserNeutral(t *testing.T) {
-	payload, _ := json.Marshal(&api.RunResponse{Value: 9})
-	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Commit the 200 and half the body, then stall: the loser's
-		// cancellation lands mid-read, not mid-connect.
-		w.Header().Set("Content-Length", fmt.Sprint(len(payload)))
-		w.WriteHeader(http.StatusOK)
-		w.Write(payload[:len(payload)/2])
-		w.(http.Flusher).Flush()
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	defer slow.Close()
-	defer close(release)
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(payload)
-	}))
-	defer fast.Close()
-
-	peers := []string{slow.URL, fast.URL}
-	c, err := New(Config{
-		Peers: peers, Hedge: true, HedgeDelay: 10 * time.Millisecond,
-		// One fault trips the circuit — exactly the configuration the
-		// old misclassification broke.
-		Breaker: BreakerConfig{Window: 4, MinSamples: 1, FailureRate: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := programOwnedBy(t, api.NewRing(peers, 0), slow.URL)
-	for i := 0; i < 3; i++ {
-		rr, err := c.Run(context.Background(), api.RunRequest{Program: p, Entry: "f"})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if rr.Value != 9 {
-			t.Fatalf("run %d: value %d, want 9", i, rr.Value)
-		}
-	}
-	if got := c.breakerFor(slow.URL).stateName(); got != "closed" {
-		t.Fatalf("losing peer's breaker is %s, want closed: hedge losses are not peer faults", got)
-	}
-}
-
 // TestHedgeNoGoroutineLeak: repeated hedged reads leave no goroutines
 // behind — the loser's attempt is canceled, its body closed, and its
-// postAs loop unwound.
+// post loop unwound.
 func TestHedgeNoGoroutineLeak(t *testing.T) {
 	payload, _ := json.Marshal(&api.RunResponse{Value: 9})
 	handler := func(delay time.Duration) http.HandlerFunc {
@@ -91,7 +37,7 @@ func TestHedgeNoGoroutineLeak(t *testing.T) {
 	defer fast.Close()
 
 	peers := []string{slow.URL, fast.URL}
-	c, err := New(Config{Peers: peers, Hedge: true, HedgeDelay: 5 * time.Millisecond})
+	c, err := New(Config{Peers: peers, HedgeDelay: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,12 @@
 // Usage:
 //
 //	cashd [-addr :8080] [-addrfile path] [-cache-dir dir]
-//	      [-workers N] [-queue N] [-cache-entries N]
-//	      [-peers url,url,...] [-self url]
+//	      [-workers N] [-queue N] [-cache-entries N] [-max-traces N]
 //
 // -addrfile writes the actual listen address (useful with -addr :0 for
-// tests and CI, which need a free port without racing for one). With
-// -peers, every daemon in the shard set must be started with the same
-// -peers list and its own -self; requests for programs owned by another
-// peer are answered with 307 redirects to it.
+// tests and CI, which need a free port without racing for one). A daemon
+// serves every program it is sent; to spread programs over several
+// daemons, give the client (package spatial/client) all their URLs.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,19 +37,9 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	cacheEntries := flag.Int("cache-entries", 0, "compile cache bound in programs (0 = 64)")
-	peers := flag.String("peers", "", "comma-separated shard base URLs (including this daemon's)")
-	self := flag.String("self", "", "this daemon's base URL as it appears in -peers")
 	maxTraces := flag.Int("max-traces", 0, "recorded traces held for download (0 = 32)")
 	flag.Parse()
 
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-	}
 	srv, err := cashd.New(cashd.Config{
 		Engine: serve.Config{
 			Workers:      *workers,
@@ -60,8 +47,6 @@ func main() {
 			CacheEntries: *cacheEntries,
 			CacheDir:     *cacheDir,
 		},
-		Self:      *self,
-		Peers:     peerList,
 		MaxTraces: *maxTraces,
 	})
 	if err != nil {

@@ -26,7 +26,8 @@
 // delays, a black hole) and fails unless every request either succeeds
 // bit-identically to the fault-free reference or fails with a typed
 // error — no hangs, no silent wrong answers. -short is the CI smoke
-// variant (fewer requests, the three sharpest schedules).
+// variant (fewer requests, and the four schedules that exercise the
+// client's failover, integrity checks and hedge).
 //
 // Simulator and service throughput are measured by the benchmark in
 // bench/ (see bench/README.md), not here.
@@ -323,13 +324,14 @@ func runLoad(url, ratesCSV string, dur time.Duration, short bool) error {
 // runChaos runs the deterministic chaos battery against an in-process
 // cluster and enforces the resilience gate: every request under faults
 // either succeeds bit-identically or fails typed; hangs, wrong answers,
-// and unclassified errors each fail the run. -short trims the battery to
-// the three sharpest schedules for CI.
+// and unclassified errors each fail the run. -short trims the battery
+// for CI to the schedules that exercise failover (peer-kill,
+// conn-reset), response integrity (corrupt) and the hedge (blackhole).
 func runChaos(seed int64, short bool) error {
 	opts := harness.ChaosOptions{Seed: seed}
 	if short {
 		opts.Requests = 45
-		opts.Schedules = []string{"peer-kill", "conn-reset", "corrupt"}
+		opts.Schedules = []string{"peer-kill", "conn-reset", "corrupt", "blackhole"}
 	}
 	rows, err := harness.ChaosBattery(opts)
 	if err != nil {

@@ -15,10 +15,9 @@
 //
 // Failures carry a typed api.Error body whose class fixes the HTTP
 // status (compile/sim → 422, overload → 429 + Retry-After, deadline →
-// 504, internal → 500). With a peer list configured, daemons split the
-// program key space by consistent hashing: a request owned by another
-// peer is answered with 307 + Location so any client reaches the right
-// shard even without doing its own routing.
+// 504, internal → 500). A daemon is peer-unaware: it serves every
+// program it is sent. Splitting the key space across several daemons is
+// the client's job (package spatial/client routes by api.Ring).
 package cashd
 
 import (
@@ -28,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"spatial/api"
@@ -46,13 +44,6 @@ type Config struct {
 	// Engine configures the wrapped batch engine (workers, queue,
 	// cache bound, persistent cache directory).
 	Engine serve.Config
-	// Self is this daemon's advertised base URL (e.g.
-	// "http://10.0.0.3:8080"); required when Peers is set, and must
-	// appear in Peers.
-	Self string
-	// Peers is the full shard set (including Self) as base URLs. Empty
-	// means unsharded: this daemon owns the whole key space.
-	Peers []string
 	// MaxTraces bounds the recorded traces held for download; 0 means 32.
 	MaxTraces int
 }
@@ -60,34 +51,13 @@ type Config struct {
 // Server is the daemon: an http.Handler plus the engine it wraps.
 type Server struct {
 	eng    *serve.Engine
-	ring   *api.Ring
-	self   string
 	mux    *http.ServeMux
 	met    *metrics
 	traces *traceStore
-	// start anchors the observed drain rate behind the adaptive
-	// Retry-After hint.
-	start time.Time
 }
 
-// New builds a server. It fails on an unusable cache directory or an
-// inconsistent shard configuration.
+// New builds a server. It fails on an unusable cache directory.
 func New(cfg Config) (*Server, error) {
-	ring := api.NewRing(cfg.Peers, 0)
-	if ring != nil {
-		if cfg.Self == "" {
-			return nil, fmt.Errorf("cashd: peers configured without self")
-		}
-		found := false
-		for _, p := range ring.Nodes() {
-			if p == cfg.Self {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cashd: self %q not in peers %v", cfg.Self, ring.Nodes())
-		}
-	}
 	eng, err := serve.New(cfg.Engine)
 	if err != nil {
 		return nil, err
@@ -97,11 +67,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		eng:    eng,
-		ring:   ring,
-		self:   cfg.Self,
 		met:    newMetrics(),
 		traces: newTraceStore(cfg.MaxTraces),
-		start:  time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /"+api.Version+"/compile", s.instrument("compile", s.handleCompile))
@@ -179,61 +146,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// overloadRetryAfter is the floor of the backoff hint handed to shed
-// clients, and the fallback when no adaptive estimate exists.
+// overloadRetryAfter is the backoff hint handed to shed clients.
 const overloadRetryAfter = 25 * time.Millisecond
-
-// maxRetryAfter caps the adaptive hint: past a couple of seconds the
-// client's own capped backoff policy governs.
-const maxRetryAfter = 2 * time.Second
-
-// adaptiveRetryAfter estimates how long a shed client should wait for a
-// queue slot to open: the current backlog divided by the observed drain
-// rate, clamped to [overloadRetryAfter, maxRetryAfter]. With no drain
-// observations yet, the hint scales with queue fullness alone. The
-// estimate is monotonic: non-decreasing in queueLen, non-increasing in
-// drainPerSec.
-func adaptiveRetryAfter(queueLen, queueCap int, drainPerSec float64) time.Duration {
-	clamp := func(d time.Duration) time.Duration {
-		if d < overloadRetryAfter {
-			return overloadRetryAfter
-		}
-		if d > maxRetryAfter {
-			return maxRetryAfter
-		}
-		return d
-	}
-	if queueLen <= 0 {
-		return overloadRetryAfter
-	}
-	if drainPerSec > 0 {
-		return clamp(time.Duration(float64(queueLen) / drainPerSec * float64(time.Second)))
-	}
-	if queueCap > 0 {
-		return clamp(overloadRetryAfter * time.Duration(1+4*queueLen/queueCap))
-	}
-	return overloadRetryAfter
-}
-
-// retryAfterHint computes the live adaptive hint from engine stats.
-func (s *Server) retryAfterHint() time.Duration {
-	st := s.eng.Stats()
-	drained := st.Completed + st.Failed + st.Canceled
-	var rate float64
-	if elapsed := time.Since(s.start).Seconds(); elapsed > 0 {
-		rate = float64(drained) / elapsed
-	}
-	return adaptiveRetryAfter(st.QueueLen, st.QueueCap, rate)
-}
-
-// writeError writes a typed error body with its class's status,
-// filling in the adaptive Retry-After hint on overload.
-func (s *Server) writeError(w http.ResponseWriter, e *api.Error) {
-	if e.Class == api.ClassOverload && e.RetryAfterMS <= 0 {
-		e.RetryAfterMS = s.retryAfterHint().Milliseconds()
-	}
-	writeError(w, e)
-}
 
 // writeError writes a typed error body with its class's status. 429
 // responses also carry Retry-After (seconds, ceiling) for generic
@@ -243,9 +157,7 @@ func writeError(w http.ResponseWriter, e *api.Error) {
 	e.Status = status
 	w.Header().Set("Content-Type", "application/json")
 	if e.Class == api.ClassOverload {
-		if e.RetryAfterMS <= 0 {
-			e.RetryAfterMS = overloadRetryAfter.Milliseconds()
-		}
+		e.RetryAfterMS = overloadRetryAfter.Milliseconds()
 		secs := (e.RetryAfterMS + 999) / 1000
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
@@ -291,35 +203,6 @@ func errorFor(err error) *api.Error {
 	return e
 }
 
-// redirectIfNotOwner applies shard routing: when a peer ring is
-// configured and the program's key hashes to another daemon, the
-// request is answered with 307 + Location (method and body are
-// preserved by compliant clients; the Go client re-sends via GetBody).
-// Returns true when the request was redirected.
-//
-// A request carrying api.HeaderFailover is served in place: the client
-// is deliberately routing around the owner (dead peer, hedged read),
-// and a redirect would bounce it back to the very daemon it is
-// avoiding. The engine can compile and run any program; ownership is a
-// cache-locality optimization, not a correctness requirement.
-func (s *Server) redirectIfNotOwner(w http.ResponseWriter, r *http.Request, p api.Program) bool {
-	if s.ring == nil {
-		return false
-	}
-	owner := s.ring.Owner(p.Key())
-	if owner == s.self {
-		return false
-	}
-	if r.Header.Get(api.HeaderFailover) != "" {
-		s.met.countFailover()
-		return false
-	}
-	target := strings.TrimSuffix(owner, "/") + r.URL.Path
-	w.Header().Set("X-Cashd-Owner", owner)
-	http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-	return true
-}
-
 // toServeRequest lifts a wire run request into the engine's form.
 func toServeRequest(rr api.RunRequest) serve.Request {
 	return serve.Request{
@@ -352,13 +235,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "compile: empty source")
 		return
 	}
-	if s.redirectIfNotOwner(w, r, req) {
-		return
-	}
 	start := time.Now()
 	_, hit, err := s.eng.Resolve(r.Context(), serve.Request{Program: req})
 	if err != nil {
-		s.writeError(w, errorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	if !hit {
@@ -377,9 +257,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "run: empty source")
 		return
 	}
-	if s.redirectIfNotOwner(w, r, req.Program) {
-		return
-	}
 	if req.Trace {
 		s.handleTracedRun(w, r, req)
 		return
@@ -387,7 +264,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := s.eng.Do(r.Context(), toServeRequest(req))
 	if err != nil {
-		s.writeError(w, errorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	s.met.run.observe(time.Since(start))
@@ -415,7 +292,7 @@ func (s *Server) handleTracedRun(w http.ResponseWriter, r *http.Request, req api
 	}
 	cp, hit, err := s.eng.Resolve(ctx, sreq)
 	if err != nil {
-		s.writeError(w, errorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	entry := req.Entry
@@ -424,7 +301,7 @@ func (s *Server) handleTracedRun(w http.ResponseWriter, r *http.Request, req api
 	}
 	res, tr, err := cp.RunTraced(ctx, entry, req.Args)
 	if err != nil {
-		s.writeError(w, errorFor(err))
+		writeError(w, errorFor(err))
 		return
 	}
 	id := s.traces.add(tr)
@@ -461,8 +338,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = toServeRequest(rr)
 	}
-	// No shard redirect here: a batch may mix owners, and the engine can
-	// serve any program. Routing-aware clients split batches per owner.
 	start := time.Now()
 	results := s.eng.DoBatch(r.Context(), reqs)
 	s.met.run.observe(time.Since(start))

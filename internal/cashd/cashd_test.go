@@ -200,6 +200,7 @@ func TestStatusMapping(t *testing.T) {
 		{"empty source", "POST", "/v1/run", `{"source":""}`, http.StatusBadRequest, api.ClassBadRequest},
 		{"compile error", "POST", "/v1/run", `{"source":"int f( {","entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"bad level", "POST", "/v1/run", `{"source":"int f(void){return 1;}","level":99,"entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
+		{"oversized array", "POST", "/v1/run", `{"source":"int a[1073741824]; int b; int f(void) { b = 7; a[1024] = 3; return b; }","entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"oversized cache", "POST", "/v1/run", `{"source":"int f(void){return 1;}","entry":"f","sim":{"mem":{"kind":"realistic","l2_bytes":8388608}}}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"deadline", "POST", "/v1/run", fmt.Sprintf(`{"source":%q,"entry":"f","timeout_ms":1}`, srcSlow), http.StatusGatewayTimeout, api.ClassDeadline},
 		{"compile endpoint error", "POST", "/v1/compile", `{"source":"int f( {"}`, http.StatusUnprocessableEntity, api.ClassCompile},
@@ -280,8 +281,8 @@ func TestOverloadSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want 1 (seconds, rounded up)", ra)
 	}
 	e := decodeBody[api.Error](t, resp)
 	if e.Class != api.ClassOverload {
@@ -290,8 +291,8 @@ func TestOverloadSheds(t *testing.T) {
 	if !e.Temporary() {
 		t.Error("overload error not marked temporary")
 	}
-	if e.RetryAfterMS <= 0 {
-		t.Error("overload error without a retry hint")
+	if e.RetryAfterMS != overloadRetryAfter.Milliseconds() {
+		t.Errorf("retry_after_ms %d, want %d", e.RetryAfterMS, overloadRetryAfter.Milliseconds())
 	}
 }
 
@@ -429,95 +430,6 @@ func TestMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n----\n%s", want, text)
 		}
-	}
-}
-
-// TestShardRedirect: with a two-peer ring, a daemon answers requests it
-// does not own with 307 + Location at the owner, and serves the ones it
-// does own.
-func TestShardRedirect(t *testing.T) {
-	const (
-		peerA = "http://shard-a.example:8080"
-		peerB = "http://shard-b.example:8080"
-	)
-	ring := api.NewRing([]string{peerA, peerB}, 0)
-
-	// Find one program owned by each peer; vary the source until both
-	// sides of the ring are covered.
-	byOwner := map[string]api.Program{}
-	for i := 0; len(byOwner) < 2 && i < 64; i++ {
-		p := api.Program{
-			Source: fmt.Sprintf("int f(void) { return %d; }", i),
-			Level:  api.LevelFull,
-		}
-		byOwner[ring.Owner(p.Key())] = p
-	}
-	if len(byOwner) < 2 {
-		t.Fatal("could not find programs for both shards")
-	}
-
-	s, ts := newTestServer(t, Config{
-		Engine: serve.Config{Workers: 1, CacheEntries: 4},
-		Self:   peerA,
-		Peers:  []string{peerA, peerB},
-	})
-	_ = s
-
-	noFollow := &http.Client{
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	do := func(p api.Program, path string, body any) *http.Response {
-		data, _ := json.Marshal(body)
-		resp, err := noFollow.Post(ts.URL+path, "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	owned := byOwner[peerA]
-	foreign := byOwner[peerB]
-
-	resp := do(owned, "/v1/run", api.RunRequest{Program: owned, Entry: "f"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owned program: status %d, want 200", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	resp = do(foreign, "/v1/run", api.RunRequest{Program: foreign, Entry: "f"})
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("foreign program: status %d, want 307", resp.StatusCode)
-	}
-	loc := resp.Header.Get("Location")
-	if !strings.HasPrefix(loc, peerB) || !strings.HasSuffix(loc, "/v1/run") {
-		t.Errorf("Location %q, want %s/v1/run", loc, peerB)
-	}
-	resp.Body.Close()
-
-	// Compile redirects the same way; batch is served regardless of
-	// ownership (clients partition batches).
-	resp = do(foreign, "/v1/compile", foreign)
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Errorf("foreign compile: status %d, want 307", resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp = do(foreign, "/v1/batch", api.BatchRequest{Runs: []api.RunRequest{{Program: foreign, Entry: "f"}}})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("batch with foreign program: status %d, want 200 (no batch redirects)", resp.StatusCode)
-	}
-	resp.Body.Close()
-}
-
-// TestShardConfigValidation: peers without self, or self outside the
-// peer set, must fail construction.
-func TestShardConfigValidation(t *testing.T) {
-	if _, err := New(Config{Peers: []string{"http://a", "http://b"}}); err == nil {
-		t.Error("New accepted peers without self")
-	}
-	if _, err := New(Config{Self: "http://c", Peers: []string{"http://a", "http://b"}}); err == nil {
-		t.Error("New accepted a self outside the peer set")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 type metrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]uint64
-	failover uint64
 	compile  *histogram
 	run      *histogram
 }
@@ -38,15 +37,6 @@ func newMetrics() *metrics {
 func (m *metrics) countRequest(endpoint string, status int) {
 	m.mu.Lock()
 	m.requests[reqKey{endpoint, status}]++
-	m.mu.Unlock()
-}
-
-// countFailover records a request served in place because the caller
-// declared it a failover attempt (api.HeaderFailover) — the owner it
-// would normally be redirected to is presumed down.
-func (m *metrics) countFailover() {
-	m.mu.Lock()
-	m.failover++
 	m.mu.Unlock()
 }
 
@@ -141,7 +131,6 @@ func (m *metrics) write(w io.Writer, s serve.Stats, traces int) {
 	for k, v := range m.requests {
 		reqs[k] = v
 	}
-	failover := m.failover
 	m.mu.Unlock()
 	histMu.Lock()
 	compile := m.compile.snapshot()
@@ -174,7 +163,6 @@ func (m *metrics) write(w io.Writer, s serve.Stats, traces int) {
 	counter("cashd_runs_failed_total", "Requests that ended in a compile or run error.", s.Failed)
 	counter("cashd_runs_shed_total", "Requests shed with 429 by the admission queue.", s.Rejected)
 	counter("cashd_runs_canceled_total", "Requests abandoned by their caller while queued.", s.Canceled)
-	counter("cashd_failover_served_total", "Requests served in place under the failover header instead of redirected.", failover)
 	counter("cashd_cache_hits_total", "Compile cache lookups served by a ready entry.", s.CacheHits)
 	counter("cashd_cache_shared_total", "Compile cache lookups that joined an in-flight compile.", s.CacheShared)
 	counter("cashd_cache_misses_total", "Compile cache lookups that had to compile.", s.CacheMisses)

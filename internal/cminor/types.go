@@ -1,6 +1,9 @@
 package cminor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TypeKind discriminates cMinor types.
 type TypeKind int
@@ -61,7 +64,8 @@ func FuncType(ret *Type, params []*Type) *Type {
 }
 
 // Size returns the object size in bytes. Pointers are 4 bytes (the paper
-// models a 32-bit pisa machine).
+// models a 32-bit pisa machine). Array sizes past int64 saturate at
+// math.MaxInt64.
 func (t *Type) Size() int64 {
 	switch t.Kind {
 	case TypeVoid:
@@ -74,7 +78,13 @@ func (t *Type) Size() int64 {
 		if t.Len < 0 {
 			return 0
 		}
-		return t.Len * t.Elem.Size()
+		// Saturate rather than wrap: an array too large for int64 must
+		// still read as too large, not as a small or unsized one.
+		es := t.Elem.Size()
+		if es > 0 && t.Len > math.MaxInt64/es {
+			return math.MaxInt64
+		}
+		return t.Len * es
 	}
 	return 0
 }

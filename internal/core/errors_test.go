@@ -32,6 +32,18 @@ var badInitSources = []string{
 	`int A[2][2] = {1, 2}; int bench(void){ return A[0][1]; }`,
 }
 
+// badLayoutSources declare objects, or a frame, larger than the
+// simulated memory; each must fail with ErrCompile. Their sizes must not
+// wrap: cut to 32 bits, a[1073741824] is 0 bytes (read as an unsized
+// extern's 4 KiB, so a[1024] aliases b) and a[2147483647] fits.
+var badLayoutSources = []string{
+	`int a[1073741824]; int b; int f(void) { b = 7; a[1024] = 3; return b; }`,
+	`int f(void) { int a[1073741824]; int b; b = 7; a[1024] = 3; return b; }`,
+	`int a[2147483647]; int f(void) { return 0; }`,
+	`int a[4294967296][4294967296]; int f(void) { return 0; }`,
+	`int f(void) { int a[700000]; int b[700000]; a[0] = 1; b[0] = 2; return a[0] + b[0]; }`,
+}
+
 // TestErrorClasses: every failure out of the facade carries exactly one
 // of the three sentinel classes, matchable with errors.Is.
 func TestErrorClasses(t *testing.T) {
@@ -41,7 +53,7 @@ func TestErrorClasses(t *testing.T) {
 	if _, err := CompileSource(`int f(void) { return 1; }`, WithSim(SimConfig{EdgeCap: -1})); !errors.Is(err, ErrCompile) {
 		t.Fatalf("invalid sim config not classed ErrCompile: %v", err)
 	}
-	for _, src := range badInitSources {
+	for _, src := range append(badInitSources, badLayoutSources...) {
 		if _, err := CompileSource(src); !errors.Is(err, ErrCompile) {
 			t.Fatalf("%q: not classed ErrCompile: %v", src, err)
 		}

@@ -17,7 +17,7 @@ func FuzzCompileSource(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source)
 	}
-	for _, src := range badInitSources {
+	for _, src := range append(badInitSources, badLayoutSources...) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -186,8 +186,6 @@ func startChaosCluster(n int) (*chaosCluster, error) {
 	for i := 0; i < n; i++ {
 		srv, err := cashd.New(cashd.Config{
 			Engine: serve.Config{Workers: 2, QueueDepth: 64, CacheEntries: 32},
-			Self:   c.urls[i],
-			Peers:  c.urls,
 		})
 		if err != nil {
 			return fail(err)
@@ -297,7 +295,6 @@ func runChaosSchedule(sched chaosSchedule, mix []api.RunRequest, opts ChaosOptio
 		MaxRetries:  6,
 		BaseBackoff: 2 * time.Millisecond,
 		MaxBackoff:  50 * time.Millisecond,
-		Hedge:       true,
 		HedgeDelay:  25 * time.Millisecond,
 	})
 	if err != nil {

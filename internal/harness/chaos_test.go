@@ -5,11 +5,14 @@ import (
 	"time"
 )
 
-// TestChaosBatterySmall runs a reduced battery — three peers, a kill
-// schedule and a corruption schedule — and asserts the resilience
-// contract end to end: every request succeeds bit-identically or fails
-// typed, no hangs, no silent wrong answers, and the kill schedule
-// actually fired.
+// TestChaosBatterySmall runs a reduced battery — three peers and the
+// kill, corruption and black-hole schedules — and asserts the
+// resilience contract end to end: every request succeeds bit-identically
+// or fails typed, no hangs, no silent wrong answers, and the kill
+// schedule actually fired. The two mechanisms the client keeps are
+// load-bearing here: without ring-walk failover peer-kill loses
+// requests, and without hedging the black-holed request waits out its
+// deadline and fails.
 func TestChaosBatterySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos battery spins a cluster; skipped in -short")
@@ -20,14 +23,14 @@ func TestChaosBatterySmall(t *testing.T) {
 		Concurrency: 2,
 		Deadline:    10 * time.Second,
 		Seed:        1,
-		Schedules:   []string{"peer-kill", "corrupt"},
+		Schedules:   []string{"peer-kill", "corrupt", "blackhole"},
 	}
 	rows, err := ChaosBattery(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
 	}
 	if err := ChaosGate(rows); err != nil {
 		t.Fatal(err)
@@ -40,15 +43,20 @@ func TestChaosBatterySmall(t *testing.T) {
 			t.Errorf("%s: availability %.1f%%, want > 0", r.Schedule, r.AvailabilityPct)
 		}
 	}
-	// The kill schedule must actually have refused arrivals, or the test
-	// proves nothing.
-	if rows[0].Schedule != "peer-kill" || rows[0].Triggered == 0 {
-		t.Errorf("peer-kill schedule triggered %d refusals, want > 0", rows[0].Triggered)
+	// The kill and black-hole schedules must actually have fired, or the
+	// test proves nothing.
+	kill, hole := rows[0], rows[2]
+	if kill.Schedule != "peer-kill" || kill.Triggered == 0 {
+		t.Errorf("peer-kill schedule triggered %d refusals, want > 0", kill.Triggered)
 	}
-	// With failover walking the ring, a single dead peer should not
-	// cost any requests at all.
-	if rows[0].OK != rows[0].Requests {
-		t.Errorf("peer-kill: %d/%d succeeded; failover should mask a single dead peer",
-			rows[0].OK, rows[0].Requests)
+	if hole.Schedule != "blackhole" || hole.Triggered == 0 {
+		t.Errorf("blackhole schedule triggered %d drops, want > 0", hole.Triggered)
+	}
+	// Failover masks a single dead peer and the hedge masks a swallowed
+	// request: neither may cost a request.
+	for _, r := range []ChaosRow{kill, hole} {
+		if r.OK != r.Requests {
+			t.Errorf("%s: %d/%d succeeded, want every request", r.Schedule, r.OK, r.Requests)
+		}
 	}
 }

@@ -15,8 +15,7 @@
 // arrival order — and only the arrival order — is the schedule.
 //
 // Use a *Transport as an http.Client transport to perturb a client's
-// view of the world, or NewProxy to stand a fault-injecting reverse
-// proxy in front of a real daemon.
+// view of the world.
 package netchaos
 
 import (
@@ -24,11 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -439,24 +435,6 @@ func mangleBody(resp *http.Response, f Fault) (*http.Response, error) {
 	resp.ContentLength = int64(len(body))
 	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
 	return resp, nil
-}
-
-// NewProxy returns a fault-injecting reverse proxy in front of target
-// (a base URL): the in-process analogue of a chaos appliance on the
-// network path to a real daemon. Injected transport failures surface to
-// the caller as plain-text 502s.
-func NewProxy(target string, inj *Injector) (http.Handler, error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return nil, fmt.Errorf("netchaos: proxy target %q: %w", target, err)
-	}
-	p := httputil.NewSingleHostReverseProxy(u)
-	p.Transport = &Transport{Inj: inj}
-	p.ErrorLog = log.New(io.Discard, "", 0)
-	p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		http.Error(w, "netchaos proxy: "+err.Error(), http.StatusBadGateway)
-	}
-	return p, nil
 }
 
 func maxDur(a, b time.Duration) time.Duration {

@@ -237,31 +237,6 @@ func TestPeerMatchesExactHost(t *testing.T) {
 	}
 }
 
-// TestProxy: the reverse proxy forwards clean traffic, injects planned
-// faults, and renders injected transport failures as 502.
-func TestProxy(t *testing.T) {
-	ts := refServer(t)
-	inj := New(Plan{Faults: []Fault{{Op: Reset, Nth: 2}}})
-	h, err := NewProxy(ts.URL, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httptest.NewServer(h)
-	defer proxy.Close()
-
-	resp, body := get(t, http.DefaultClient, proxy.URL+"/v1/run")
-	if resp.StatusCode != http.StatusOK || body != refBody {
-		t.Fatalf("clean request through proxy: status %d body %q", resp.StatusCode, body)
-	}
-	resp, body = get(t, http.DefaultClient, proxy.URL+"/v1/run")
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("injected reset through proxy: status %d, want 502", resp.StatusCode)
-	}
-	if !strings.Contains(body, "netchaos proxy") {
-		t.Fatalf("502 body %q does not name the proxy", body)
-	}
-}
-
 // TestJitterDeterminism: the same seed produces the same jitter
 // decisions; a different seed is allowed to differ.
 func TestJitterDeterminism(t *testing.T) {

@@ -42,9 +42,11 @@ type InitCell struct {
 
 const defaultMemSize = 4 << 20
 
-func align4(x uint32) uint32 { return (x + 3) &^ 3 }
+func align4(x int64) int64 { return (x + 3) &^ 3 }
 
-// BuildLayout computes the memory layout for a program.
+// BuildLayout computes the memory layout for a program. Sizes are summed
+// in int64, so an object, frame or data segment larger than the
+// simulated memory is an error instead of an address that wraps.
 func BuildLayout(src *cminor.Program, an *alias.Analysis) (*Layout, error) {
 	l := &Layout{
 		GlobalBase:  0x1000,
@@ -54,36 +56,44 @@ func BuildLayout(src *cminor.Program, an *alias.Analysis) (*Layout, error) {
 		FrameSize:   map[*cminor.FuncDecl]uint32{},
 		ObjSize:     map[alias.ObjID]uint32{},
 	}
+	mem := int64(l.MemSize)
 	// First pass: assign every static address (so initializers may refer
-	// to objects declared later).
-	next := l.GlobalBase
-	frameNext := map[*cminor.FuncDecl]uint32{}
+	// to objects declared later). Every object is at most mem bytes, so
+	// the running sums stay far from overflow.
+	next := int64(l.GlobalBase)
+	frameNext := map[*cminor.FuncDecl]int64{}
 	for _, o := range an.Objects {
 		switch o.Kind {
 		case alias.ObjGlobal:
-			size := uint32(o.Decl.Type.Size())
+			size := o.Decl.Type.Size()
 			if size == 0 {
 				// Unsized extern array: give it a default extent so
 				// simulations have backing storage.
 				size = 4096
 			}
-			l.Addr[o.ID] = next
-			l.ObjSize[o.ID] = size
+			if size > mem {
+				return nil, fmt.Errorf("layout: global %s (%d bytes) exceeds memory (%d bytes)", o.Decl.Name, size, mem)
+			}
+			l.Addr[o.ID] = uint32(next)
+			l.ObjSize[o.ID] = uint32(size)
 			next = align4(next + size)
 		case alias.ObjString:
 			s := src.Strings[o.StringIdx]
-			size := uint32(len(s.Value) + 1)
-			l.Addr[o.ID] = next
-			l.ObjSize[o.ID] = size
+			size := int64(len(s.Value) + 1)
+			l.Addr[o.ID] = uint32(next)
+			l.ObjSize[o.ID] = uint32(size)
 			next = align4(next + size)
 		case alias.ObjLocal:
-			size := uint32(o.Decl.Type.Size())
+			size := o.Decl.Type.Size()
 			if size == 0 {
 				size = 4
 			}
+			if size > mem {
+				return nil, fmt.Errorf("layout: local %s (%d bytes) exceeds memory (%d bytes)", o.Decl.Name, size, mem)
+			}
 			off := frameNext[o.Fn]
-			l.FrameOffset[o.ID] = off
-			l.ObjSize[o.ID] = size
+			l.FrameOffset[o.ID] = uint32(off)
+			l.ObjSize[o.ID] = uint32(size)
 			frameNext[o.Fn] = align4(off + size)
 		case alias.ObjUnknown:
 			// No storage.
@@ -106,12 +116,16 @@ func BuildLayout(src *cminor.Program, an *alias.Analysis) (*Layout, error) {
 		}
 	}
 	for fn, sz := range frameNext {
-		l.FrameSize[fn] = sz
+		if sz > mem {
+			return nil, fmt.Errorf("layout: frame of %s (%d bytes) exceeds memory (%d bytes)", fn.Name, sz, mem)
+		}
+		l.FrameSize[fn] = uint32(sz)
 	}
-	l.StackBase = align4(next + 64)
-	if l.StackBase >= l.MemSize {
+	stack := align4(next + 64)
+	if stack >= mem {
 		return nil, fmt.Errorf("layout: data segment (%d bytes) exceeds memory", next)
 	}
+	l.StackBase = uint32(stack)
 	return l, nil
 }
 
