@@ -93,10 +93,14 @@ type MemConfig struct {
 // defaults (the server normalizes before caching, so two requests that
 // differ only in defaulted fields share one compilation).
 type SimConfig struct {
-	Mem            *MemConfig `json:"mem,omitempty"`
-	EdgeCap        int        `json:"edge_cap,omitempty"`
-	MaxCycles      int64      `json:"max_cycles,omitempty"`
-	MaxActivations int        `json:"max_activations,omitempty"`
+	Mem *MemConfig `json:"mem,omitempty"`
+	// EdgeCap once set the per-edge buffer depth.
+	//
+	// Deprecated: edges hold one value. 0 and 1 key like an absent field;
+	// any other value is a compile-class error (HTTP 422).
+	EdgeCap        int   `json:"edge_cap,omitempty"`
+	MaxCycles      int64 `json:"max_cycles,omitempty"`
+	MaxActivations int   `json:"max_activations,omitempty"`
 }
 
 // Program is the compile-time half of a request: everything that

@@ -246,43 +246,6 @@ func BenchmarkInterpret(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeCapAblation measures the DESIGN.md edge-buffer-depth
-// ablation: one-place wires versus two-deep buffering.
-func BenchmarkEdgeCapAblation(b *testing.B) {
-	w := workloads.ByName("epic_e")
-	prog, err := w.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := build.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := opt.OptimizeAt(p, opt.Full); err != nil {
-		b.Fatal(err)
-	}
-	for _, cap := range []int{1, 2, 4} {
-		cap := cap
-		b.Run(capName(cap), func(b *testing.B) {
-			cfg := dataflow.DefaultConfig()
-			cfg.EdgeCap = cap
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := dataflow.Run(p, w.Entry, nil, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res.Stats.Cycles
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-		})
-	}
-}
-
-func capName(c int) string {
-	return "cap" + string(rune('0'+c))
-}
-
 func parseAndBuild(src string) (*pegasus.Program, error) {
 	w := &workloads.Workload{Name: "inline", Source: src, Entry: "f"}
 	prog, err := w.Parse()

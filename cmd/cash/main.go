@@ -30,7 +30,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	lv, err := parseLevel(*level)
+	lv, err := opt.ParseLevel(*level)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,20 +79,6 @@ func main() {
 		}
 		fmt.Print(out)
 	}
-}
-
-func parseLevel(s string) (opt.Level, error) {
-	switch s {
-	case "none":
-		return opt.None, nil
-	case "basic":
-		return opt.Basic, nil
-	case "medium":
-		return opt.Medium, nil
-	case "full":
-		return opt.Full, nil
-	}
-	return 0, fmt.Errorf("unknown optimization level %q", s)
 }
 
 func fatal(err error) {

@@ -1,7 +1,9 @@
 // Command cashtrace compiles a program once per optimization level, runs
 // both builds on the traced dataflow simulator, and diffs their dynamic
-// critical paths — making a speedup explain itself: which token edges
-// left the path, and which node kinds absorb the remaining cycles.
+// critical paths and token-wait stalls — making a speedup explain
+// itself: which token edges left the path, which node kinds absorb the
+// remaining cycles, and which memory operations stopped waiting for a
+// token.
 //
 // Usage:
 //
@@ -15,23 +17,24 @@
 // writes PREFIX-<level>.json Chrome traces loadable in about://tracing
 // or Perfetto.
 //
-// The default edge capacity is 8, not the simulator's 1: with one-place
-// edges the loop-control spine is throttled by backpressure from the
-// slowest consumer, so memory serialization never appears as a
-// last-arriving input and the critical path degenerates to the control
-// loop. Deeper edges decouple control from the memory chain and let the
-// token waits show up where they belong.
+// Edges are one-place channels, so the loop-control spine is throttled
+// by backpressure from the slowest consumer and memory serialization
+// rarely appears as a last-arriving input on the critical path. The
+// token-wait stall section shows it instead: fire attempts blocked on a
+// memory token, per node.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 
 	"spatial/internal/core"
 	"spatial/internal/memsys"
 	"spatial/internal/opt"
+	"spatial/internal/pegasus"
 	"spatial/internal/trace"
 )
 
@@ -60,20 +63,19 @@ func main() {
 	levelB := flag.String("b", "O2", "comparison optimization level")
 	entry := flag.String("entry", "bench", "entry function")
 	mem := flag.String("mem", "real2", "memory system: perfect, real1, real2, real4")
-	edgeCap := flag.Int("edgecap", 8, "dataflow edge capacity (latch depth)")
 	topK := flag.Int("topk", 8, "entries per report section")
 	dump := flag.String("dump", "", "write Chrome trace JSON to PREFIX-<level>.json")
 	flag.Parse()
 
-	lvA, err := parseLevel(*levelA)
+	lvA, err := opt.ParseLevel(*levelA)
 	if err != nil {
 		fatal(err)
 	}
-	lvB, err := parseLevel(*levelB)
+	lvB, err := opt.ParseLevel(*levelB)
 	if err != nil {
 		fatal(err)
 	}
-	mcfg, err := parseMem(*mem)
+	mcfg, err := memsys.Named(*mem)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,8 +96,8 @@ func main() {
 		}
 	}
 
-	runA := runLevel(src, *entry, args, lvA, *levelA, mcfg, *edgeCap, *topK, *dump)
-	runB := runLevel(src, *entry, args, lvB, *levelB, mcfg, *edgeCap, *topK, *dump)
+	runA := runLevel(src, *entry, args, lvA, *levelA, mcfg, *topK, *dump)
+	runB := runLevel(src, *entry, args, lvB, *levelB, mcfg, *topK, *dump)
 	if runA.res.Value != runB.res.Value {
 		fatal(fmt.Errorf("MISMATCH: %s returns %d at %s but %d at %s",
 			*entry, runA.res.Value, *levelA, runB.res.Value, *levelB))
@@ -107,16 +109,17 @@ type levelRun struct {
 	label string
 	res   *core.SimResult
 	cp    *trace.CritPath
+	tr    *trace.Trace
+	// waits holds each node's token-wait stalls, keyed "graph: node".
+	waits map[string]int64
 }
 
-func runLevel(src, entry string, args []int64, lv opt.Level, label string, mcfg memsys.Config, edgeCap, topK int, dump string) levelRun {
+func runLevel(src, entry string, args []int64, lv opt.Level, label string, mcfg memsys.Config, topK int, dump string) levelRun {
 	cp, err := core.CompileSource(src, core.WithLevel(lv), core.WithMemory(mcfg))
 	if err != nil {
 		fatal(err)
 	}
-	cfg := cp.Sim
-	cfg.EdgeCap = edgeCap
-	res, tr, err := cp.RunTracedWith(entry, args, cfg, cp.Trace)
+	res, tr, err := cp.RunTracedWith(entry, args, cp.Sim, cp.Trace)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %v", label, err))
 	}
@@ -142,7 +145,25 @@ func runLevel(src, entry string, args []int64, lv opt.Level, label string, mcfg 
 		}
 		fmt.Printf("wrote %s\n\n", path)
 	}
-	return levelRun{label: label, res: res, cp: crit}
+	return levelRun{label: label, res: res, cp: crit, tr: tr, waits: tokenWaits(cp.Program, tr)}
+}
+
+// tokenWaits keys each node's token-wait stall count by graph and node,
+// the way the critical-path diff keys token edges.
+func tokenWaits(p *pegasus.Program, tr *trace.Trace) map[string]int64 {
+	graphOf := map[*pegasus.Node]string{}
+	for name, g := range p.Funcs {
+		for _, n := range g.Nodes {
+			graphOf[n] = name
+		}
+	}
+	out := map[string]int64{}
+	for n, sc := range tr.StallsByNode {
+		if w := sc[trace.StallToken]; w > 0 {
+			out[fmt.Sprintf("%s: %s", graphOf[n], n)] += w
+		}
+	}
+	return out
 }
 
 func diff(a, b levelRun, topK int) {
@@ -198,51 +219,36 @@ func diff(a, b levelRun, topK int) {
 		fmt.Printf("  %-10s %10d -> %10d (%+d)\n", k, a.cp.ByKind[k], b.cp.ByKind[k],
 			b.cp.ByKind[k]-a.cp.ByKind[k])
 	}
+
+	// Fire attempts blocked on a memory token: the serialization the
+	// memory optimizations remove, whether or not it is on the path.
+	wa, wb := a.tr.TokenWaits(), b.tr.TokenWaits()
+	fmt.Printf("token-wait stalls: %d -> %d (delta %+d)\n", wa, wb, wb-wa)
+	fmt.Printf("baseline token-waiting nodes (top %d) and their count at %s:\n", topK, b.label)
+	hot := sortedKeys(a.waits)
+	sort.SliceStable(hot, func(i, j int) bool { return a.waits[hot[i]] > a.waits[hot[j]] })
+	for i, k := range hot {
+		if i >= topK {
+			break
+		}
+		fmt.Printf("  %-40s %8d -> %d\n", k, a.waits[k], b.waits[k])
+	}
+	if len(hot) == 0 {
+		fmt.Println("  (no baseline node waited on a token)")
+	}
 }
 
 func edgeKey(ec trace.EdgeCycles) string {
 	return fmt.Sprintf("%s: %s -> %s", ec.Edge.Graph, ec.Edge.From, ec.Edge.To)
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	var ks []string
 	for k := range m {
 		ks = append(ks, k)
 	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
+	sort.Strings(ks)
 	return ks
-}
-
-func parseLevel(s string) (opt.Level, error) {
-	switch s {
-	case "none", "O0":
-		return opt.None, nil
-	case "basic":
-		return opt.Basic, nil
-	case "medium", "O1":
-		return opt.Medium, nil
-	case "full", "O2":
-		return opt.Full, nil
-	}
-	return 0, fmt.Errorf("unknown optimization level %q", s)
-}
-
-func parseMem(s string) (memsys.Config, error) {
-	switch s {
-	case "perfect":
-		return memsys.PerfectConfig(), nil
-	case "real1":
-		return memsys.PaperConfig(1), nil
-	case "real2":
-		return memsys.PaperConfig(2), nil
-	case "real4":
-		return memsys.PaperConfig(4), nil
-	}
-	return memsys.Config{}, fmt.Errorf("unknown memory system %q", s)
 }
 
 func fatal(err error) {

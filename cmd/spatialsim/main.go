@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spatialsim [-O level] [-entry name] [-mem perfect|real1|real2|real4]
-//	           [-backend interp|compiled] [-seq] [-edgecap n]
+//	           [-backend interp|compiled] [-seq]
 //	           [-profile] [-topk n] [-trace out.json]
 //	           [-timeout d] [-jitter seed] [-drop n] [-droptok n] [-memfail n]
 //	           [-parallel n] [-repeat m] [-cpuprofile file]
@@ -69,7 +69,6 @@ func main() {
 	mem := flag.String("mem", "perfect", "memory system: perfect, real1, real2, real4")
 	backend := flag.String("backend", "interp", "execution engine: interp or compiled (bit-identical)")
 	seq := flag.Bool("seq", false, "also run the sequential baseline")
-	edgeCap := flag.Int("edgecap", 1, "dataflow edge buffer depth")
 	profile := flag.Bool("profile", false, "print per-operator firing profile")
 	topK := flag.Int("topk", 10, "entries in profile and critical-path reports")
 	traceOut := flag.String("trace", "", "trace the run and write Chrome trace JSON to this file")
@@ -87,11 +86,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	lv, err := parseLevel(*level)
+	lv, err := opt.ParseLevel(*level)
 	if err != nil {
 		fatal(err)
 	}
-	mcfg, err := parseMem(*mem)
+	mcfg, err := memsys.Named(*mem)
 	if err != nil {
 		fatal(err)
 	}
@@ -141,7 +140,6 @@ func main() {
 	}
 	cfg := core.DefaultSim()
 	cfg.Mem = mcfg
-	cfg.EdgeCap = *edgeCap
 	cp, err := core.CompileSource(string(src), core.WithLevel(lv),
 		core.WithSim(cfg), core.WithDeadline(*timeout), core.WithBackend(be))
 	if err != nil {
@@ -304,34 +302,6 @@ func buildInjector(jitter int64, drop, dropTok, memFail int) (*core.FaultInjecto
 		return nil, nil
 	}
 	return core.NewInjector(plan), nil
-}
-
-func parseLevel(s string) (opt.Level, error) {
-	switch s {
-	case "none":
-		return opt.None, nil
-	case "basic":
-		return opt.Basic, nil
-	case "medium":
-		return opt.Medium, nil
-	case "full":
-		return opt.Full, nil
-	}
-	return 0, fmt.Errorf("unknown optimization level %q", s)
-}
-
-func parseMem(s string) (memsys.Config, error) {
-	switch s {
-	case "perfect":
-		return memsys.PerfectConfig(), nil
-	case "real1":
-		return memsys.PaperConfig(1), nil
-	case "real2":
-		return memsys.PaperConfig(2), nil
-	case "real4":
-		return memsys.PaperConfig(4), nil
-	}
-	return memsys.Config{}, fmt.Errorf("unknown memory system %q", s)
 }
 
 // stopProfile ends -cpuprofile; fatal calls it because os.Exit skips

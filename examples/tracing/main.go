@@ -1,8 +1,9 @@
 // Tracing demonstrates the observability layer: it runs the Section 2
 // memory kernel traced at two optimization levels, extracts each run's
-// dynamic critical path, and shows the memory-optimization speedup as
-// token edges leaving the path. It also writes Chrome trace-event files
-// viewable in about://tracing or https://ui.perfetto.dev.
+// dynamic critical path, and shows the memory-optimization speedup as a
+// shorter path and as fewer fire attempts stalled on a memory token. It
+// also writes Chrome trace-event files viewable in about://tracing or
+// https://ui.perfetto.dev.
 package main
 
 import (
@@ -37,16 +38,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Deep edges decouple the loop-control spine from the memory
-		// chain, so token waits surface on the critical path instead of
-		// hiding as backpressure.
-		cfg := cp.Sim
-		cfg.EdgeCap = 8
-		res, tr, err := cp.RunTracedWith("bench", nil, cfg, spatial.DefaultTrace())
+		res, tr, err := cp.RunTracedWith("bench", nil, cp.Sim, spatial.DefaultTrace())
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("== %v: %d in %d cycles ==\n", lv, res.Value, res.Stats.Cycles)
+		fmt.Printf("== %v: %d in %d cycles, %d token-wait stalls ==\n",
+			lv, res.Value, res.Stats.Cycles, tr.TokenWaits())
 		crit := tr.CriticalPath()
 		fmt.Print(crit.Format(3))
 

@@ -206,6 +206,11 @@ func TestStatusMapping(t *testing.T) {
 		{"compile endpoint error", "POST", "/v1/compile", `{"source":"int f( {"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"empty batch", "POST", "/v1/batch", `{"runs":[]}`, http.StatusBadRequest, api.ClassBadRequest},
 		{"trace in batch", "POST", "/v1/batch", `{"runs":[{"source":"int f(void){return 1;}","entry":"f","trace":true}]}`, http.StatusBadRequest, api.ClassBadRequest},
+		// The deprecated edge_cap accepts only the one depth the engines
+		// model.
+		{"edge cap 2", "POST", "/v1/run", `{"source":"int f(void){return 1;}","entry":"f","sim":{"edge_cap":2}}`, http.StatusUnprocessableEntity, api.ClassCompile},
+		{"edge cap 8", "POST", "/v1/compile", `{"source":"int f(void){return 1;}","sim":{"edge_cap":8}}`, http.StatusUnprocessableEntity, api.ClassCompile},
+		{"edge cap -1", "POST", "/v1/run", `{"source":"int f(void){return 1;}","entry":"f","sim":{"edge_cap":-1}}`, http.StatusUnprocessableEntity, api.ClassCompile},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,7 +235,29 @@ func TestStatusMapping(t *testing.T) {
 			if e.Message == "" {
 				t.Error("empty error message")
 			}
+			if strings.HasPrefix(tc.name, "edge cap") && !strings.Contains(e.Message, "edge_cap") {
+				t.Errorf("message %q does not name the field edge_cap", e.Message)
+			}
 		})
+	}
+
+	// edge_cap 0 and 1 are accepted and share the compile-cache entry of
+	// an absent field: after the first compile, both are cache hits.
+	for i, body := range []string{
+		`{"source":"int f(void){return 2;}"}`,
+		`{"source":"int f(void){return 2;}","sim":{"edge_cap":0}}`,
+		`{"source":"int f(void){return 2;}","sim":{"edge_cap":1}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", body, resp.StatusCode)
+		}
+		if cr := decodeBody[api.CompileResponse](t, resp); cr.CacheHit != (i > 0) {
+			t.Errorf("%s: cache hit %v, want %v (one cache key for absent, 0 and 1)", body, cr.CacheHit, i > 0)
+		}
 	}
 
 	// GET /v1/trace/{id} for an unknown id → 404 not_found.

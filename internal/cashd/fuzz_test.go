@@ -42,6 +42,8 @@ func FuzzCompileRequest(f *testing.F) {
 		// Out-of-range configuration.
 		{Source: ok, Sim: &api.SimConfig{Mem: &api.MemConfig{Kind: api.MemRealistic, L2Bytes: 8 << 20}}},
 		{Source: ok, Sim: &api.SimConfig{EdgeCap: -1}},
+		{Source: ok, Sim: &api.SimConfig{EdgeCap: 1}},
+		{Source: ok, Sim: &api.SimConfig{EdgeCap: 2}},
 		{Source: ok, Level: 9},
 		{Source: ok, Backend: "fpga"},
 		// Sources the compiler must reject: a brace initializer on a

@@ -41,9 +41,6 @@ func TestRejectionsIdentical(t *testing.T) {
 	}{
 		{"unknown entry", "g", []int64{1}, dataflow.DefaultConfig()},
 		{"wrong argument count", "f", []int64{1, 2}, dataflow.DefaultConfig()},
-		{"negative EdgeCap", "f", []int64{1}, with(func(c *dataflow.Config) { c.EdgeCap = -1 })},
-		{"EdgeCap 1<<31", "f", []int64{1}, with(func(c *dataflow.Config) { c.EdgeCap = 1 << 31 })},
-		{"EdgeCap 1<<32+1", "f", []int64{1}, with(func(c *dataflow.Config) { c.EdgeCap = 1<<32 + 1 })},
 		{"negative MaxCycles", "f", []int64{1}, with(func(c *dataflow.Config) { c.MaxCycles = -1 })},
 		{"negative MaxActivations", "f", []int64{1}, with(func(c *dataflow.Config) { c.MaxActivations = -1 })},
 	}

@@ -21,21 +21,14 @@ import (
 var allLevels = []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
 
 // TestResultIdentity runs every suite program at every optimization
-// level on both engines and requires bit-identical results, at every
-// edge depth in {1, 2, 3, 4, 8} on perfect memory and on the paper's
-// two-port memory system. Depths above 1 let an edge fill past one value
-// (the VM's full counter crosses at EdgeCap), and depths above 3 spill
-// latches into their overflow tail. It compares the engines only with
-// each other: at depths above 1 both can disagree with the sequential
-// oracle (ROADMAP item 1).
+// level on both engines and requires bit-identical results, on perfect
+// memory and on the paper's two-port memory system.
 func TestResultIdentity(t *testing.T) {
 	var cfgs []dataflow.Config
-	for _, depth := range []int{1, 2, 3, 4, 8} {
-		for _, mem := range []memsys.Config{memsys.PerfectConfig(), memsys.PaperConfig(2)} {
-			cfg := dataflow.DefaultConfig()
-			cfg.EdgeCap, cfg.Mem = depth, mem
-			cfgs = append(cfgs, cfg)
-		}
+	for _, mem := range []memsys.Config{memsys.PerfectConfig(), memsys.PaperConfig(2)} {
+		cfg := dataflow.DefaultConfig()
+		cfg.Mem = mem
+		cfgs = append(cfgs, cfg)
 	}
 	for _, w := range workloads.All() {
 		for _, lvl := range allLevels {
@@ -47,14 +40,14 @@ func TestResultIdentity(t *testing.T) {
 			for _, cfg := range cfgs {
 				want, err := sh.Run(w.Entry, nil, cfg)
 				if err != nil {
-					t.Fatalf("%s O%d depth %d: %v", w.Name, lvl, cfg.EdgeCap, err)
+					t.Fatalf("%s O%d mem %+v: %v", w.Name, lvl, cfg.Mem, err)
 				}
 				got, err := mod.Run(w.Entry, nil, cfg)
 				if err != nil {
-					t.Fatalf("%s O%d depth %d: %v", w.Name, lvl, cfg.EdgeCap, err)
+					t.Fatalf("%s O%d mem %+v: %v", w.Name, lvl, cfg.Mem, err)
 				}
 				if *got != *want {
-					t.Errorf("%s O%d depth %d mem %+v mismatch:\n got %+v\nwant %+v", w.Name, lvl, cfg.EdgeCap, cfg.Mem, got, want)
+					t.Errorf("%s O%d mem %+v mismatch:\n got %+v\nwant %+v", w.Name, lvl, cfg.Mem, got, want)
 				}
 			}
 		}

@@ -92,8 +92,7 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 		case argSlot:
 			predVal = a.st.slots[r.predArg.idx]
 		default:
-			q := &a.st.ports[r.predArg.idx]
-			predVal = q.v[0]
+			predVal = a.st.ports[r.predArg.idx].v
 		}
 		if predVal == 0 {
 			return b, false // would fire (counter reset); not blocked
@@ -120,17 +119,16 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 func (m *vm) backpressureEdges(a *vact, r *rule) []dataflow.WaitEdge {
 	var out []dataflow.WaitEdge
 	gp := a.gp
-	c := int32(m.cfg.EdgeCap)
 	occ := a.st.occ[r.valOccBase:]
 	for i := range r.valCons {
-		if occ[i] >= c {
+		if occ[i] > 0 {
 			peer, cls, idx := gp.portLoc(r.valCons[i].port)
 			out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
 		}
 	}
 	occ = a.st.occ[r.tokOccBase:]
 	for i := range r.tokCons {
-		if occ[i] >= c {
+		if occ[i] > 0 {
 			peer, cls, idx := gp.portLoc(r.tokCons[i].port)
 			out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
 		}

@@ -24,8 +24,8 @@ import (
 
 // vnode is the per-rule dynamic state: delivery-order floors, the
 // missing-input counter (number of currently empty dynamic input
-// latches), the full-edge counter (number of consumer edges at
-// capacity), the gate that reads them (see blocked), and counter: a token
+// latches), the full-edge counter (number of occupied consumer edges:
+// edges hold one value), the gate that reads them (see blocked), and counter: a token
 // generator's credit, or a gated merge's source count. missing and full
 // replace the interpreter's per-attempt input and capacity scans with
 // comparisons: every all-input rule's capacity gate is exactly "no
@@ -60,39 +60,42 @@ func (ns *vnode) blocked() bool {
 	return false
 }
 
-// vq is one input latch: a FIFO of raw values held inline, so a
-// delivery or consume touches no cache line beyond the struct itself.
-// The producer bookkeeping the interpreter latches per value is static
-// per port here (pmeta), because every port has exactly one producer
-// edge — which also bounds the depth by EdgeCap (plus injected
-// duplicates); depths beyond the inline slots spill to the overflow
-// tail (EdgeCap > 3 or fault duplication only).
+// vq is one input latch: a FIFO of raw values whose front is held
+// inline, so a delivery or consume touches no cache line beyond the
+// struct itself. The producer bookkeeping the interpreter latches per
+// value is static per port here (pmeta), because every port has exactly
+// one producer edge — a one-place edge, so a latch holds one value; only
+// an injected duplicate puts more on a port, and those wait in the
+// overflow tail.
 type vq struct {
 	n   int32
 	_   int32
-	v   [3]int64
+	v   int64
 	ovf []int64
 }
 
 func (q *vq) size() int { return int(q.n) }
 
 func (q *vq) push(val int64) {
-	if q.n < 3 {
-		q.v[q.n] = val
+	if q.n == 0 {
+		q.v = val
 	} else {
 		q.ovf = append(q.ovf, val)
 	}
 	q.n++
 }
 
-// shift closes the front gap after popping v[0] with n still > 0.
-func (q *vq) shift() {
-	q.v[0] = q.v[1]
-	q.v[1] = q.v[2]
-	if len(q.ovf) > 0 {
-		q.v[2] = q.ovf[0]
-		q.ovf = q.ovf[:copy(q.ovf, q.ovf[1:])]
+// pop removes the front value, refilling the front from the overflow
+// tail, and reports whether the latch is now empty.
+func (q *vq) pop() (v int64, empty bool) {
+	v = q.v
+	q.n--
+	if q.n == 0 {
+		return v, true
 	}
+	q.v = q.ovf[0]
+	q.ovf = q.ovf[:copy(q.ovf, q.ovf[1:])]
+	return v, false
 }
 
 // vstate is one activation's entire dynamic state, recycled through the
@@ -432,17 +435,13 @@ func argv(st *vstate, g oparg) int64 {
 func (m *vm) consume(a *vact, p int32) int64 {
 	st := a.st
 	pm := &a.gp.ports[p]
-	q := &st.ports[p]
-	v := q.v[0]
-	q.n--
-	if q.n == 0 {
+	v, empty := st.ports[p].pop()
+	if empty {
 		st.nodes[pm.owner].missing++
-	} else {
-		q.shift()
 	}
 	o := st.occ[pm.occ]
 	st.occ[pm.occ] = o - 1
-	if o == int32(m.cfg.EdgeCap) {
+	if o == 1 {
 		st.nodes[pm.prod].full--
 	}
 	m.pushCheck(m.now, a, pm.prod)
@@ -481,7 +480,8 @@ func (m *vm) consumeClass(a *vact, args []oparg, buf *[]int64) []int64 {
 
 // emit schedules delivery of one output to every consumer and reserves
 // edge occupancy, flooring the time by the in-order delivery constraint.
-// Occupancy crossings into capacity maintain the rule's full counter.
+// An edge is full from its first occupant (one-place edges), and each
+// crossing between empty and occupied maintains the rule's full counter.
 func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 	st := a.st
 	ns := &st.nodes[ri]
@@ -501,13 +501,12 @@ func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 		cnt, d0, base = r.valCnt, r.valD0, r.valOccBase
 	}
 	if m.inj == nil {
-		c := int32(m.cfg.EdgeCap)
 		if cnt == 1 {
 			// Single consumer: the inlined dest avoids the cons slice
 			// and its backing array entirely.
 			o := st.occ[base] + 1
 			st.occ[base] = o
-			if o == c {
+			if o == 1 {
 				ns.full++
 			}
 			m.push(t, val, a, d0.rule, d0.port)
@@ -521,7 +520,7 @@ func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 		for i := range cons {
 			o := occ[i] + 1
 			occ[i] = o
-			if o == c {
+			if o == 1 {
 				ns.full++
 			}
 			m.push(t, val, a, cons[i].rule, cons[i].port)
@@ -542,7 +541,6 @@ func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64, co
 	if tok {
 		base = r.tokOccBase
 	}
-	c := int32(m.cfg.EdgeCap)
 	for i := range cons {
 		dt := t
 		copies := 1
@@ -562,7 +560,7 @@ func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64, co
 		for k := 0; k < copies; k++ {
 			o := occ[i] + 1
 			occ[i] = o
-			if o == c {
+			if o == 1 {
 				ns.full++
 			}
 			m.push(dt, val, a, cons[i].rule, cons[i].port)
@@ -743,8 +741,7 @@ func (m *vm) fireEta(a *vact, ri int32, r *rule) bool {
 	case argSlot:
 		predVal = st.slots[r.predArg.idx]
 	default:
-		q := &st.ports[r.predArg.idx]
-		predVal = q.v[0]
+		predVal = st.ports[r.predArg.idx].v
 	}
 	if predVal != 0 && st.nodes[ri].full > 0 {
 		return false
@@ -780,8 +777,7 @@ func (m *vm) fireTokenGen(a *vact, ri int32, r *rule) bool {
 	case argSlot:
 		predVal = st.slots[r.predArg.idx]
 	default:
-		q := &st.ports[r.predArg.idx]
-		predVal = q.v[0]
+		predVal = st.ports[r.predArg.idx].v
 	}
 	if predVal != 0 {
 		if ns.counter <= 0 {

@@ -141,15 +141,15 @@ func TestCompiledSimIsNormalized(t *testing.T) {
 	// A partial WithSim must be normalized at compile time so the
 	// recorded Config matches what runs (previously the raw zero-filled
 	// struct was stored while Run silently applied defaults).
-	cp, err := CompileSource(demo, WithSim(SimConfig{EdgeCap: 2}))
+	cp, err := CompileSource(demo, WithSim(SimConfig{MaxCycles: 123456}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Sim.EdgeCap != 2 {
-		t.Errorf("EdgeCap = %d, want 2", cp.Sim.EdgeCap)
+	if cp.Sim.MaxCycles != 123456 {
+		t.Errorf("MaxCycles = %d, want 123456", cp.Sim.MaxCycles)
 	}
-	if cp.Sim.MaxCycles <= 0 || cp.Sim.MaxActivations <= 0 {
-		t.Errorf("limits not defaulted: %+v", cp.Sim)
+	if cp.Sim.MaxActivations <= 0 {
+		t.Errorf("activation limit not defaulted: %+v", cp.Sim)
 	}
 	if cp.Sim.Mem == (memsys.Config{}) {
 		t.Error("memory config not defaulted")

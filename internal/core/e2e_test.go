@@ -9,7 +9,13 @@ import (
 
 // The e2e programs mirror the repository examples: quickstart's
 // reduction, memopt's Section 2 kernel (driven through a checksum
-// wrapper), and pipeline's producer/consumer loop.
+// wrapper), and pipeline's producer/consumer loop. Two regression
+// programs follow; both returned wrong values on both engines while an
+// edge could hold more than one value, because deliveries carry no wave
+// tags: a nested loop whose inner entry value overtook the previous
+// wave's loop-carried values (gsm_e's ltpSearch, reduced; 0 instead of
+// 3), and a call inside a loop with several activations in flight (0
+// instead of 4).
 var e2ePrograms = []struct {
 	name  string
 	src   string
@@ -83,41 +89,72 @@ int bench(void) {
 }`,
 		entry: "bench",
 	},
+	{
+		name: "nested-loop-waves",
+		src: `
+short din[64]; short dp[64];
+int bench(void) {
+  int i;
+  for (i = 0; i < 64; i++) din[i] = (short)(((i * 29) & 255) - 128);
+  for (i = 0; i < 64; i++) dp[i] = (short)(((i * 17) & 255) - 128);
+  int lag; int bestLag = 0; int bestCorr = -1;
+  for (lag = 0; lag < 4; lag++) {
+    int corr = 0; int k;
+    for (k = 0; k < 4; k++) corr += din[k] * dp[k + 8 - lag];
+    if (corr > bestCorr) { bestCorr = corr; bestLag = lag; }
+  }
+  return bestLag;
+}`,
+		entry: "bench",
+	},
+	{
+		name: "call-in-loop",
+		src: `
+int id(int x) { return x; }
+int bench(void) {
+  int v1 = 14; int i0;
+  for (i0 = 0; i0 < 5; i0++) v1 = id(i0);
+  return v1;
+}`,
+		entry: "bench",
+	},
 }
 
-// TestExamplesAllLevels checks the two execution engines agree on every
-// example program at every optimization level, and that each compiled
-// graph still verifies after optimization.
+// TestExamplesAllLevels checks both execution engines against the
+// sequential oracle on every example program at every optimization
+// level, and that each compiled graph still verifies after optimization.
 func TestExamplesAllLevels(t *testing.T) {
 	levels := []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
 	for _, p := range e2ePrograms {
 		t.Run(p.name, func(t *testing.T) {
 			var want int64
 			for i, lv := range levels {
-				cp, err := CompileSource(p.src, WithLevel(lv))
-				if err != nil {
-					t.Fatalf("level %v: %v", lv, err)
-				}
-				if err := cp.Verify(); err != nil {
-					t.Fatalf("level %v: verify: %v", lv, err)
-				}
-				res, err := cp.Run(p.entry, p.args)
-				if err != nil {
-					t.Fatalf("level %v: spatial: %v", lv, err)
-				}
-				seq, err := cp.RunSequential(p.entry, p.args)
-				if err != nil {
-					t.Fatalf("level %v: sequential: %v", lv, err)
-				}
-				if res.Value != seq.Value {
-					t.Errorf("level %v: spatial %d != sequential %d",
-						lv, res.Value, seq.Value)
-				}
-				if i == 0 {
-					want = res.Value
-				} else if res.Value != want {
-					t.Errorf("level %v: value %d differs from unoptimized %d",
-						lv, res.Value, want)
+				for _, be := range []Backend{BackendInterpreted, BackendCompiled} {
+					cp, err := CompileSource(p.src, WithLevel(lv), WithBackend(be))
+					if err != nil {
+						t.Fatalf("level %v: %v", lv, err)
+					}
+					if err := cp.Verify(); err != nil {
+						t.Fatalf("level %v: verify: %v", lv, err)
+					}
+					res, err := cp.Run(p.entry, p.args)
+					if err != nil {
+						t.Fatalf("level %v %v: spatial: %v", lv, be, err)
+					}
+					seq, err := cp.RunSequential(p.entry, p.args)
+					if err != nil {
+						t.Fatalf("level %v: sequential: %v", lv, err)
+					}
+					if res.Value != seq.Value {
+						t.Errorf("level %v %v: spatial %d != sequential %d",
+							lv, be, res.Value, seq.Value)
+					}
+					if i == 0 && be == BackendInterpreted {
+						want = res.Value
+					} else if res.Value != want {
+						t.Errorf("level %v %v: value %d differs from unoptimized %d",
+							lv, be, res.Value, want)
+					}
 				}
 			}
 		})

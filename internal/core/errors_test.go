@@ -50,7 +50,7 @@ func TestErrorClasses(t *testing.T) {
 	if _, err := CompileSource(`int f( { return; }`); !errors.Is(err, ErrCompile) {
 		t.Fatalf("syntax error not classed ErrCompile: %v", err)
 	}
-	if _, err := CompileSource(`int f(void) { return 1; }`, WithSim(SimConfig{EdgeCap: -1})); !errors.Is(err, ErrCompile) {
+	if _, err := CompileSource(`int f(void) { return 1; }`, WithSim(SimConfig{MaxCycles: -1})); !errors.Is(err, ErrCompile) {
 		t.Fatalf("invalid sim config not classed ErrCompile: %v", err)
 	}
 	for _, src := range append(badInitSources, badLayoutSources...) {

@@ -18,7 +18,6 @@ package dataflow
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"spatial/internal/cminor"
@@ -29,11 +28,12 @@ import (
 	"spatial/internal/trace"
 )
 
-// Config parameterizes a simulation.
+// Config parameterizes a simulation. Every edge is a one-place channel,
+// as in the paper's circuits. Deliveries carry no wave tags, so a deeper
+// edge would let a loop-entry merge take the next wave's entry value
+// ahead of the current wave's loop-carried one (DESIGN.md, decision 5).
 type Config struct {
 	Mem memsys.Config
-	// EdgeCap is the per-edge buffer depth (1 = single-register wires).
-	EdgeCap int
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
 	// MaxActivations bounds recursion/parallel call fan-out.
@@ -49,13 +49,6 @@ func DefaultConfig() Config { return Config{}.Normalized() }
 // errors, not silently patched. Both engines validate (through CheckRun)
 // before defaulting, and so do Normalized's facade callers.
 func (c Config) Validate() error {
-	if c.EdgeCap < 0 {
-		return fmt.Errorf("dataflow: EdgeCap %d is negative; use 0 for the default (1) or a positive buffer depth", c.EdgeCap)
-	}
-	if c.EdgeCap > math.MaxInt32 {
-		// Both engines keep edge occupancy in int32.
-		return fmt.Errorf("dataflow: EdgeCap %d exceeds %d, the deepest buffer the engines can hold", c.EdgeCap, math.MaxInt32)
-	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("dataflow: MaxCycles %d is negative; use 0 for the default budget or a positive cycle count", c.MaxCycles)
 	}
@@ -73,9 +66,6 @@ func (c Config) Validate() error {
 func (c Config) Normalized() Config {
 	if c.Mem == (memsys.Config{}) {
 		c.Mem = memsys.PerfectConfig()
-	}
-	if c.EdgeCap <= 0 {
-		c.EdgeCap = 1
 	}
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 200_000_000
@@ -609,8 +599,8 @@ func (m *machine) emit(a *activation, n *pegasus.Node, out pegasus.Out, val int6
 	}
 }
 
-// capacityFree reports whether every output edge of (a,n) for `out` has a
-// free slot.
+// capacityFree reports whether every output edge of (a,n) for `out` is
+// empty: edges hold one value (see Config).
 func (m *machine) capacityFree(a *activation, n *pegasus.Node, out pegasus.Out) bool {
 	var occ []int32
 	var ne int
@@ -621,9 +611,8 @@ func (m *machine) capacityFree(a *activation, n *pegasus.Node, out pegasus.Out) 
 		occ = a.st.occVal[a.gi.valEdgeOff[n.ID]:]
 		ne = len(a.gi.valConsumers[n.ID])
 	}
-	cap32 := int32(m.cfg.EdgeCap)
 	for _, o := range occ[:ne] {
-		if o >= cap32 {
+		if o > 0 {
 			return false
 		}
 	}

@@ -422,33 +422,6 @@ void f(void) {
 	}
 }
 
-func TestSimEdgeCapTwoStillCorrect(t *testing.T) {
-	src := `
-int a[64];
-int f(void) {
-  int i;
-  int s = 0;
-  for (i = 0; i < 64; i++) a[i] = i * i;
-  for (i = 0; i < 64; i++) s += a[i];
-  return s;
-}`
-	p := compileProgram(t, src)
-	c1 := DefaultConfig()
-	c2 := DefaultConfig()
-	c2.EdgeCap = 2
-	r1, err := Run(p, "f", nil, c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(p, "f", nil, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Value != r2.Value {
-		t.Errorf("edge capacity changed the result: %d vs %d", r1.Value, r2.Value)
-	}
-}
-
 func TestRunProfiled(t *testing.T) {
 	src := `
 int a[32];

@@ -320,13 +320,13 @@ func (m *machine) backpressureEdges(a *activation, n *pegasus.Node) []WaitEdge {
 	var out []WaitEdge
 	occVal := a.st.occVal[a.gi.valEdgeOff[n.ID]:]
 	for i, c := range a.gi.valConsumers[n.ID] {
-		if int(occVal[i]) >= m.cfg.EdgeCap {
+		if occVal[i] > 0 {
 			out = append(out, WaitEdge{Kind: WaitBackpressure, Port: c.p.cls, Idx: c.p.idx, Peer: c.node, PeerAct: a.id})
 		}
 	}
 	occTok := a.st.occTok[a.gi.tokEdgeOff[n.ID]:]
 	for i, c := range a.gi.tokConsumers[n.ID] {
-		if int(occTok[i]) >= m.cfg.EdgeCap {
+		if occTok[i] > 0 {
 			out = append(out, WaitEdge{Kind: WaitBackpressure, Port: c.p.cls, Idx: c.p.idx, Peer: c.node, PeerAct: a.id})
 		}
 	}

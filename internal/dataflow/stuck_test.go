@@ -119,7 +119,7 @@ int f(int a) {
 }
 
 // TestStuckBackpressureLoop: a never-firing extra consumer on a
-// loop-carried value fills its input edge (EdgeCap 1), so the loop's
+// loop-carried value fills its one-place input edge, so the loop's
 // merge wedges on backpressure; the report must show the merge blocked
 // by the full edge to that consumer.
 func TestStuckBackpressureLoop(t *testing.T) {
@@ -157,9 +157,7 @@ int f(int n) {
 		t.Fatalf("mutilated graph should still be structurally valid: %v", err)
 	}
 
-	cfg := DefaultConfig()
-	cfg.EdgeCap = 1
-	_, err := Run(p, "f", []int64{8}, cfg)
+	_, err := Run(p, "f", []int64{8}, DefaultConfig())
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("want *DeadlockError, got %v", err)
@@ -218,10 +216,6 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 		want   string
 	}{
-		{func(c *Config) { c.EdgeCap = -1 }, "EdgeCap"},
-		// Both engines narrow EdgeCap to int32.
-		{func(c *Config) { c.EdgeCap = 1 << 31 }, "EdgeCap"},
-		{func(c *Config) { c.EdgeCap = 1<<32 + 1 }, "EdgeCap"},
 		{func(c *Config) { c.MaxCycles = -5 }, "MaxCycles"},
 		{func(c *Config) { c.MaxActivations = -2 }, "MaxActivations"},
 		{func(c *Config) { c.Mem.Ports = -1 }, "Ports"},
@@ -243,7 +237,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	p := compileProgram(t, `int f(void) { return 4; }`)
 	bad := DefaultConfig()
-	bad.EdgeCap = -3
+	bad.MaxCycles = -3
 	if _, err := Run(p, "f", nil, bad); err == nil {
 		t.Error("Run accepted an invalid config")
 	}

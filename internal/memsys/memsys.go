@@ -55,6 +55,19 @@ func PerfectConfig() Config {
 	return Config{Kind: Perfect, Ports: 2, QueueSize: 16, PerfectLatency: 2}
 }
 
+// Named returns the memory system a command-line name selects:
+// "perfect", or "real1", "real2" or "real4" for PaperConfig with that
+// many ports.
+func Named(s string) (Config, error) {
+	switch s {
+	case "perfect":
+		return PerfectConfig(), nil
+	case "real1", "real2", "real4":
+		return PaperConfig(int(s[4] - '0')), nil
+	}
+	return Config{}, fmt.Errorf("unknown memory system %q", s)
+}
+
 // PaperConfig returns the realistic memory system of Section 7.3 with the
 // given number of ports.
 func PaperConfig(ports int) Config {

@@ -35,6 +35,20 @@ const (
 	Full
 )
 
+// levelNames maps every spelling ParseLevel accepts to its level.
+var levelNames = map[string]Level{"none": None, "O0": None, "basic": Basic,
+	"medium": Medium, "O1": Medium, "full": Full, "O2": Full}
+
+// ParseLevel inverts String, and also accepts the conventional spellings
+// O0 (None), O1 (Medium) and O2 (Full, the paper's memory-optimized
+// configuration).
+func ParseLevel(s string) (Level, error) {
+	if l, ok := levelNames[s]; ok {
+		return l, nil
+	}
+	return 0, fmt.Errorf("unknown optimization level %q", s)
+}
+
 // String names the level.
 func (l Level) String() string {
 	switch l {

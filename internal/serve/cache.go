@@ -25,8 +25,8 @@ func (k cacheKey) String() string { return hex.EncodeToString(k[:]) }
 // programKey computes a wire program's content address. The simulator
 // configuration is converted to its internal form and normalized first,
 // so two requests whose configs differ only in defaulted zero fields
-// (e.g. EdgeCap 0 vs 1) share a compilation, while genuinely different
-// configs get distinct keys. This key addresses the (in-memory and
+// (e.g. MaxCycles 0 vs 200000000) share a compilation, while genuinely
+// different configs get distinct keys. This key addresses the (in-memory and
 // on-disk) compile cache; the coarser api.Program.Key, computed on the
 // raw wire form, routes between shards.
 func programKey(p api.Program) (cacheKey, error) {
@@ -58,7 +58,11 @@ func programKey(p api.Program) (cacheKey, error) {
 	if ps := passesOf(p.Passes); ps != nil {
 		fmt.Fprintf(h, "passes=%#v\x00", *ps)
 	}
-	fmt.Fprintf(h, "sim=%#v\x00src=%d\x00", sim.Normalized(), len(p.Source))
+	// The sim text is %#v of dataflow.Config as it was with its edge
+	// depth (always 1), so persisted entries still re-hash to their names.
+	n := sim.Normalized()
+	fmt.Fprintf(h, "sim=dataflow.Config{Mem:%#v, EdgeCap:1, MaxCycles:%d, MaxActivations:%d}\x00src=%d\x00",
+		n.Mem, n.MaxCycles, n.MaxActivations, len(p.Source))
 	io.WriteString(h, p.Source)
 	var k cacheKey
 	h.Sum(k[:0])

@@ -58,9 +58,9 @@ func TestKeyNormalization(t *testing.T) {
 		t.Error("nil Sim and empty SimConfig produced distinct keys")
 	}
 	r = base
-	r.Sim = &api.SimConfig{EdgeCap: 1} // the default depth, spelled explicitly
+	r.Sim = &api.SimConfig{EdgeCap: 1} // the deprecated field's one valid depth
 	if k, _ := r.key(); k != k0 {
-		t.Error("EdgeCap 0 and EdgeCap 1 (the default) produced distinct keys")
+		t.Error("EdgeCap 0 and EdgeCap 1 (the only depth) produced distinct keys")
 	}
 
 	// The default backend and its explicit spelling collapse onto one key.
@@ -84,7 +84,7 @@ func TestKeyNormalization(t *testing.T) {
 	distinct := []Request{
 		testReq(srcAdd, api.LevelFull, ""),
 		testReq(srcLoop, api.LevelMedium, ""),
-		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Sim: &api.SimConfig{EdgeCap: 8}}},
+		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Sim: &api.SimConfig{MaxCycles: 1 << 20}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Passes: &api.Passes{ConstFold: true, CSE: true, DCE: true}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Backend: api.BackendCompiled}},
 	}
@@ -101,10 +101,12 @@ func TestKeyNormalization(t *testing.T) {
 	}
 
 	// Invalid configurations fail keying.
-	r = base
-	r.Sim = &api.SimConfig{EdgeCap: -1}
-	if _, err := r.key(); err == nil {
-		t.Error("negative EdgeCap keyed without error")
+	for _, d := range []int{-1, 2, 8} {
+		r = base
+		r.Sim = &api.SimConfig{EdgeCap: d}
+		if _, err := r.key(); err == nil {
+			t.Errorf("EdgeCap %d keyed without error", d)
+		}
 	}
 	r = base
 	r.Level = api.Level(99)
@@ -282,5 +284,18 @@ func TestKeyStableOnDisk(t *testing.T) {
 	}
 	if k.String() != want {
 		t.Errorf("key = %s, want %s: persisted cache entries would stop re-hashing to their names", k, want)
+	}
+
+	// A non-default simulator config pins the spelled-out sim text
+	// (cache.go) beyond the defaults: the digest was computed while
+	// dataflow.Config still had its edge-depth field.
+	const wantSim = "b2488033f07ecb379b027b22dd1b533de838cc69c3edd3442831045c984230a3"
+	k, err = programKey(api.Program{Source: "int f(void){return 1;}", Level: api.LevelFull,
+		Sim: &api.SimConfig{Mem: &api.MemConfig{Kind: api.MemRealistic, Ports: 2}, MaxCycles: 1000000, EdgeCap: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.String() != wantSim {
+		t.Errorf("key = %s, want %s: persisted entries with a non-default sim config would stop re-hashing to their names", k, wantSim)
 	}
 }

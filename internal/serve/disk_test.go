@@ -223,26 +223,37 @@ func TestDiskUnusableDir(t *testing.T) {
 	}
 }
 
-// TestDiskPartitionedEntryDeleted: an entry persisted for the removed
-// partitioned mode (Partitions > 1, keyed "parts=N" when it was written)
-// can no longer re-hash to its filename. It is outdated, not corrupt, so
-// load deletes it like a stale wire version instead of quarantining it.
+// TestDiskPartitionedEntryDeleted: an entry persisted for a removed
+// execution mode can no longer re-hash to its filename: the partitioned
+// mode (Partitions > 1, keyed "parts=N" when it was written), or an edge
+// depth above one (sim.edge_cap > 1, which no longer keys; the file name
+// is the key such an entry was written under). It is outdated, not
+// corrupt, so load deletes it like a stale wire version instead of
+// quarantining it.
 func TestDiskPartitionedEntryDeleted(t *testing.T) {
-	dir := t.TempDir()
-	name := "2222222222222222222222222222222222222222222222222222222222222222.json"
-	body := `{"version":"` + api.Version + `","program":{"source":"int f(void){return 1;}","level":3,"partitions":4}}`
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, Config{Workers: 1, CacheEntries: 4, CacheDir: dir})
-	defer e.Close()
-	if s := e.Stats(); s.DiskLoaded != 0 || s.DiskQuarantined != 0 {
-		t.Fatalf("loaded %d / quarantined %d, want 0 / 0", s.DiskLoaded, s.DiskQuarantined)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
-		t.Fatalf("partitioned entry still on disk: %v", files)
-	}
-	if q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*")); len(q) != 0 {
-		t.Fatalf("partitioned entry quarantined: %v", q)
+	for _, tc := range []struct{ name, file, prog string }{
+		{"partitioned", "2222222222222222222222222222222222222222222222222222222222222222",
+			`{"source":"int f(void){return 1;}","level":3,"partitions":4}`},
+		{"deep-edges", "c22fa1cb8af07f8130488f3cafc4cfe8c8d0f9e3884931bac756b36d24b7cdda",
+			`{"source":"int f(void){return 1;}","level":3,"sim":{"edge_cap":8}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			body := `{"version":"` + api.Version + `","program":` + tc.prog + `}`
+			if err := os.WriteFile(filepath.Join(dir, tc.file+diskSuffix), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e := newEngine(t, Config{Workers: 1, CacheEntries: 4, CacheDir: dir})
+			defer e.Close()
+			if s := e.Stats(); s.DiskLoaded != 0 || s.DiskQuarantined != 0 {
+				t.Fatalf("loaded %d / quarantined %d, want 0 / 0", s.DiskLoaded, s.DiskQuarantined)
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
+				t.Fatalf("outdated entry still on disk: %v", files)
+			}
+			if q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*")); len(q) != 0 {
+				t.Fatalf("outdated entry quarantined: %v", q)
+			}
+		})
 	}
 }

@@ -79,9 +79,13 @@ func memOf(m *api.MemConfig) (memsys.Config, error) {
 }
 
 // simOf converts a wire simulator configuration; nil means defaults.
+// The deprecated edge_cap accepts only the one depth the engines model.
 func simOf(s *api.SimConfig) (dataflow.Config, error) {
 	if s == nil {
 		return dataflow.Config{}, nil
+	}
+	if s.EdgeCap != 0 && s.EdgeCap != 1 {
+		return dataflow.Config{}, fmt.Errorf("invalid sim.edge_cap %d: edges hold one value (omit the field, or send 0 or 1)", s.EdgeCap)
 	}
 	mem, err := memOf(s.Mem)
 	if err != nil {
@@ -89,7 +93,6 @@ func simOf(s *api.SimConfig) (dataflow.Config, error) {
 	}
 	return dataflow.Config{
 		Mem:            mem,
-		EdgeCap:        s.EdgeCap,
 		MaxCycles:      s.MaxCycles,
 		MaxActivations: s.MaxActivations,
 	}, nil

@@ -302,6 +302,16 @@ type Trace struct {
 	TokenReleases      int64
 }
 
+// TokenWaits is the number of blocked fire attempts attributed to a
+// memory token (StallToken), over every node.
+func (tr *Trace) TokenWaits() int64 {
+	var n int64
+	for _, sc := range tr.StallsByNode {
+		n += sc[StallToken]
+	}
+	return n
+}
+
 // Finish seals the tracer into a Trace.
 func (t *Tracer) Finish(cycles int64) *Trace {
 	return &Trace{
