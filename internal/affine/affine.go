@@ -13,46 +13,68 @@ import (
 
 // Expr is an affine expression: Const + Σ coeff·atom. Atoms are nodes the
 // decomposition cannot see through (parameters, loads, merges, ...).
+// Terms is sorted by atom ID, and add drops the terms it cancels.
+// Expressions are values: no operation writes into a Terms slice it did
+// not allocate, so results may share their operands' slices.
 type Expr struct {
-	Terms map[*pegasus.Node]int64
+	Terms []Term
 	Const int64
 	OK    bool
 }
 
-func cloneTerms(t map[*pegasus.Node]int64) map[*pegasus.Node]int64 {
-	c := make(map[*pegasus.Node]int64, len(t))
-	for k, v := range t {
-		c[k] = v
-	}
-	return c
+// Term is one coeff·atom summand of an Expr.
+type Term struct {
+	Atom  *pegasus.Node
+	Coeff int64
 }
 
 func atom(n *pegasus.Node) Expr {
-	return Expr{Terms: map[*pegasus.Node]int64{n: 1}, OK: true}
+	return Expr{Terms: []Term{{n, 1}}, OK: true}
 }
 
 func constant(v int64) Expr {
-	return Expr{Terms: map[*pegasus.Node]int64{}, Const: v, OK: true}
+	return Expr{Const: v, OK: true}
 }
 
+// add returns e + sign·o, merging the two ID-sorted term lists.
 func (e Expr) add(o Expr, sign int64) Expr {
-	r := Expr{Terms: cloneTerms(e.Terms), Const: e.Const + sign*o.Const, OK: true}
-	for k, v := range o.Terms {
-		r.Terms[k] += sign * v
-		if r.Terms[k] == 0 {
-			delete(r.Terms, k)
+	r := Expr{Const: e.Const + sign*o.Const, OK: true}
+	if len(o.Terms) == 0 {
+		r.Terms = e.Terms
+		return r
+	}
+	r.Terms = make([]Term, 0, len(e.Terms)+len(o.Terms))
+	a, b := e.Terms, o.Terms
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Atom.ID < b[0].Atom.ID:
+			r.Terms = append(r.Terms, a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0].Atom.ID < a[0].Atom.ID:
+			if c := sign * b[0].Coeff; c != 0 {
+				r.Terms = append(r.Terms, Term{b[0].Atom, c})
+			}
+			b = b[1:]
+		default:
+			if c := a[0].Coeff + sign*b[0].Coeff; c != 0 {
+				r.Terms = append(r.Terms, Term{a[0].Atom, c})
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
 	return r
 }
 
 func (e Expr) scale(c int64) Expr {
-	if c == 0 {
+	switch {
+	case c == 0:
 		return constant(0)
+	case c == 1 || len(e.Terms) == 0:
+		return Expr{Terms: e.Terms, Const: e.Const * c, OK: true}
 	}
-	r := Expr{Terms: map[*pegasus.Node]int64{}, Const: e.Const * c, OK: true}
-	for k, v := range e.Terms {
-		r.Terms[k] = v * c
+	r := Expr{Terms: make([]Term, len(e.Terms)), Const: e.Const * c, OK: true}
+	for i, t := range e.Terms {
+		r.Terms[i] = Term{t.Atom, t.Coeff * c}
 	}
 	return r
 }
@@ -143,15 +165,16 @@ type Induction struct {
 	Step  int64
 }
 
-// FindInductions locates the induction merges of a loop hyperblock. A
-// value merge qualifies when every back-edge input is an eta whose data
-// source decomposes to merge + step for one constant step.
-func FindInductions(g *pegasus.Graph, hyper int) map[*pegasus.Node]*Induction {
+// FindInductions locates the induction merges of a loop hyperblock among
+// nodes, the hyperblock's live nodes (Graph.NodesInHyper, or a pass's own
+// listing). A value merge qualifies when every back-edge input is an eta
+// whose data source decomposes to merge + step for one constant step.
+func FindInductions(g *pegasus.Graph, hyper int, nodes []*pegasus.Node) map[*pegasus.Node]*Induction {
 	out := map[*pegasus.Node]*Induction{}
 	if hyper < 0 || hyper >= len(g.Hypers) || !g.Hypers[hyper].IsLoop {
 		return out
 	}
-	for _, m := range g.NodesInHyper(hyper) {
+	for _, m := range nodes {
 		if m.Dead || m.Kind != pegasus.KMerge || m.TokenOnly {
 			continue
 		}
@@ -173,7 +196,7 @@ func FindInductions(g *pegasus.Graph, hyper int) map[*pegasus.Node]*Induction {
 				break
 			}
 			e := Decompose(eta.Ins[0].N)
-			if !e.OK || len(e.Terms) != 1 || e.Terms[m] != 1 {
+			if !e.OK || len(e.Terms) != 1 || e.Terms[0] != (Term{m, 1}) {
 				bad = true
 				break
 			}
@@ -203,16 +226,16 @@ func Monotone(e Expr, ind map[*pegasus.Node]*Induction, invariant func(*pegasus.
 	}
 	move := int64(0)
 	seenInd := false
-	for a, c := range e.Terms {
-		if iv, ok := ind[a]; ok {
+	for _, t := range e.Terms {
+		if iv, ok := ind[t.Atom]; ok {
 			if seenInd {
 				return false
 			}
 			seenInd = true
-			move = c * iv.Step
+			move = t.Coeff * iv.Step
 			continue
 		}
-		if invariant == nil || !invariant(a) {
+		if invariant == nil || !invariant(t.Atom) {
 			return false
 		}
 	}
@@ -243,13 +266,13 @@ func Distance(a, b Expr, ind map[*pegasus.Node]*Induction) (int64, bool) {
 	// Identify the shared induction atom and its movement.
 	var move int64
 	seen := false
-	for atomNode, coeff := range a.Terms {
-		if iv, ok := ind[atomNode]; ok {
+	for _, t := range a.Terms {
+		if iv, ok := ind[t.Atom]; ok {
 			if seen {
 				return 0, false
 			}
 			seen = true
-			move = coeff * iv.Step
+			move = t.Coeff * iv.Step
 		}
 	}
 	if !seen || move == 0 {

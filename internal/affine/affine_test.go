@@ -40,6 +40,16 @@ func (m *mini) bin(op cminor.BinOpKind, a, b *pegasus.Node) *pegasus.Node {
 	return n
 }
 
+// coeff returns the coefficient of atom n in e (0 when n is not a term).
+func coeff(e Expr, n *pegasus.Node) int64 {
+	for _, t := range e.Terms {
+		if t.Atom == n {
+			return t.Coeff
+		}
+	}
+	return 0
+}
+
 func (m *mini) neg(a *pegasus.Node) *pegasus.Node {
 	n := m.g.NewNode(pegasus.KUnOp, 0)
 	n.UnOp = pegasus.UNeg
@@ -61,7 +71,7 @@ func TestDecomposeLinear(t *testing.T) {
 	p := m.param(0)
 	// p*4 + 12
 	e := Decompose(m.bin(cminor.OpAdd, m.bin(cminor.OpMul, p, m.konst(4)), m.konst(12)))
-	if !e.OK || e.Const != 12 || e.Terms[p] != 4 {
+	if !e.OK || e.Const != 12 || coeff(e, p) != 4 {
 		t.Errorf("expr = %+v", e)
 	}
 }
@@ -70,8 +80,8 @@ func TestDecomposeShiftAsScale(t *testing.T) {
 	m := newMini()
 	p := m.param(0)
 	e := Decompose(m.bin(cminor.OpShl, p, m.konst(3)))
-	if e.Terms[p] != 8 {
-		t.Errorf("p<<3 coefficient = %d, want 8", e.Terms[p])
+	if coeff(e, p) != 8 {
+		t.Errorf("p<<3 coefficient = %d, want 8", coeff(e, p))
 	}
 }
 
@@ -80,11 +90,29 @@ func TestDecomposeSubAndNeg(t *testing.T) {
 	p, q := m.param(0), m.param(1)
 	// (p - q) + (-p) = -q
 	e := Decompose(m.bin(cminor.OpAdd, m.bin(cminor.OpSub, p, q), m.neg(p)))
-	if e.Terms[p] != 0 || e.Terms[q] != -1 {
+	if coeff(e, p) != 0 || coeff(e, q) != -1 {
 		t.Errorf("expr = %+v", e)
 	}
-	if _, present := e.Terms[p]; present {
+	if len(e.Terms) != 1 {
 		t.Error("cancelled term should be removed")
+	}
+}
+
+func TestDecomposeTermsSorted(t *testing.T) {
+	m := newMini()
+	p, q, r := m.param(0), m.param(1), m.param(2)
+	// 3r + q*2 - p: terms come out in atom-ID order whatever the
+	// expression's shape.
+	e := Decompose(m.bin(cminor.OpSub,
+		m.bin(cminor.OpAdd, m.bin(cminor.OpMul, m.konst(3), r), m.bin(cminor.OpMul, q, m.konst(2))), p))
+	want := []Term{{p, -1}, {q, 2}, {r, 3}}
+	if !e.OK || len(e.Terms) != len(want) {
+		t.Fatalf("expr = %+v", e)
+	}
+	for i := range want {
+		if e.Terms[i] != want[i] {
+			t.Errorf("term %d = %+v, want %+v", i, e.Terms[i], want[i])
+		}
 	}
 }
 
@@ -93,7 +121,7 @@ func TestDecomposeOpaque(t *testing.T) {
 	p, q := m.param(0), m.param(1)
 	mul := m.bin(cminor.OpMul, p, q) // non-affine
 	e := Decompose(mul)
-	if e.Terms[mul] != 1 || len(e.Terms) != 1 {
+	if coeff(e, mul) != 1 || len(e.Terms) != 1 {
 		t.Errorf("p*q should be an atom: %+v", e)
 	}
 }
@@ -168,7 +196,7 @@ func loopGraph(step int64) (*pegasus.Graph, *pegasus.Node) {
 
 func TestFindInductions(t *testing.T) {
 	g, m := loopGraph(1)
-	inds := FindInductions(g, 1)
+	inds := FindInductions(g, 1, g.NodesInHyper(1))
 	iv, ok := inds[m]
 	if !ok {
 		t.Fatal("induction merge not found")
@@ -177,14 +205,14 @@ func TestFindInductions(t *testing.T) {
 		t.Errorf("step = %d, want 1", iv.Step)
 	}
 	// Non-loop hyperblock yields nothing.
-	if len(FindInductions(g, 0)) != 0 {
+	if len(FindInductions(g, 0, g.NodesInHyper(0))) != 0 {
 		t.Error("inductions found in non-loop hyperblock")
 	}
 }
 
 func TestFindInductionsNegativeStep(t *testing.T) {
 	g, m := loopGraph(-1)
-	inds := FindInductions(g, 1)
+	inds := FindInductions(g, 1, g.NodesInHyper(1))
 	if iv := inds[m]; iv == nil || iv.Step != -1 {
 		t.Fatalf("descending induction not detected: %+v", inds[m])
 	}
@@ -192,7 +220,7 @@ func TestFindInductionsNegativeStep(t *testing.T) {
 
 func TestMonotone(t *testing.T) {
 	g, m := loopGraph(1)
-	inds := FindInductions(g, 1)
+	inds := FindInductions(g, 1, g.NodesInHyper(1))
 	inv := func(n *pegasus.Node) bool { return n.Kind == pegasus.KConst || n.Kind == pegasus.KParam }
 	// addr = base + 4*i: moves 4 bytes/iter, 4-byte access → monotone.
 	base := g.NewNode(pegasus.KParam, 1)
@@ -227,7 +255,7 @@ func TestMonotone(t *testing.T) {
 
 func TestDistance(t *testing.T) {
 	g, m := loopGraph(1)
-	inds := FindInductions(g, 1)
+	inds := FindInductions(g, 1, g.NodesInHyper(1))
 	four := g.NewNode(pegasus.KConst, 1)
 	four.VT = pegasus.I32
 	four.ConstVal = 4

@@ -58,17 +58,14 @@ func buildFunc(an *alias.Analysis, fn *cminor.FuncDecl) (*pegasus.Graph, error) 
 		return nil, err
 	}
 	b := &fnBuilder{
-		an:       an,
-		fn:       fn,
-		cg:       cg,
-		g:        pegasus.NewGraph(fn),
-		params:   map[*cminor.VarDecl]*pegasus.Node{},
-		pathPred: map[*cfg.Block]*pegasus.Node{},
-		inSnaps:  map[*cfg.Block][]*snap{},
-		headers:  map[*cfg.Block]*headerInfo{},
-		consts:   map[constKey]*pegasus.Node{},
-		addrs:    map[alias.ObjID]*pegasus.Node{},
-		bools:    map[boolKey]*pegasus.Node{},
+		an:     an,
+		fn:     fn,
+		cg:     cg,
+		g:      pegasus.NewGraph(fn),
+		params: map[*cminor.VarDecl]*pegasus.Node{},
+		consts: map[constKey]*pegasus.Node{},
+		addrs:  map[alias.ObjID]*pegasus.Node{},
+		bools:  map[boolKey]*pegasus.Node{},
 	}
 	b.build()
 	return b.g, nil

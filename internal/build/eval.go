@@ -14,15 +14,18 @@ func (b *fnBuilder) chainFor(rw alias.Set) (alias.ClassID, *tokChain) {
 		return -1, nil
 	}
 	cl := b.an.ClassOf(rw.Elems()[0])
-	return cl, b.tok[cl]
+	if ci := b.classIdx[cl]; ci >= 0 {
+		return cl, &b.tok[ci]
+	}
+	return cl, nil
 }
 
 // chainRead joins n into ch as a read: it waits on the whole write
 // frontier (never on other reads) and covers it.
 func chainRead(ch *tokChain, n *pegasus.Node) {
-	for _, w := range ch.writes {
-		n.AddTok(w)
-		ch.covered[w] = true
+	for k := range ch.writes {
+		n.AddTok(ch.writes[k].ref)
+		ch.writes[k].covered = true
 	}
 	ch.reads = append(ch.reads, pegasus.T(n))
 }
@@ -35,13 +38,11 @@ func chainWrite(ch *tokChain, n *pegasus.Node) {
 		n.AddTok(r)
 	}
 	for _, w := range ch.writes {
-		if !ch.covered[w] {
-			n.AddTok(w)
+		if !w.covered {
+			n.AddTok(w.ref)
 		}
 	}
-	ch.writes = []pegasus.Ref{pegasus.T(n)}
-	ch.reads = nil
-	ch.covered = map[pegasus.Ref]bool{}
+	ch.reset(pegasus.T(n))
 }
 
 // load creates a predicated load ordered after the write frontier of
@@ -100,21 +101,25 @@ func (b *fnBuilder) emitCall(e *cminor.CallExpr) pegasus.Ref {
 	rw.Union(n.Writes)
 	n.RW = rw
 
-	written := map[alias.ClassID]bool{}
-	for _, o := range n.Writes.Elems() {
-		written[b.an.ClassOf(o)] = true
-	}
-	read := map[alias.ClassID]bool{}
+	// Per threaded class: 2 if the call may write it, else 1 if it may
+	// read it.
+	access := make([]uint8, len(b.classes))
 	for _, o := range n.Reads.Elems() {
-		read[b.an.ClassOf(o)] = true
+		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
+			access[ci] = 1
+		}
 	}
-	for _, cl := range b.classes {
-		ch := b.tok[cl]
-		switch {
-		case written[cl]:
-			chainWrite(ch, n)
-		case read[cl]:
-			chainRead(ch, n)
+	for _, o := range n.Writes.Elems() {
+		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
+			access[ci] = 2
+		}
+	}
+	for ci := range b.classes {
+		switch access[ci] {
+		case 2:
+			chainWrite(&b.tok[ci], n)
+		case 1:
+			chainRead(&b.tok[ci], n)
 		}
 	}
 	if e.Func.Ret.Kind != cminor.TypeVoid {
@@ -125,32 +130,39 @@ func (b *fnBuilder) emitCall(e *cminor.CallExpr) pegasus.Ref {
 }
 
 // boundaries collapses the per-class token state to a single token per
-// class for an edge leaving the hyperblock (or closing a loop): etas and
-// return sites carry exactly one token. Mutating the chains keeps
-// repeated snapshots (one per out edge) consistent.
-func (b *fnBuilder) boundaries() map[alias.ClassID]pegasus.Ref {
-	out := make(map[alias.ClassID]pegasus.Ref, len(b.classes))
-	for _, cl := range b.classes {
-		ch := b.tok[cl]
-		frontier := append([]pegasus.Ref(nil), ch.reads...)
+// class, written to out by class, for an edge leaving the hyperblock (or
+// closing a loop): etas and return sites carry exactly one token.
+// Mutating the chains keeps repeated snapshots (one per out edge)
+// consistent.
+func (b *fnBuilder) boundaries(out []pegasus.Ref) {
+	for ci, cl := range b.classes {
+		ch := &b.tok[ci]
+		n := len(ch.reads)
 		for _, w := range ch.writes {
-			if !ch.covered[w] {
-				frontier = append(frontier, w)
+			if !w.covered {
+				n++
+				out[ci] = w.ref
 			}
 		}
-		if len(frontier) == 1 {
-			out[cl] = frontier[0]
+		if n == 1 {
+			if len(ch.reads) == 1 {
+				out[ci] = ch.reads[0]
+			}
 			continue
+		}
+		frontier := make([]pegasus.Ref, 0, n)
+		frontier = append(frontier, ch.reads...)
+		for _, w := range ch.writes {
+			if !w.covered {
+				frontier = append(frontier, w.ref)
+			}
 		}
 		comb := b.g.NewNode(pegasus.KCombine, b.hyper)
 		comb.TokClass = cl
 		comb.Toks = frontier
-		out[cl] = pegasus.T(comb)
-		ch.writes = []pegasus.Ref{pegasus.T(comb)}
-		ch.reads = nil
-		ch.covered = map[pegasus.Ref]bool{}
+		out[ci] = pegasus.T(comb)
+		ch.reset(pegasus.T(comb))
 	}
-	return out
 }
 
 // spillParams stores address-taken parameters into their frame objects at

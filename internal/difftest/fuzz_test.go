@@ -16,8 +16,14 @@ import (
 // Run a short budget with:
 //
 //	go test -fuzz=FuzzDifferential -fuzztime=30s -run '^$' ./internal/difftest
+//
+// Under -short (the race job) the corpus is seeds 1–2 instead of 1–8.
 func FuzzDifferential(f *testing.F) {
-	for s := int64(1); s <= 8; s++ {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 2
+	}
+	for s := int64(1); s <= seeds; s++ {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -34,15 +40,20 @@ func FuzzDifferential(f *testing.F) {
 
 // TestDifferentialSeeds is the deterministic slice of the fuzz target
 // that runs under plain `go test`: clean equivalence on a spread of
-// seeds, plus the full fault battery on a few.
+// seeds, plus the full fault battery on a few. Under -short (the race
+// job) it checks seeds 1–4 clean and seed 1 under faults.
 func TestDifferentialSeeds(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
+	clean, faulted := int64(12), int64(3)
+	if testing.Short() {
+		clean, faulted = 4, 1
+	}
+	for seed := int64(1); seed <= clean; seed++ {
 		src := progen.Generate(progen.DefaultConfig(seed))
 		if err := Check(src, 0); err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}
 	}
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= faulted; seed++ {
 		src := progen.Generate(progen.DefaultConfig(seed))
 		rep, err := CheckFaults(src, seed, 0)
 		if err != nil {

@@ -183,11 +183,14 @@ func (h *hoister) entryValue(n *pegasus.Node) pegasus.Ref {
 func loopInvariantMotion(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
+	// Listed once: hoisting from loop h adds nodes only to h and to its
+	// predecessor, which precedes it, and kills only loads it checks.
+	lists := c.listHypers()
 	for hyper := range g.Hypers {
 		if !g.Hypers[hyper].IsLoop {
 			continue
 		}
-		nodes := g.NodesInHyper(hyper)
+		nodes := lists[hyper]
 		le, ok := findLoopEntry(g, hyper, nodes)
 		if !ok {
 			continue

@@ -44,13 +44,14 @@ func memMerge(c *ctx) (bool, error) {
 	reach := pegasus.NewReachability(g)
 	// Group candidate ops by hyperblock. Merging creates no memory
 	// operations and kills only ops of the hyperblock being scanned.
-	byHyper := make([][]*pegasus.Node, len(g.Hypers))
-	for _, n := range g.Nodes {
-		if !n.Dead && (n.IsMemOp() || n.Kind == pegasus.KCall) {
-			byHyper[n.Hyper] = append(byHyper[n.Hyper], n)
+	for _, ops := range c.listHypers() {
+		kept := ops[:0]
+		for _, n := range ops {
+			if n.IsMemOp() || n.Kind == pegasus.KCall {
+				kept = append(kept, n)
+			}
 		}
-	}
-	for _, ops := range byHyper {
+		ops = kept
 		for i := 0; i < len(ops); i++ {
 			a := ops[i]
 			if a.Dead || a.Kind == pegasus.KCall {
@@ -136,7 +137,7 @@ func mergeStores(c *ctx, reach *pegasus.Reachability, a, b, pa, pb *pegasus.Node
 func storeBeforeStore(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
-	uses := g.UseCounts()
+	uses := c.scratch.UseCounts(g)
 	for _, s2 := range g.Nodes {
 		if s2.Dead || s2.Kind != pegasus.KStore {
 			continue
@@ -166,7 +167,7 @@ func storeBeforeStore(c *ctx) (bool, error) {
 			if g.IsConstFalse(newPred) {
 				spliceTokens(g, s1)
 				s1.Dead = true
-				uses = g.UseCounts()
+				uses = c.scratch.UseCounts(g)
 			}
 		}
 	}

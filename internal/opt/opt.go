@@ -129,10 +129,53 @@ type pass struct {
 	run     func(*ctx) (bool, error)
 }
 
-// ctx carries shared state across passes for one graph.
+// ctx carries shared state across passes for one graph, with working
+// memory the passes reuse from round to round. optimizeGraph owns it and
+// drops it when the graph is done, so none of it stays reachable from the
+// optimized graph.
 type ctx struct {
 	prog *pegasus.Program
 	g    *pegasus.Graph
+
+	scratch pegasus.Scratch          // Verify, Topo and UseCounts
+	cse     map[cseKey]*pegasus.Node // commonSubexpr's table
+	hypers  [][]*pegasus.Node        // listHypers' per-hyperblock lists
+	tok     tokenScratch             // tokenRemoval's per-pass state
+	live    []bool                   // deadCode's marks,
+	stack   []*pegasus.Node          // and its work list
+}
+
+// zeroed returns buf with length n and every element zero, reusing its
+// array when it is large enough. A new array leaves room for the graph to
+// grow by a quarter.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// listHypers lists the live nodes of every hyperblock, each in node
+// order, in one scan of the graph, reusing the lists' memory. The lists
+// stay valid until the next call; a pass lists once and keeps track of
+// the nodes it adds.
+func (c *ctx) listHypers() [][]*pegasus.Node {
+	g := c.g
+	for len(c.hypers) < len(g.Hypers) {
+		c.hypers = append(c.hypers, nil)
+	}
+	lists := c.hypers[:len(g.Hypers)]
+	for h := range lists {
+		lists[h] = lists[h][:0]
+	}
+	for _, n := range g.Nodes {
+		if !n.Dead {
+			lists[n.Hyper] = append(lists[n.Hyper], n)
+		}
+	}
+	return lists
 }
 
 func optimizeGraph(p *pegasus.Program, g *pegasus.Graph, o Options) error {
@@ -178,7 +221,7 @@ func optimizeGraph(p *pegasus.Program, g *pegasus.Graph, o Options) error {
 					changed = true
 				}
 			}
-			if err := g.Verify(); err != nil {
+			if err := c.scratch.Verify(g); err != nil {
 				return fmt.Errorf("after optimization round %d: %w", round, err)
 			}
 			if !changed {
@@ -192,7 +235,7 @@ func optimizeGraph(p *pegasus.Program, g *pegasus.Graph, o Options) error {
 			if _, err := ps.run(c); err != nil {
 				return fmt.Errorf("pass %s: %w", ps.name, err)
 			}
-			if err := g.Verify(); err != nil {
+			if err := c.scratch.Verify(g); err != nil {
 				return fmt.Errorf("after pass %s: %w", ps.name, err)
 			}
 		}

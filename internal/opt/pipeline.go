@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"sort"
 
 	"spatial/internal/affine"
@@ -92,18 +93,17 @@ func (cir *circuit) freeRun() {
 	cir.backEta.Toks[0] = pegasus.T(cir.tm)
 }
 
-// classesIn returns the distinct classes with a token merge among nodes.
+// classesIn returns the distinct classes with a token merge among nodes,
+// in increasing order.
 func classesIn(nodes []*pegasus.Node) []int {
 	var out []int
-	seen := map[int]bool{}
 	for _, n := range nodes {
-		if !n.Dead && n.Kind == pegasus.KMerge && n.TokenOnly && !seen[int(n.TokClass)] {
-			seen[int(n.TokClass)] = true
+		if !n.Dead && n.Kind == pegasus.KMerge && n.TokenOnly {
 			out = append(out, int(n.TokClass))
 		}
 	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
 
 // readOnlyLoops applies the Section 6.1 transformation: a class accessed
@@ -133,12 +133,16 @@ func loopDecouple(c *ctx) (bool, error) {
 func pipelineLoops(c *ctx, allowWrites, decouple bool) (bool, error) {
 	g := c.g
 	changed := false
+	// Listed once: a decoupling adds nodes only to the loop being
+	// transformed, which picks them up below.
+	lists := c.listHypers()
 	for h := range g.Hypers {
 		hb := g.Hypers[h]
 		if !hb.IsLoop || hb.LoopPred == nil || hb.LoopPred.Hyper != h {
 			continue
 		}
-		inds := affine.FindInductions(g, h)
+		nodes, listed := lists[h], len(g.Nodes)
+		inds := affine.FindInductions(g, h, nodes)
 		invariant := func(n *pegasus.Node) bool {
 			switch n.Kind {
 			case pegasus.KConst, pegasus.KAddrOf, pegasus.KParam:
@@ -152,13 +156,15 @@ func pipelineLoops(c *ctx, allowWrites, decouple bool) (bool, error) {
 			}
 			return false
 		}
-		// h's live nodes, listed again whenever the graph has grown (a
-		// decoupling adds nodes to h).
-		nodes, listed := g.NodesInHyper(h), len(g.Nodes)
 		for _, cl := range classesIn(nodes) {
-			if len(g.Nodes) != listed {
-				nodes, listed = g.NodesInHyper(h), len(g.Nodes)
+			// Nothing here kills a node, so h's list grows only by the
+			// nodes a decoupling appends to the graph.
+			for _, n := range g.Nodes[listed:] {
+				if n.Hyper == h {
+					nodes = append(nodes, n)
+				}
 			}
+			listed = len(g.Nodes)
 			cir, ok := findCircuit(c, h, nodes, cl)
 			if !ok || cir.calls || cir.alreadyFree() {
 				continue
@@ -234,9 +240,9 @@ func classifyAccesses(g *pegasus.Graph, cir *circuit, inds map[*pegasus.Node]*af
 	// difference measured in iterations.
 	base := exprs[0].expr
 	var move int64
-	for a, coeff := range base.Terms {
-		if iv, ok := inds[a]; ok {
-			move = coeff * iv.Step
+	for _, t := range base.Terms {
+		if iv, ok := inds[t.Atom]; ok {
+			move = t.Coeff * iv.Step
 		}
 	}
 	if move == 0 {

@@ -200,27 +200,35 @@ func foldBin(c *ctx, n *pegasus.Node) pegasus.Ref {
 	return pegasus.Ref{}
 }
 
-// cseKey identifies structurally-equal pure nodes.
+// cseKey identifies structurally-equal pure nodes. Operands are keyed by
+// operandKey, and val holds the constant or the object, whichever the
+// kind has.
 type cseKey struct {
 	kind     pegasus.Kind
-	binOp    cminor.BinOpKind
-	unOp     pegasus.UnOpKind
+	op       uint8 // BinOp or UnOp
 	unsigned bool
-	toBits   int
 	convSign bool
+	toBits   int32
 	vt       pegasus.VType
-	obj      int
-	in0, in1 pegasus.Ref
-	cval     int64
+	in0, in1 int64
+	val      int64
 }
 
+// operandKey names an input by its producer's ID and output.
+func operandKey(r pegasus.Ref) int64 { return int64(r.N.ID)<<1 | int64(r.Out) }
+
 // commonSubexpr merges structurally identical pure value nodes.
-// Commutative operators are normalized by operand ID.
+// Commutative operators are normalized by operand ID. The table is the
+// ctx's, emptied on each call, so rounds reuse its memory.
 func commonSubexpr(c *ctx) (bool, error) {
 	g := c.g
-	seen := map[cseKey]*pegasus.Node{}
+	if c.cse == nil {
+		c.cse = make(map[cseKey]*pegasus.Node, len(g.Nodes)/2)
+	}
+	seen := c.cse
+	clear(seen)
 	changed := false
-	for _, n := range g.Topo() {
+	for _, n := range c.scratch.Topo(g) {
 		if n.Dead {
 			continue
 		}
@@ -234,15 +242,17 @@ func commonSubexpr(c *ctx) (bool, error) {
 			if isCommutative(n.BinOp) && refOrder(b, a) {
 				a, b = b, a
 			}
-			key = cseKey{kind: n.Kind, binOp: n.BinOp, unsigned: n.Unsigned, vt: n.VT, in0: a, in1: b}
+			key = cseKey{kind: n.Kind, op: uint8(n.BinOp), unsigned: n.Unsigned, vt: n.VT,
+				in0: operandKey(a), in1: operandKey(b)}
 		case pegasus.KUnOp:
-			key = cseKey{kind: n.Kind, unOp: n.UnOp, vt: n.VT, in0: n.Ins[0]}
+			key = cseKey{kind: n.Kind, op: uint8(n.UnOp), vt: n.VT, in0: operandKey(n.Ins[0])}
 		case pegasus.KConv:
-			key = cseKey{kind: n.Kind, toBits: n.ToBits, convSign: n.ConvSign, vt: n.VT, in0: n.Ins[0]}
+			key = cseKey{kind: n.Kind, toBits: int32(n.ToBits), convSign: n.ConvSign, vt: n.VT,
+				in0: operandKey(n.Ins[0])}
 		case pegasus.KAddrOf:
-			key = cseKey{kind: n.Kind, obj: int(n.Obj)}
+			key = cseKey{kind: n.Kind, val: int64(n.Obj)}
 		case pegasus.KConst:
-			key = cseKey{kind: n.Kind, cval: n.ConstVal, vt: n.VT}
+			key = cseKey{kind: n.Kind, val: n.ConstVal, vt: n.VT}
 		default:
 			continue
 		}
@@ -282,7 +292,7 @@ func deadCode(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
 	// First: loads with no value uses but live tokens get spliced out.
-	uses := g.UseCounts()
+	uses := c.scratch.UseCounts(g)
 	for _, n := range g.Nodes {
 		if n.Dead || n.Kind != pegasus.KLoad {
 			continue
@@ -294,8 +304,8 @@ func deadCode(c *ctx) (bool, error) {
 		}
 	}
 	// Mark phase.
-	live := make([]bool, g.MaxID())
-	var stack []*pegasus.Node
+	c.live = zeroed(c.live, g.MaxID())
+	live, stack := c.live, c.stack[:0]
 	push := func(n *pegasus.Node) {
 		if n != nil && !n.Dead && !live[n.ID] {
 			live[n.ID] = true
@@ -320,6 +330,7 @@ func deadCode(c *ctx) (bool, error) {
 			}
 		})
 	}
+	c.stack = stack
 	for _, n := range g.Nodes {
 		if !n.Dead && !live[n.ID] {
 			n.Dead = true

@@ -31,10 +31,23 @@ func (n *Node) EachInput(f func(r *Ref, port Port, idx int)) {
 	}
 }
 
+// Scratch is working memory the whole-graph analyses (Verify, Topo,
+// UseCounts) reuse from call to call. A pass driver keeps one per graph
+// and drops it when the graph is done, so none of it stays reachable from
+// the graph; Graph.Verify and Graph.Topo use a fresh one. A Scratch
+// serves one goroutine, and a result it returns is valid until its next
+// call. The zero value is ready to use.
+type Scratch struct {
+	state  []uint8
+	order  []*Node
+	counts []UseCount
+}
+
 // UseCounts counts the uses of every node's outputs by live nodes,
 // indexed by producer ID (length MaxID).
-func (g *Graph) UseCounts() []UseCount {
-	counts := make([]UseCount, g.nextID)
+func (s *Scratch) UseCounts(g *Graph) []UseCount {
+	s.counts = resize(s.counts, g.nextID)
+	counts := s.counts
 	for _, n := range g.Nodes {
 		if n.Dead {
 			continue
@@ -51,6 +64,18 @@ func (g *Graph) UseCounts() []UseCount {
 		})
 	}
 	return counts
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// array when it is large enough. A new array leaves room for the graph to
+// grow by a quarter.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // ReplaceUses rewires every use of output (old, out) to point at newRef.
@@ -130,47 +155,54 @@ const (
 	finished
 )
 
-// topo walks the live nodes depth first along forward edges, in node
-// order, and returns them in postorder. If the walk meets a node already
-// on its path, it stops and returns that node as cycle (order is then
-// partial).
-func (g *Graph) topo() (order []*Node, cycle *Node) {
-	state := make([]uint8, g.nextID)
-	order = make([]*Node, 0, len(g.Nodes))
+// walk visits the live nodes depth first along forward edges, in node
+// order, appending each to s.order in postorder when order is set. If the
+// walk meets a node already on its path, it stops and returns that node
+// as cycle (the order is then partial).
+func (s *Scratch) walk(g *Graph, order bool) (cycle *Node) {
+	s.state = resize(s.state, g.nextID)
+	s.order = s.order[:0]
+	if order && cap(s.order) < len(g.Nodes) {
+		s.order = make([]*Node, 0, len(g.Nodes))
+	}
 	var visit func(n *Node) bool
 	visit = func(n *Node) bool {
-		switch state[n.ID] {
+		switch s.state[n.ID] {
 		case onPath:
 			cycle = n
 			return false
 		case finished:
 			return true
 		}
-		state[n.ID] = onPath
+		s.state[n.ID] = onPath
 		if !g.eachForward(n, visit) {
 			return false
 		}
-		state[n.ID] = finished
-		order = append(order, n)
+		s.state[n.ID] = finished
+		if order {
+			s.order = append(s.order, n)
+		}
 		return true
 	}
 	for _, n := range g.Nodes {
 		if !n.Dead && !visit(n) {
-			return order, cycle
+			return cycle
 		}
 	}
-	return order, nil
+	return nil
 }
 
 // Topo returns all live nodes in a topological order of the forward edges
 // (back edges into loop merges are ignored). It panics on an unexpected
 // cycle; Verify reports cycles with diagnostics first.
-func (g *Graph) Topo() []*Node {
-	order, cycle := g.topo()
-	if cycle != nil {
+func (g *Graph) Topo() []*Node { return new(Scratch).Topo(g) }
+
+// Topo is Graph.Topo into s's memory.
+func (s *Scratch) Topo(g *Graph) []*Node {
+	if cycle := s.walk(g, true); cycle != nil {
 		panic(fmt.Sprintf("pegasus: cycle through %s in %s", cycle, g.Name))
 	}
-	return order
+	return s.order
 }
 
 // Reachability answers "can a value/token flow from a to b along forward

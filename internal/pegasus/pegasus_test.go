@@ -150,12 +150,23 @@ func TestAnalysesAllocateConstant(t *testing.T) {
 	for name, f := range map[string]func(g *Graph){
 		"Verify":    func(g *Graph) { _ = g.Verify() },
 		"Topo":      func(g *Graph) { _ = g.Topo() },
-		"UseCounts": func(g *Graph) { _ = g.UseCounts() },
+		"UseCounts": func(g *Graph) { _ = new(Scratch).UseCounts(g) },
 	} {
 		a := testing.AllocsPerRun(20, func() { f(small) })
 		b := testing.AllocsPerRun(20, func() { f(large) })
 		if a != b {
 			t.Errorf("%s: %v allocations on %d nodes, %v on %d", name, a, len(small.Nodes), b, len(large.Nodes))
+		}
+	}
+	// A pass driver's Scratch, once grown, makes them allocate nothing.
+	var s Scratch
+	for name, f := range map[string]func(){
+		"Scratch.Verify":    func() { _ = s.Verify(large) },
+		"Scratch.Topo":      func() { _ = s.Topo(large) },
+		"Scratch.UseCounts": func() { _ = s.UseCounts(large) },
+	} {
+		if a := testing.AllocsPerRun(20, f); a != 0 {
+			t.Errorf("%s: %v allocations with a reused Scratch", name, a)
 		}
 	}
 }
@@ -212,7 +223,7 @@ func TestReplaceUses(t *testing.T) {
 
 func TestUsesIndex(t *testing.T) {
 	g, load, store := tinyGraph(t)
-	uses := g.UseCounts()
+	uses := new(Scratch).UseCounts(g)
 	// load's value feeds the return and its token the store; the store's
 	// token feeds the return.
 	for _, c := range []struct {

@@ -15,7 +15,10 @@ import "fmt"
 //   - the graph is acyclic when loop back edges (into merges of loop
 //     hyperblocks) are ignored;
 //   - hyperblock indices are in range.
-func (g *Graph) Verify() error {
+func (g *Graph) Verify() error { return new(Scratch).Verify(g) }
+
+// Verify is Graph.Verify with s's memory for the acyclicity walk.
+func (s *Scratch) Verify(g *Graph) error {
 	for _, n := range g.Nodes {
 		if n.Dead {
 			continue
@@ -60,7 +63,10 @@ func (g *Graph) Verify() error {
 			return err
 		}
 	}
-	return g.verifyAcyclic()
+	if cycle := s.walk(g, false); cycle != nil {
+		return fmt.Errorf("%s: forward-edge cycle through %s", g.Name, cycle)
+	}
+	return nil
 }
 
 func (g *Graph) verifyShape(n *Node) error {
@@ -142,14 +148,6 @@ func (g *Graph) verifyShape(n *Node) error {
 		if n.TokN <= 0 {
 			return bad("token generator has non-positive count %d", n.TokN)
 		}
-	}
-	return nil
-}
-
-// verifyAcyclic checks that forward edges form a DAG.
-func (g *Graph) verifyAcyclic() error {
-	if _, cycle := g.topo(); cycle != nil {
-		return fmt.Errorf("%s: forward-edge cycle through %s", g.Name, cycle)
 	}
 	return nil
 }
