@@ -874,12 +874,11 @@ func (a *Analysis) IsConstSet(s Set) bool {
 	if s.Empty() {
 		return false
 	}
-	for _, o := range s.Elems() {
-		if !a.Objects[o].Const {
-			return false
-		}
-	}
-	return true
+	all := true
+	s.Each(func(o ObjID) {
+		all = all && a.Objects[o].Const
+	})
+	return all
 }
 
 // --- function summaries ---

@@ -98,6 +98,26 @@ func (s Set) Len() int {
 	return n
 }
 
+// First returns the smallest member, or false when the set is empty.
+func (s Set) First() (ObjID, bool) {
+	for wi, w := range s.words {
+		if w != 0 {
+			return ObjID(wi*64 + bits.TrailingZeros64(w)), true
+		}
+	}
+	return 0, false
+}
+
+// Each calls f on every member in increasing order, without allocating.
+func (s Set) Each(f func(ObjID)) {
+	for wi, w := range s.words {
+		for w != 0 {
+			f(ObjID(wi*64 + bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+}
+
 // Elems returns the members in increasing order.
 func (s Set) Elems() []ObjID {
 	var out []ObjID

@@ -127,3 +127,45 @@ func TestSetIntersectsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: First and Each agree with Elems (the smallest member, every
+// member in increasing order) and allocate nothing.
+func TestSetFirstEachProperty(t *testing.T) {
+	f := func(xs []uint8) bool {
+		var s Set
+		for _, x := range xs {
+			s.Add(ObjID(x) * 3) // spans several words
+		}
+		elems := s.Elems()
+		first, ok := s.First()
+		if ok != (len(elems) > 0) || ok && first != elems[0] {
+			return false
+		}
+		var seen []ObjID
+		s.Each(func(o ObjID) { seen = append(seen, o) })
+		if len(seen) != len(elems) {
+			return false
+		}
+		for i := range seen {
+			if seen[i] != elems[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	s := SetOf(5, 70, 700)
+	sum := ObjID(0)
+	if n := testing.AllocsPerRun(10, func() {
+		first, _ := s.First()
+		sum = first
+		s.Each(func(o ObjID) { sum += o })
+	}); n != 0 {
+		t.Errorf("First and Each: %.0f allocations, want 0", n)
+	}
+	if sum != 780 {
+		t.Errorf("First+Each sum = %d, want 780", sum)
+	}
+}

@@ -10,10 +10,11 @@ import (
 // the access needs no ordering: immutable objects never change, so their
 // reads commute with everything (Section 4.2).
 func (b *fnBuilder) chainFor(rw alias.Set) (alias.ClassID, *tokChain) {
-	if rw.Empty() || b.an.IsConstSet(rw) {
+	first, ok := rw.First()
+	if !ok || b.an.IsConstSet(rw) {
 		return -1, nil
 	}
-	cl := b.an.ClassOf(rw.Elems()[0])
+	cl := b.an.ClassOf(first)
 	if ci := b.classIdx[cl]; ci >= 0 {
 		return cl, &b.tok[ci]
 	}
@@ -104,16 +105,16 @@ func (b *fnBuilder) emitCall(e *cminor.CallExpr) pegasus.Ref {
 	// Per threaded class: 2 if the call may write it, else 1 if it may
 	// read it.
 	access := make([]uint8, len(b.classes))
-	for _, o := range n.Reads.Elems() {
+	n.Reads.Each(func(o alias.ObjID) {
 		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
 			access[ci] = 1
 		}
-	}
-	for _, o := range n.Writes.Elems() {
+	})
+	n.Writes.Each(func(o alias.ObjID) {
 		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
 			access[ci] = 2
 		}
-	}
+	})
 	for ci := range b.classes {
 		switch access[ci] {
 		case 2:

@@ -8,7 +8,8 @@ package codegen_test
 // grow in a handful of allocations, so the budget is per *run*, not per
 // event: a fixed few are fine, anything that scales with events is not.
 // Fresh runs: with every pool emptied, a run pays only for the state it
-// touches, on both engines.
+// touches, on both engines. Footprint: a lowered module keeps its rules
+// and their tables, and nothing else.
 
 import (
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"spatial/internal/core"
 	"spatial/internal/dataflow"
 	"spatial/internal/opt"
+	"spatial/internal/pegasus"
 	"spatial/internal/workloads"
 )
 
@@ -119,5 +121,43 @@ func TestFreshRunAllocs(t *testing.T) {
 			t.Errorf("%s: fresh run of %s allocated %d bytes (%d objects), budget 1 MiB",
 				eng.name, w.Name, b, after.Mallocs-before.Mallocs)
 		}
+	}
+}
+
+// TestModuleFootprint lowers the 22 suite programs at O3 and bounds the
+// heap the modules retain, read after two GCs like TestFreshRunAllocs.
+// cashd keeps the module of every cached program it has run, so this is
+// paid per cached program. Rules are 128 bytes over per-graph operand,
+// port-list and consumer tables sized exactly at lowering; the budget
+// sits about 10% above the 1,443 KB measured when it was set
+// (EXPERIMENTS.md, "Compact lowered modules").
+func TestModuleFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting measures the race detector, not the engines")
+	}
+	ws := workloads.All()
+	progs := make([]*pegasus.Program, len(ws))
+	for i, w := range ws {
+		cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		progs[i] = cp.Program
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mods := make([]*codegen.Module, len(progs))
+	for i, p := range progs {
+		mods[i] = codegen.Compile(p)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(mods)
+	const budget = 1590 << 10
+	if b := int64(after.HeapAlloc) - int64(before.HeapAlloc); b > budget {
+		t.Errorf("the 22 suite modules at O3 retain %d KB, budget %d KB", b>>10, budget>>10)
 	}
 }

@@ -88,4 +88,9 @@ func TestBlockedByGate(t *testing.T) {
 	if size := unsafe.Sizeof(vnode{}); size != 32 {
 		t.Errorf("vnode is %d bytes, want 32", size)
 	}
+	// A rule keeps only what a firing reads inline; its lists live in
+	// the graph's tables.
+	if size := unsafe.Sizeof(rule{}); size > 128 {
+		t.Errorf("rule is %d bytes, want at most 128", size)
+	}
 }

@@ -85,8 +85,8 @@ type oparg struct {
 
 // dest is one consumer edge of a rule's output: the consuming rule (for
 // the delivery's recheck) and the flat port index the value lands in.
-// The occupancy counter for edge i of a rule lives at occ[base+i], so no
-// index needs to ride along.
+// Consumer edges live in gprog.dests at their occupancy slots, so edge i
+// of a rule's class is dests[base+i] and its count is occ[base+i].
 type dest struct {
 	rule int32
 	port int32
@@ -94,59 +94,57 @@ type dest struct {
 
 // rule is the lowered firing rule of one dynamic node. Which fields are
 // meaningful depends on op; all are resolved at lowering time so the VM
-// never touches *pegasus.Node on the hot path.
+// never touches *pegasus.Node on the hot path. Everything a firing reads
+// is inline; the variable-length lists (operands, port lists, consumer
+// edges) live in the gprog's tables, which the rule indexes by int32
+// offsets, so a rule is 128 bytes (TestBlockedByGate pins it).
 type rule struct {
-	op         opcode
-	fireOnce   bool // zero dynamic inputs: fires exactly once per activation
-	outTok     bool // primary output is the token output (combine, token-only merge/eta)
-	unsigned   bool // opBin
-	convSign   bool // opConv
-	loadSigned bool // opLoad: sign-extend sub-word loads
-	needVal    bool // opLoad: value output has consumers
-	hasValue   bool // opCall: callee returns a value
-	bin        cminor.BinOpKind
-	un         pegasus.UnOpKind
-	nodeID     int32 // pegasus node ID (fault matching, stuck reports)
-	toBits     int32 // opConv
-	bytes      int32 // opLoad/opStore access size
-	tokN       int32 // opTokGen initial credit
-	tokPort    int32 // opTokGen: port of Toks[0]
-	lat        int64 // output latency in cycles
-
+	op       opcode
+	fireOnce bool  // zero dynamic inputs: fires exactly once per activation
+	outTok   bool  // primary output is the token output (combine, token-only merge/eta)
+	unsigned bool  // opBin
+	signed   bool  // opConv, opLoad: sign-extend the narrow result
+	hasValue bool  // opCall: callee returns a value
+	bin      uint8 // opBin: a cminor.BinOpKind
+	un       pegasus.UnOpKind
+	toBits   uint8 // opConv
+	bytes    uint8 // opLoad/opStore access size
+	lat      uint8 // output latency in cycles
 	// shape marks a specialized operand pattern (shBin2/shUn1/shConv1)
 	// that the pre-gated firing path executes without the generic
 	// consume loops; shapeA/shapeB are its dynamic input ports.
 	shape          uint8
 	shapeA, shapeB int32
+	nodeID         int32 // pegasus node ID (fault matching, stuck reports)
+	tokN           int32 // opTokGen initial credit
+	tokPort        int32 // opTokGen: port of Toks[0]
 
-	// needPorts lists the dynamic input ports that must be non-empty
-	// before an all-inputs rule (simple/mem/call/return) may fire.
-	needPorts []int32
-	// ins/preds/toks are the full operand lists in consume order.
-	ins, preds, toks []oparg
-	// predArg/dataArg are the eta and tokgen fast-path operands.
-	predArg oparg
-	dataArg oparg
-	// srcPorts are a merge's dynamic source ports in declaration order.
-	srcPorts []int32
+	// The full operand lists in consume order: nIns ins, nPreds preds
+	// and nToks toks from gprog.args[argOff] on (all-input rules).
+	argOff, nIns, nPreds, nToks int32
+	// The rule's port list, gprog.portLists[portOff:][:nPorts]: the
+	// dynamic input ports an all-input rule needs non-empty before it
+	// may fire, or a merge's dynamic source ports in declaration order.
+	portOff, nPorts int32
 
 	// Consumer edges of the value and token outputs, in the same order
-	// the interpreter builds them, with the occupancy bases into the
-	// activation's occVal/occTok arrays. The first dest of each class
-	// and the class sizes are inlined (valD0/tokD0, valCnt/tokCnt) so
-	// single-consumer emits — the common case — never touch the slices.
-	valCons    []dest
-	tokCons    []dest
-	valD0      dest
-	tokD0      dest
+	// the interpreter builds them: class sizes and occupancy bases into
+	// the activation's occ array and gprog.dests. The first dest of each
+	// class is inlined (valD0/tokD0) so single-consumer emits, the
+	// common case, never touch the table.
 	valCnt     int32
 	tokCnt     int32
 	valOccBase int32
 	tokOccBase int32
+	valD0      dest
+	tokD0      dest
+
+	// predArg/dataArg are the eta and tokgen fast-path operands.
+	predArg oparg
+	dataArg oparg
 
 	// callee is the lowered callee graph (nil: extern with no body).
-	callee     *gprog
-	calleeName string
+	callee *gprog
 }
 
 // pmeta is the per-port static producer metadata the consume hot path
@@ -251,10 +249,16 @@ type gprog struct {
 	// occupancy share one flat array (value slots first, token slots
 	// after), so the hot path never branches on the edge class. owner
 	// names the consuming rule. One struct per port keeps everything
-	// consume touches on a single cache line. portTok records the edge
-	// class (cold path: backpressure diagnosis).
-	ports   []pmeta
-	portTok []bool
+	// consume touches on a single cache line.
+	ports []pmeta
+
+	// The tables the rules index. args holds every all-input rule's
+	// operands; portLists every rule's port list; dests every consumer
+	// edge, indexed by occupancy slot: value slots first, token slots
+	// after, one per slot of an activation's occ array.
+	args      []oparg
+	portLists []int32
+	dests     []dest
 
 	// frameClass indexes the VM's per-size free-frame lists (assigned by
 	// Compile over the module's distinct frame sizes).
@@ -264,16 +268,12 @@ type gprog struct {
 	// stuck-state diagnosis.
 	nodeByID []*pegasus.Node
 	static   []bool
-	dynIns   []int
+	dynIns   []int32
 	inOff    []int32
 	predOff  []int32
 	tokOff   []int32
 
 	numPorts int
-	// numOcc is the total occupancy slot count (value slots in
-	// [0, numVal), token slots in [numVal, numOcc)).
-	numOcc   int
-	numVal   int
 	numSlots int
 	sprog    []sinstr
 
@@ -296,6 +296,26 @@ func (gp *gprog) portIndex(n *pegasus.Node, cls pegasus.Port, idx int) int32 {
 	}
 }
 
+// operands returns r's operand lists, in consume order.
+func (gp *gprog) operands(r *rule) (ins, preds, toks []oparg) {
+	a := gp.args[r.argOff : r.argOff+r.nIns+r.nPreds+r.nToks]
+	return a[:r.nIns], a[r.nIns : r.nIns+r.nPreds], a[r.nIns+r.nPreds:]
+}
+
+// portList returns r's port list (see rule.portOff).
+func (gp *gprog) portList(r *rule) []int32 {
+	return gp.portLists[r.portOff : r.portOff+r.nPorts]
+}
+
+// consumers returns the consumer edges of r's token or value output and
+// the occupancy slot of the first; edge i's slot is base+i.
+func (gp *gprog) consumers(r *rule, tok bool) (cons []dest, base int32) {
+	if tok {
+		return gp.dests[r.tokOccBase : r.tokOccBase+r.tokCnt], r.tokOccBase
+	}
+	return gp.dests[r.valOccBase : r.valOccBase+r.valCnt], r.valOccBase
+}
+
 // portLoc recovers the consuming node and input slot of a flat port
 // index (cold path: rendering backpressure wait edges).
 func (gp *gprog) portLoc(p int32) (*pegasus.Node, pegasus.Port, int) {
@@ -311,7 +331,7 @@ func (gp *gprog) portLoc(p int32) (*pegasus.Node, pegasus.Port, int) {
 }
 
 // opLatencyOf mirrors dataflow's opLatency table.
-func opLatencyOf(n *pegasus.Node) int64 {
+func opLatencyOf(n *pegasus.Node) uint8 {
 	switch n.Kind {
 	case pegasus.KBinOp:
 		switch n.BinOp {
@@ -384,7 +404,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 		}
 	}
 	// Flat port layout and rule numbering, both in node-ID order.
-	gp.dynIns = make([]int, maxID)
+	gp.dynIns = make([]int32, maxID)
 	gp.inOff = make([]int32, maxID)
 	gp.predOff = make([]int32, maxID)
 	gp.tokOff = make([]int32, maxID)
@@ -407,21 +427,13 @@ func lowerGraph(mod *Module, gp *gprog) {
 		nRules++
 	}
 	gp.numPorts = int(off)
-	// Consumer lists, in the interpreter's iteration order (graph node
-	// order × EachInput order). Each entry also records the producer
-	// edge behind the consumer port for the per-port metadata.
-	valCons := make([][]dest, maxID)
-	tokCons := make([][]dest, maxID)
-	type prodEdge struct {
-		node int32
-		edge int32
-		tok  bool
-	}
-	portSrc := make([]prodEdge, gp.numPorts)
-	portOwnerID := make([]int32, gp.numPorts)
-	for i := range portSrc {
-		portSrc[i].node = -1
-	}
+	gp.rules = make([]rule, nRules)
+	// Count each producer's value and token consumers and each consumer's
+	// dynamic inputs, in the interpreter's iteration order (graph node
+	// order × EachInput order).
+	nVal := make([]int32, 2*maxID)
+	nTok := nVal[maxID:]
+	nVal = nVal[:maxID:maxID]
 	for _, n := range g.Nodes {
 		if n.Dead || gp.static[n.ID] {
 			continue
@@ -432,88 +444,113 @@ func lowerGraph(mod *Module, gp *gprog) {
 				return
 			}
 			gp.dynIns[user.ID]++
-			p := gp.portIndex(user, cls, idx)
-			d := dest{rule: gp.ruleOf[user.ID], port: p}
 			if r.Out == pegasus.OutToken {
-				portSrc[p] = prodEdge{node: int32(r.N.ID), edge: int32(len(tokCons[r.N.ID])), tok: true}
-				tokCons[r.N.ID] = append(tokCons[r.N.ID], d)
+				nTok[r.N.ID]++
 			} else {
-				portSrc[p] = prodEdge{node: int32(r.N.ID), edge: int32(len(valCons[r.N.ID])), tok: false}
-				valCons[r.N.ID] = append(valCons[r.N.ID], d)
+				nVal[r.N.ID]++
 			}
-			portOwnerID[p] = int32(user.ID)
 		})
 	}
-	// Occupancy bases follow the consumer lists in node-ID order. Token
-	// slots live after all value slots in one flat array, so consume and
-	// capacity checks never branch on the edge class.
-	valOff := make([]int32, maxID)
-	tokOff := make([]int32, maxID)
-	vo, to := int32(0), int32(0)
+	// Occupancy slots: each producer's edges of one class are consecutive,
+	// in node-ID order. Token slots live after all value slots in one flat
+	// array, so consume and capacity checks never branch on the edge
+	// class. Each count becomes its producer's fill cursor.
+	occ := int32(0)
 	for id := 0; id < maxID; id++ {
-		valOff[id] = vo
-		tokOff[id] = to
-		vo += int32(len(valCons[id]))
-		to += int32(len(tokCons[id]))
+		if ri := gp.ruleOf[id]; ri >= 0 {
+			gp.rules[ri].valOccBase, gp.rules[ri].valCnt = occ, nVal[id]
+		}
+		occ, nVal[id] = occ+nVal[id], occ
 	}
-	gp.numVal = int(vo)
-	gp.numOcc = int(vo + to)
 	for id := 0; id < maxID; id++ {
-		tokOff[id] += vo
+		if ri := gp.ruleOf[id]; ri >= 0 {
+			gp.rules[ri].tokOccBase, gp.rules[ri].tokCnt = occ, nTok[id]
+		}
+		occ, nTok[id] = occ+nTok[id], occ
 	}
-	// Per-port producer metadata.
+	// Consumer edges, filled in the same order as counted: a producer's
+	// edge i lands at its occupancy slot. Each edge also fixes the
+	// producer metadata of the port it feeds.
+	gp.dests = make([]dest, occ)
 	gp.ports = make([]pmeta, gp.numPorts)
-	gp.portTok = make([]bool, gp.numPorts)
-	for p := range portSrc {
-		src := portSrc[p]
-		if src.node < 0 {
-			gp.ports[p].prod = -1
+	for p := range gp.ports {
+		gp.ports[p].prod = -1
+	}
+	for _, n := range g.Nodes {
+		if n.Dead || gp.static[n.ID] {
 			continue
 		}
-		gp.portTok[p] = src.tok
-		if src.tok {
-			gp.ports[p].occ = tokOff[src.node] + src.edge
-		} else {
-			gp.ports[p].occ = valOff[src.node] + src.edge
-		}
-		gp.ports[p].prod = gp.ruleOf[src.node]
-		gp.ports[p].owner = gp.ruleOf[portOwnerID[p]]
+		owner := gp.ruleOf[n.ID]
+		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
+			if !r.Valid() || gp.static[r.N.ID] {
+				return
+			}
+			cur := &nVal[r.N.ID]
+			if r.Out == pegasus.OutToken {
+				cur = &nTok[r.N.ID]
+			}
+			o := *cur
+			*cur = o + 1
+			p := gp.portIndex(n, cls, idx)
+			gp.dests[o] = dest{rule: owner, port: p}
+			gp.ports[p] = pmeta{occ: o, prod: gp.ruleOf[r.N.ID], owner: owner}
+		})
 	}
+	// Size the operand and port-list tables, so lowering fills them
+	// without growing them.
+	nArgs, nLists, nSeeds := 0, 0, 0
+	for id := 0; id < maxID; id++ {
+		n := gp.nodeByID[id]
+		if n == nil || gp.static[id] {
+			continue
+		}
+		switch n.Kind {
+		case pegasus.KEta, pegasus.KTokenGen:
+		case pegasus.KMerge:
+			srcs, _ := mergeSources(n)
+			for _, src := range srcs {
+				if !gp.static[src.N.ID] {
+					nLists++
+				}
+			}
+		default:
+			nArgs += len(n.Ins) + len(n.Preds) + len(n.Toks)
+			nLists += int(gp.dynIns[id])
+		}
+		if gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok {
+			nSeeds++
+		}
+	}
+	gp.args = make([]oparg, 0, nArgs)
+	gp.portLists = make([]int32, 0, nLists)
 	// Lower each dynamic node to its rule.
 	lw := &lowerer{mod: mod, g: g, gp: gp, memo: make([]oparg, maxID), done: make([]bool, maxID)}
-	gp.rules = make([]rule, nRules)
 	gp.entryRule = -1
 	for id := 0; id < maxID; id++ {
 		n := gp.nodeByID[id]
 		if n == nil || gp.static[id] {
 			continue
 		}
-		ri := gp.ruleOf[id]
-		r := &gp.rules[ri]
+		r := &gp.rules[gp.ruleOf[id]]
 		r.nodeID = int32(id)
-		r.valCons = valCons[id]
-		r.tokCons = tokCons[id]
-		r.valCnt = int32(len(r.valCons))
-		r.tokCnt = int32(len(r.tokCons))
 		if r.valCnt > 0 {
-			r.valD0 = r.valCons[0]
+			r.valD0 = gp.dests[r.valOccBase]
 		}
 		if r.tokCnt > 0 {
-			r.tokD0 = r.tokCons[0]
+			r.tokD0 = gp.dests[r.tokOccBase]
 		}
-		r.valOccBase = valOff[id]
-		r.tokOccBase = tokOff[id]
 		r.lat = opLatencyOf(n)
 		r.fireOnce = gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok
 		lw.lowerRule(n, r)
-		if len(r.preds) == 0 && len(r.toks) == 0 {
+		if r.nPreds == 0 && r.nToks == 0 {
+			ins, _, _ := gp.operands(r)
 			switch {
-			case r.op == opBin && len(r.ins) == 2 && r.ins[0].mode == argPort && r.ins[1].mode == argPort:
-				r.shape, r.shapeA, r.shapeB = shBin2, r.ins[0].idx, r.ins[1].idx
-			case r.op == opUn && len(r.ins) == 1 && r.ins[0].mode == argPort:
-				r.shape, r.shapeA = shUn1, r.ins[0].idx
-			case r.op == opConv && len(r.ins) == 1 && r.ins[0].mode == argPort:
-				r.shape, r.shapeA = shConv1, r.ins[0].idx
+			case r.op == opBin && len(ins) == 2 && ins[0].mode == argPort && ins[1].mode == argPort:
+				r.shape, r.shapeA, r.shapeB = shBin2, ins[0].idx, ins[1].idx
+			case r.op == opUn && len(ins) == 1 && ins[0].mode == argPort:
+				r.shape, r.shapeA = shUn1, ins[0].idx
+			case r.op == opConv && len(ins) == 1 && ins[0].mode == argPort:
+				r.shape, r.shapeA = shConv1, ins[0].idx
 			}
 		}
 	}
@@ -527,13 +564,13 @@ func lowerGraph(mod *Module, gp *gprog) {
 		}
 		ri := gp.ruleOf[id]
 		r, ns := &gp.rules[ri], &gp.nodeInit[ri]
-		ns.missing = int32(gp.dynIns[id])
+		ns.missing = gp.dynIns[id]
 		ns.gate = gateOf(r, gp.dynIns[id])
 		switch r.op {
 		case opTokGen:
 			ns.counter = r.tokN
 		case opMerge:
-			ns.counter = int32(len(r.srcPorts))
+			ns.counter = r.nPorts
 		}
 	}
 	if g.Entry != nil && gp.nodeByID[g.Entry.ID] != nil && !gp.static[g.Entry.ID] {
@@ -541,6 +578,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 	}
 	// Seed set in graph node order (the interpreter's newActivation
 	// order — seq numbering depends on it).
+	gp.seeds = make([]int32, 0, nSeeds)
 	for _, n := range g.Nodes {
 		if !n.Dead && !gp.static[n.ID] && gp.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
 			gp.seeds = append(gp.seeds, gp.ruleOf[n.ID])
@@ -552,12 +590,12 @@ func lowerGraph(mod *Module, gp *gprog) {
 // gateOf picks a lowered rule's gate kind. A merge or eta is gated only
 // when its dynamic inputs are exactly the ports its fire path reads, so
 // its missing counter counts those ports and nothing else.
-func gateOf(r *rule, dynIns int) uint8 {
+func gateOf(r *rule, dynIns int32) uint8 {
 	switch r.op {
 	case opBin, opUn, opConv, opMux, opCombine, opLoad, opStore, opCall, opReturn:
 		return gateAll
 	case opMerge:
-		if dynIns == len(r.srcPorts) {
+		if dynIns == r.nPorts {
 			return gateMerge
 		}
 	case opEta:
@@ -570,30 +608,33 @@ func gateOf(r *rule, dynIns int) uint8 {
 	return gateNone
 }
 
-func isPort(g oparg) int {
+func isPort(g oparg) int32 {
 	if g.mode == argPort {
 		return 1
 	}
 	return 0
 }
 
-// lowerRule fills the kind-specific fields of one rule.
+// lowerRule fills the kind-specific fields of one rule, appending its
+// operands and port list to the graph's tables.
 func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 	gp := lw.gp
+	r.argOff = int32(len(gp.args))
+	r.portOff = int32(len(gp.portLists))
 	switch n.Kind {
 	case pegasus.KEntryTok:
 		r.op = opEntry
 	case pegasus.KBinOp:
 		r.op = opBin
-		r.bin = n.BinOp
+		r.bin = uint8(n.BinOp)
 		r.unsigned = n.Unsigned
 	case pegasus.KUnOp:
 		r.op = opUn
 		r.un = n.UnOp
 	case pegasus.KConv:
 		r.op = opConv
-		r.toBits = int32(n.ToBits)
-		r.convSign = n.ConvSign
+		r.toBits = uint8(n.ToBits)
+		r.signed = n.ConvSign
 	case pegasus.KMux:
 		r.op = opMux
 	case pegasus.KCombine:
@@ -601,19 +642,17 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		r.outTok = true
 	case pegasus.KMerge:
 		r.op = opMerge
-		srcs, cls := n.Ins, pegasus.PortIn
-		if n.TokenOnly {
-			r.outTok = true
-			srcs, cls = n.Toks, pegasus.PortTok
-		}
+		r.outTok = n.TokenOnly
+		srcs, cls := mergeSources(n)
 		for i, src := range srcs {
 			if gp.static[src.N.ID] {
 				// Static merge inputs would fire unboundedly; the
 				// builder never creates them.
 				continue
 			}
-			r.srcPorts = append(r.srcPorts, gp.portIndex(n, cls, i))
+			gp.portLists = append(gp.portLists, gp.portIndex(n, cls, i))
 		}
+		r.nPorts = int32(len(gp.portLists)) - r.portOff
 		return
 	case pegasus.KEta:
 		r.op = opEta
@@ -634,36 +673,44 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		return
 	case pegasus.KLoad:
 		r.op = opLoad
-		r.bytes = int32(n.Bytes)
-		r.loadSigned = n.VT.Signed
-		r.needVal = len(r.valCons) > 0
+		r.bytes = uint8(n.Bytes)
+		r.signed = n.VT.Signed
 	case pegasus.KStore:
 		r.op = opStore
-		r.bytes = int32(n.Bytes)
+		r.bytes = uint8(n.Bytes)
 	case pegasus.KCall:
 		r.op = opCall
 		r.hasValue = n.HasValue()
-		r.calleeName = n.Callee.Name
 		r.callee = lw.mod.progs[n.Callee.Name]
 	case pegasus.KReturn:
 		r.op = opReturn
 	}
-	// All-inputs rules: operand lists in consume order plus the dynamic
-	// readiness set.
+	// All-inputs rules: the dynamic readiness set plus the operand lists
+	// in consume order.
 	n.EachInput(func(rf *pegasus.Ref, cls pegasus.Port, idx int) {
 		if rf.Valid() && !gp.static[rf.N.ID] {
-			r.needPorts = append(r.needPorts, gp.portIndex(n, cls, idx))
+			gp.portLists = append(gp.portLists, gp.portIndex(n, cls, idx))
 		}
 	})
+	r.nPorts = int32(len(gp.portLists)) - r.portOff
 	for i, rf := range n.Ins {
-		r.ins = append(r.ins, lw.argOf(n, pegasus.PortIn, i, rf))
+		gp.args = append(gp.args, lw.argOf(n, pegasus.PortIn, i, rf))
 	}
 	for i, rf := range n.Preds {
-		r.preds = append(r.preds, lw.argOf(n, pegasus.PortPred, i, rf))
+		gp.args = append(gp.args, lw.argOf(n, pegasus.PortPred, i, rf))
 	}
 	for i, rf := range n.Toks {
-		r.toks = append(r.toks, lw.argOf(n, pegasus.PortTok, i, rf))
+		gp.args = append(gp.args, lw.argOf(n, pegasus.PortTok, i, rf))
 	}
+	r.nIns, r.nPreds, r.nToks = int32(len(n.Ins)), int32(len(n.Preds)), int32(len(n.Toks))
+}
+
+// mergeSources returns a merge's source inputs and their port class.
+func mergeSources(n *pegasus.Node) ([]pegasus.Ref, pegasus.Port) {
+	if n.TokenOnly {
+		return n.Toks, pegasus.PortTok
+	}
+	return n.Ins, pegasus.PortIn
 }
 
 // argOf lowers one input reference: static refs become immediates or

@@ -119,18 +119,13 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 func (m *vm) backpressureEdges(a *vact, r *rule) []dataflow.WaitEdge {
 	var out []dataflow.WaitEdge
 	gp := a.gp
-	occ := a.st.occ[r.valOccBase:]
-	for i := range r.valCons {
-		if occ[i] > 0 {
-			peer, cls, idx := gp.portLoc(r.valCons[i].port)
-			out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
-		}
-	}
-	occ = a.st.occ[r.tokOccBase:]
-	for i := range r.tokCons {
-		if occ[i] > 0 {
-			peer, cls, idx := gp.portLoc(r.tokCons[i].port)
-			out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
+	for _, tok := range [2]bool{false, true} {
+		cons, base := gp.consumers(r, tok)
+		for i, d := range cons {
+			if a.st.occ[base+int32(i)] > 0 {
+				peer, cls, idx := gp.portLoc(d.port)
+				out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
+			}
 		}
 	}
 	return out

@@ -103,9 +103,9 @@ func (q *vq) pop() (v int64, empty bool) {
 type vstate struct {
 	nodes []vnode
 	ports []vq
-	// occ holds every output edge's occupancy count: value edges in
-	// [0, numVal), token edges in [numVal, numOcc) — rule occupancy
-	// bases and portOcc indices are pre-offset at lowering.
+	// occ holds every output edge's occupancy count, laid out like
+	// gprog.dests: value edges first, then token edges — rule occupancy
+	// bases and pmeta.occ indices are pre-offset at lowering.
 	occ []int32
 	// next (fault injection only) tracks the earliest legal delivery
 	// time per consumer edge, preserving FIFO order under injected
@@ -122,7 +122,7 @@ func newVstate(gp *gprog) *vstate {
 	return &vstate{
 		nodes: make([]vnode, len(gp.rules)),
 		ports: make([]vq, gp.numPorts),
-		occ:   make([]int32, gp.numOcc),
+		occ:   make([]int32, len(gp.dests)),
 		slots: make([]int64, gp.numSlots),
 	}
 }
@@ -144,7 +144,7 @@ func (st *vstate) prepare(gp *gprog, fresh bool) {
 // rule's pre-offset occupancy base for the edge class being emitted.
 func (st *vstate) edgeNext(gp *gprog, base int32) []int64 {
 	if st.next == nil {
-		st.next = make([]int64, gp.numOcc)
+		st.next = make([]int64, len(gp.dests))
 	}
 	return st.next[base:]
 }
@@ -502,8 +502,8 @@ func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 	}
 	if m.inj == nil {
 		if cnt == 1 {
-			// Single consumer: the inlined dest avoids the cons slice
-			// and its backing array entirely.
+			// Single consumer: the inlined dest avoids the dests table
+			// entirely.
 			o := st.occ[base] + 1
 			st.occ[base] = o
 			if o == 1 {
@@ -513,34 +513,24 @@ func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 			return
 		}
 		occ := st.occ[base:]
-		cons := r.tokCons
-		if !tok {
-			cons = r.valCons
-		}
-		for i := range cons {
+		for i, d := range a.gp.dests[base : base+cnt] {
 			o := occ[i] + 1
 			occ[i] = o
 			if o == 1 {
 				ns.full++
 			}
-			m.push(t, val, a, cons[i].rule, cons[i].port)
+			m.push(t, val, a, d.rule, d.port)
 		}
 		return
 	}
-	cons := r.tokCons
-	if !tok {
-		cons = r.valCons
-	}
-	m.emitFaulted(a, ns, r, tok, val, t, cons, st.occ[base:])
+	m.emitFaulted(a, ns, r, tok, val, t)
 }
 
 // emitFaulted is the fault-injection delivery path, mirroring the
 // interpreter's exactly (same Deliver call order, same FIFO floors).
-func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64, cons []dest, occ []int32) {
-	base := r.valOccBase
-	if tok {
-		base = r.tokOccBase
-	}
+func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64) {
+	cons, base := a.gp.consumers(r, tok)
+	occ := a.st.occ[base:]
 	for i := range cons {
 		dt := t
 		copies := 1
@@ -649,7 +639,7 @@ func (m *vm) dispatch(a *vact, ri int32, r *rule, pre bool) bool {
 func (m *vm) fireSimple(a *vact, ri int32, r *rule, pre bool) bool {
 	st := a.st
 	if !pre {
-		for _, p := range r.needPorts {
+		for _, p := range a.gp.portList(r) {
 			if st.ports[p].size() == 0 {
 				return false
 			}
@@ -665,36 +655,37 @@ func (m *vm) fireSimple(a *vact, ri int32, r *rule, pre bool) bool {
 		case shBin2:
 			x := m.consume(a, r.shapeA)
 			y := m.consume(a, r.shapeB)
-			v = evalBin(r.bin, x, y, r.unsigned)
+			v = evalBin(cminor.BinOpKind(r.bin), x, y, r.unsigned)
 		case shUn1:
 			v = evalUn(r.un, m.consume(a, r.shapeA))
 		default: // shConv1
-			v = convValue(m.consume(a, r.shapeA), int(r.toBits), r.convSign)
+			v = convValue(m.consume(a, r.shapeA), int(r.toBits), r.signed)
 		}
 		m.stats.OpsFired++
-		m.emit(a, ri, r, false, v, m.now+r.lat)
+		m.emit(a, ri, r, false, v, m.now+int64(r.lat))
 		return true
 	}
+	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	var ins, preds []int64
-	if len(r.ins) > 0 {
-		ins = m.consumeClass(a, r.ins, &m.insBuf)
+	if len(insArgs) > 0 {
+		ins = m.consumeClass(a, insArgs, &m.insBuf)
 	}
-	if len(r.preds) > 0 {
-		preds = m.consumeClass(a, r.preds, &m.predsBuf)
+	if len(predArgs) > 0 {
+		preds = m.consumeClass(a, predArgs, &m.predsBuf)
 	}
-	if len(r.toks) > 0 {
-		m.consumeClass(a, r.toks, &m.toksBuf)
+	if len(tokArgs) > 0 {
+		m.consumeClass(a, tokArgs, &m.toksBuf)
 	}
 	m.stats.OpsFired++
-	t := m.now + r.lat
+	t := m.now + int64(r.lat)
 	var v int64
 	switch r.op {
 	case opBin:
-		v = evalBin(r.bin, ins[0], ins[1], r.unsigned)
+		v = evalBin(cminor.BinOpKind(r.bin), ins[0], ins[1], r.unsigned)
 	case opUn:
 		v = evalUn(r.un, ins[0])
 	case opConv:
-		v = convValue(ins[0], int(r.toBits), r.convSign)
+		v = convValue(ins[0], int(r.toBits), r.signed)
 	case opMux:
 		for i, p := range preds {
 			if p != 0 {
@@ -714,11 +705,11 @@ func (m *vm) fireMerge(a *vact, ri int32, r *rule) bool {
 	if a.st.nodes[ri].full > 0 {
 		return false
 	}
-	for _, p := range r.srcPorts {
+	for _, p := range a.gp.portList(r) {
 		if a.st.ports[p].size() > 0 {
 			v := m.consume(a, p)
 			m.stats.OpsFired++
-			m.emit(a, ri, r, r.outTok, v, m.now+r.lat)
+			m.emit(a, ri, r, r.outTok, v, m.now+int64(r.lat))
 			return true
 		}
 	}
@@ -752,7 +743,7 @@ func (m *vm) fireEta(a *vact, ri int32, r *rule) bool {
 	v := m.argVal(a, r.dataArg)
 	m.stats.OpsFired++
 	if predVal != 0 {
-		m.emit(a, ri, r, r.outTok, v, m.now+r.lat)
+		m.emit(a, ri, r, r.outTok, v, m.now+int64(r.lat))
 	}
 	return true
 }
@@ -791,7 +782,7 @@ func (m *vm) fireTokenGen(a *vact, ri int32, r *rule) bool {
 		}
 		ns.counter--
 		m.stats.OpsFired++
-		m.emit(a, ri, r, true, 1, m.now+r.lat)
+		m.emit(a, ri, r, true, 1, m.now+int64(r.lat))
 		return true
 	}
 	// Loop finished: reset the credit counter.
@@ -806,7 +797,7 @@ func (m *vm) fireTokenGen(a *vact, ri int32, r *rule) bool {
 func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 	st := a.st
 	if !pre {
-		for _, p := range r.needPorts {
+		for _, p := range a.gp.portList(r) {
 			if st.ports[p].size() == 0 {
 				return false
 			}
@@ -815,10 +806,11 @@ func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 			return false
 		}
 	}
-	ins := m.consumeClass(a, r.ins, &m.insBuf)
-	preds := m.consumeClass(a, r.preds, &m.predsBuf)
-	if len(r.toks) > 0 {
-		m.consumeClass(a, r.toks, &m.toksBuf)
+	insArgs, predArgs, tokArgs := a.gp.operands(r)
+	ins := m.consumeClass(a, insArgs, &m.insBuf)
+	preds := m.consumeClass(a, predArgs, &m.predsBuf)
+	if len(tokArgs) > 0 {
+		m.consumeClass(a, tokArgs, &m.toksBuf)
 	}
 	m.stats.OpsFired++
 	if preds[0] == 0 {
@@ -834,7 +826,7 @@ func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 	if r.op == opLoad {
 		m.stats.DynLoads++
 		done := m.msys.Submit(m.now, true, addr, int(r.bytes))
-		v := m.mem.Load(addr, int(r.bytes), r.loadSigned)
+		v := m.mem.Load(addr, int(r.bytes), r.signed)
 		m.emit(a, ri, r, false, v, done)
 		m.emit(a, ri, r, true, 1, m.now+1)
 	} else {
@@ -853,7 +845,7 @@ func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
 	st := a.st
 	if !pre {
-		for _, p := range r.needPorts {
+		for _, p := range a.gp.portList(r) {
 			if st.ports[p].size() == 0 {
 				return false
 			}
@@ -862,13 +854,14 @@ func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
 			return false
 		}
 	}
+	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	var ins []int64
-	if len(r.ins) > 0 {
-		ins = m.consumeClass(a, r.ins, &m.insBuf)
+	if len(insArgs) > 0 {
+		ins = m.consumeClass(a, insArgs, &m.insBuf)
 	}
-	preds := m.consumeClass(a, r.preds, &m.predsBuf)
-	if len(r.toks) > 0 {
-		m.consumeClass(a, r.toks, &m.toksBuf)
+	preds := m.consumeClass(a, predArgs, &m.predsBuf)
+	if len(tokArgs) > 0 {
+		m.consumeClass(a, tokArgs, &m.toksBuf)
 	}
 	m.stats.OpsFired++
 	if preds[0] == 0 {
@@ -879,12 +872,12 @@ func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
 		return true
 	}
 	if r.callee == nil {
-		m.fail(fmt.Errorf("%w: %s (extern declaration with no body?)", dataflow.ErrUnbuiltCall, r.calleeName))
+		m.fail(fmt.Errorf("%w: %s (extern declaration with no body?)", dataflow.ErrUnbuiltCall, a.gp.nodeByID[r.nodeID].Callee.Name))
 		return false
 	}
 	if m.nextActID >= m.cfg.MaxActivations {
 		m.fail(fmt.Errorf("%w: %d activations, calling %s at cycle %d",
-			dataflow.ErrActivationLimit, m.nextActID, r.calleeName, m.now))
+			dataflow.ErrActivationLimit, m.nextActID, a.gp.nodeByID[r.nodeID].Callee.Name, m.now))
 		return false
 	}
 	m.stats.Calls++
@@ -895,21 +888,22 @@ func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
 func (m *vm) fireReturn(a *vact, r *rule, pre bool) bool {
 	st := a.st
 	if !pre {
-		for _, p := range r.needPorts {
+		for _, p := range a.gp.portList(r) {
 			if st.ports[p].size() == 0 {
 				return false
 			}
 		}
 	}
+	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	var ins []int64
-	if len(r.ins) > 0 {
-		ins = m.consumeClass(a, r.ins, &m.insBuf)
+	if len(insArgs) > 0 {
+		ins = m.consumeClass(a, insArgs, &m.insBuf)
 	}
-	if len(r.preds) > 0 {
-		m.consumeClass(a, r.preds, &m.predsBuf)
+	if len(predArgs) > 0 {
+		m.consumeClass(a, predArgs, &m.predsBuf)
 	}
-	if len(r.toks) > 0 {
-		m.consumeClass(a, r.toks, &m.toksBuf)
+	if len(tokArgs) > 0 {
+		m.consumeClass(a, tokArgs, &m.toksBuf)
 	}
 	m.stats.OpsFired++
 	var val int64

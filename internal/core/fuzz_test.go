@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatial/internal/codegen"
 	"spatial/internal/opt"
 	"spatial/internal/workloads"
 )
@@ -14,7 +15,9 @@ import (
 // either compile or fail with ErrCompile. ErrInternal (a recovered panic)
 // fails the target. An accepted input is compiled a second time, and
 // every function's dump must be identical: the compiler is deterministic.
-// Run it with
+// It is also lowered to VM bytecode (codegen.Compile), as a run with the
+// compiled backend lowers any source it is sent; lowering must not
+// panic. Run it with
 //
 //	go test -fuzz=FuzzCompileSource -fuzztime=30s -run '^$' ./internal/core
 func FuzzCompileSource(f *testing.F) {
@@ -44,6 +47,7 @@ func FuzzCompileSource(f *testing.F) {
 		if a, b := dumps(t, first), dumps(t, second); a != b {
 			t.Fatalf("%q: two compiles dumped differently:\n%s\n---\n%s", src, a, b)
 		}
+		codegen.Compile(first.Program)
 	})
 }
 
