@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	cashd [-addr :8080] [-addrfile path] [-cache-dir dir]
+//	cashd [-addr :8080] [-addrfile path]
 //	      [-workers N] [-queue N] [-cache-entries N] [-max-traces N]
 //
 // -addrfile writes the actual listen address (useful with -addr :0 for
-// tests and CI, which need a free port without racing for one). A daemon
+// tests and CI, which need a free port without racing for one). The
+// compile cache lives in memory and ends with the process. A daemon
 // serves every program it is sent; to spread programs over several
 // daemons, give the client (package spatial/client) all their URLs.
 package main
@@ -17,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -33,7 +33,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addrfile", "", "write the actual listen address to this file after binding")
-	cacheDir := flag.String("cache-dir", "", "persist the compile cache here (warm restarts)")
 	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	cacheEntries := flag.Int("cache-entries", 0, "compile cache bound in programs (0 = 64)")
@@ -45,7 +44,6 @@ func main() {
 			Workers:      *workers,
 			QueueDepth:   *queue,
 			CacheEntries: *cacheEntries,
-			CacheDir:     *cacheDir,
 		},
 		MaxTraces: *maxTraces,
 	})
@@ -63,7 +61,7 @@ func main() {
 			log.Fatalf("cashd: write -addrfile: %v", err)
 		}
 	}
-	log.Printf("cashd: listening on %s (cache %s)", ln.Addr(), orDefault(*cacheDir, "in-memory only"))
+	log.Printf("cashd: listening on %s", ln.Addr())
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
@@ -84,11 +82,4 @@ func main() {
 			log.Fatalf("cashd: serve: %v", err)
 		}
 	}
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return fmt.Sprintf("persisted to %s", s)
 }

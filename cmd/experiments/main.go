@@ -6,19 +6,11 @@
 //
 //	experiments [-exp section2|table1|table2|fig18|fig19|ablation|spatial|irsize|area|all]
 //	            [-bench name[,name...]] [-quick]
-//	experiments -exp load [-url http://host:port] [-rates 25,50,100,200,400]
-//	            [-loaddur 2s] [-short]
 //	experiments -exp chaos [-seed 1] [-short]
 //
 // Every form takes -cpuprofile FILE, which writes a runtime/pprof CPU
 // profile of the experiment to FILE (read it with go tool pprof). Any
 // other -exp name is an error that lists the valid ones.
-//
-// -exp load drives a cashd daemon with an open-loop generator and
-// records the offered load vs latency/shed curve (EXPERIMENTS.md
-// documents the protocol). With no -url it starts an in-process daemon
-// on loopback. -short is the CI smoke variant: one modest rate for ten
-// seconds, failing on any non-2xx response or any shed request.
 //
 // -exp chaos drives an in-process multi-peer cashd cluster through the
 // deterministic fault schedules of internal/netchaos (peer kill,
@@ -29,24 +21,18 @@
 // variant (fewer requests, and the four schedules that exercise the
 // client's failover, integrity checks and hedge).
 //
-// Simulator and service throughput are measured by the benchmark in
-// bench/ (see bench/README.md), not here.
+// Simulator and service throughput and latency are measured by the
+// benchmark in bench/ (see bench/README.md), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
-	"time"
 
-	"spatial/api"
-	"spatial/internal/cashd"
 	"spatial/internal/core"
 	"spatial/internal/harness"
 	"spatial/internal/memsys"
@@ -144,24 +130,21 @@ var paperExps = []struct {
 	}},
 }
 
-// expNames lists every valid -exp value: the paper experiments, the two
-// service experiments, which -exp all leaves out, and all.
+// expNames lists every valid -exp value: the paper experiments, the
+// chaos battery, which -exp all leaves out, and all.
 func expNames() []string {
 	var names []string
 	for _, e := range paperExps {
 		names = append(names, e.name)
 	}
-	return append(names, "load", "chaos", "all")
+	return append(names, "chaos", "all")
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames(), ", "))
 	bench := flag.String("bench", "", "restrict to a comma-separated benchmark list")
 	quick := flag.Bool("quick", false, "use a reduced sweep for fig19")
-	loadURL := flag.String("url", "", "-exp load: target daemon base URL (empty starts one in-process)")
-	loadRates := flag.String("rates", "", "-exp load: comma-separated offered rates in req/s")
-	loadDur := flag.Duration("loaddur", 2*time.Second, "-exp load: duration per offered rate")
-	short := flag.Bool("short", false, "-exp load/chaos: CI smoke variant")
+	short := flag.Bool("short", false, "-exp chaos: CI smoke variant")
 	seed := flag.Int64("seed", 1, "-exp chaos: jitter seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	flag.Parse()
@@ -189,13 +172,7 @@ func main() {
 		}
 	}
 
-	switch *exp {
-	case "load":
-		if err := runLoad(*loadURL, *loadRates, *loadDur, *short); err != nil {
-			fatal(err)
-		}
-		return
-	case "chaos":
+	if *exp == "chaos" {
 		if err := runChaos(*seed, *short); err != nil {
 			fatal(err)
 		}
@@ -235,88 +212,6 @@ void f(unsigned *p, unsigned a[], int i) {
 			label = "CASH (removes two stores and one load)"
 		}
 		fmt.Printf("  %-48s loads=%d stores=%d\n", label, loads, stores)
-	}
-	return nil
-}
-
-// loadMix is the request set the load generator cycles through: small
-// distinct programs, so the curve measures service overhead and queueing
-// (after four compile misses everything is a cache hit), not compiler
-// throughput.
-func loadMix() []api.RunRequest {
-	var mix []api.RunRequest
-	for _, n := range []int{100, 200, 400, 800} {
-		src := fmt.Sprintf(`
-int f(void) {
-  int i; int s = 0;
-  for (i = 0; i < %d; i++) s += i;
-  return s;
-}`, n)
-		mix = append(mix, api.RunRequest{
-			Program: api.Program{Source: src, Level: api.LevelFull},
-			Entry:   "f",
-		})
-	}
-	return mix
-}
-
-// runLoad drives cashd with the open-loop generator and prints the
-// offered-load curve. An empty url starts an in-process daemon on
-// loopback — the loopback stack costs the same for every rate, so the
-// curve's shape is still the service's.
-func runLoad(url, ratesCSV string, dur time.Duration, short bool) error {
-	rates := []int{25, 50, 100, 200, 400}
-	if short {
-		// CI smoke: one modest rate, long enough to catch flakiness, with
-		// a hard zero-tolerance gate below.
-		rates = []int{20}
-		dur = 10 * time.Second
-	}
-	if ratesCSV != "" {
-		rates = nil
-		for _, s := range strings.Split(ratesCSV, ",") {
-			r, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return fmt.Errorf("load: bad rate %q: %w", s, err)
-			}
-			rates = append(rates, r)
-		}
-	}
-
-	if url == "" {
-		srv, err := cashd.New(cashd.Config{})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		url = "http://" + ln.Addr().String()
-		fmt.Printf("started in-process cashd at %s\n", url)
-	}
-
-	rows, err := harness.LoadCurve(url, rates, dur, loadMix())
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.FormatLoad(rows))
-
-	if short {
-		for _, r := range rows {
-			if r.Errors > 0 || r.Shed > 0 {
-				return fmt.Errorf("load: smoke gate failed at %d req/s: %d errors, %d shed (want 0/0)",
-					r.RateRPS, r.Errors, r.Shed)
-			}
-			if r.OK == 0 {
-				return fmt.Errorf("load: smoke gate saw no successful requests at %d req/s", r.RateRPS)
-			}
-		}
-		fmt.Println("smoke gate passed: all responses 2xx, nothing shed")
 	}
 	return nil
 }

@@ -10,7 +10,7 @@
 //	           [-backend interp|compiled] [-seq]
 //	           [-profile] [-topk n] [-trace out.json]
 //	           [-timeout d] [-jitter seed] [-drop n] [-droptok n] [-memfail n]
-//	           [-parallel n] [-repeat m] [-cpuprofile file]
+//	           [-cpuprofile file]
 //	           file.c [args...]
 //
 // -backend selects the execution engine: the event-driven interpreter
@@ -18,19 +18,13 @@
 // bit-identical results several times faster. -trace and -profile hook
 // the interpreter's machinery and reject -backend compiled.
 //
-// -repeat runs the program m times and -parallel spreads the repeats
-// over n concurrent streams sharing one compilation; every repeat must
-// reproduce the first run bit-identically (value, cycles, events) or
-// the command fails. The aggregate throughput is printed after the
-// usual statistics. These flags cannot be combined with -trace,
-// -profile, -seq, or fault injection, which are single-run modes.
-//
 // -trace records the full event stream, writes a Chrome trace-event file
 // (loadable in about://tracing or Perfetto), and prints the trace summary
 // and dynamic critical path.
 //
 // -cpuprofile writes a runtime/pprof CPU profile of the compile and the
-// runs to the given file (read it with go tool pprof).
+// run to the given file (read it with go tool pprof). Throughput is
+// measured by the benchmark in bench/, not here.
 //
 // Exit codes distinguish the failure class so scripts can triage without
 // parsing messages:
@@ -53,9 +47,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"spatial/internal/core"
 	"spatial/internal/dataflow"
@@ -77,9 +68,7 @@ func main() {
 	drop := flag.Int("drop", 0, "drop the n-th value delivery (expect a diagnosed deadlock)")
 	dropTok := flag.Int("droptok", 0, "drop the n-th token delivery (expect a diagnosed deadlock)")
 	memFail := flag.Int("memfail", 0, "corrupt the n-th memory response (expect a detected fault)")
-	parallel := flag.Int("parallel", 1, "concurrent simulation streams for -repeat")
-	repeat := flag.Int("repeat", 1, "total number of runs (all must be bit-identical)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the compile and runs to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the compile and run to this file")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: spatialsim [flags] file.c [args...]")
@@ -120,16 +109,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spatialsim: -trace and -profile observe the interpreter and cannot be combined with -backend compiled")
 		os.Exit(2)
 	}
-	if *parallel > 1 || *repeat > 1 {
-		if *traceOut != "" || *profile || inj != nil || *seq {
-			fmt.Fprintln(os.Stderr, "spatialsim: -parallel/-repeat cannot be combined with -trace, -profile, -seq, or fault injection")
-			os.Exit(2)
-		}
-		if *parallel < 1 || *repeat < 1 {
-			fmt.Fprintln(os.Stderr, "spatialsim: -parallel and -repeat must be >= 1")
-			os.Exit(2)
-		}
-	}
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
@@ -147,11 +126,6 @@ func main() {
 	}
 	var res *core.SimResult
 	switch {
-	case *parallel > 1 || *repeat > 1:
-		res, err = runRepeated(cp, *entry, args, *parallel, *repeat)
-		if err != nil {
-			fatal(err)
-		}
 	case *traceOut != "":
 		var tr *core.Trace
 		res, tr, err = cp.RunTraced(context.Background(), *entry, args)
@@ -218,65 +192,6 @@ func main() {
 			fatal(fmt.Errorf("MISMATCH: spatial %d vs sequential %d", res.Value, sres.Value))
 		}
 	}
-}
-
-// runRepeated executes the compiled program `repeat` times across up to
-// `parallel` concurrent streams sharing one compilation. The first run
-// is the reference; every other run must reproduce its value, cycle
-// count, and event count exactly, or the whole command fails — repeated
-// execution doubles as a determinism check. Prints the aggregate
-// throughput and returns the reference result.
-func runRepeated(cp *core.Compiled, entry string, args []int64, parallel, repeat int) (*core.SimResult, error) {
-	start := time.Now()
-	ref, err := cp.Run(entry, args)
-	if err != nil {
-		return nil, err
-	}
-	remaining := repeat - 1
-	if parallel > remaining {
-		parallel = remaining
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	var next, bad atomic.Int64
-	errc := make(chan error, parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < parallel && remaining > 0; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(remaining) || bad.Load() != 0 {
-					return
-				}
-				res, err := cp.Run(entry, args)
-				if err != nil {
-					bad.Store(1)
-					errc <- err
-					return
-				}
-				if res.Value != ref.Value || res.Stats.Cycles != ref.Stats.Cycles || res.Stats.Events != ref.Stats.Events {
-					bad.Store(1)
-					errc <- fmt.Errorf("run %d diverged from the first: got (value %d, cycles %d, events %d), want (%d, %d, %d)",
-						n+1, res.Value, res.Stats.Cycles, res.Stats.Events,
-						ref.Value, ref.Stats.Cycles, ref.Stats.Events)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	fmt.Printf("parallel:  %d runs on %d streams in %s (%.2f runs/sec), all bit-identical\n",
-		repeat, parallel, elapsed.Round(time.Millisecond), float64(repeat)/elapsed.Seconds())
-	return ref, nil
 }
 
 // buildInjector assembles the fault injector the flags describe, or nil

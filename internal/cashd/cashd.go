@@ -42,7 +42,7 @@ const maxBodyBytes = 4 << 20
 // Config parameterizes a Server.
 type Config struct {
 	// Engine configures the wrapped batch engine (workers, queue,
-	// cache bound, persistent cache directory).
+	// cache bound).
 	Engine serve.Config
 	// MaxTraces bounds the recorded traces held for download; 0 means 32.
 	MaxTraces int
@@ -56,17 +56,13 @@ type Server struct {
 	traces *traceStore
 }
 
-// New builds a server. It fails on an unusable cache directory.
+// New builds a server. Its error result is always nil.
 func New(cfg Config) (*Server, error) {
-	eng, err := serve.New(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.MaxTraces <= 0 {
 		cfg.MaxTraces = 32
 	}
 	s := &Server{
-		eng:    eng,
+		eng:    serve.New(cfg.Engine),
 		met:    newMetrics(),
 		traces: newTraceStore(cfg.MaxTraces),
 	}
@@ -87,8 +83,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's route table.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Engine exposes the wrapped batch engine (stats, direct submission in
-// tests and the in-process load harness).
+// Engine exposes the wrapped batch engine (stats, and direct submission
+// in tests).
 func (s *Server) Engine() *serve.Engine { return s.eng }
 
 // Close drains and stops the engine. In-flight HTTP requests should be

@@ -78,10 +78,7 @@ func TestDifferentialRun(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 2, CacheEntries: 8}})
 
 	// Direct reference from a separate engine with the same config.
-	ref, err := serve.New(serve.Config{Workers: 2, CacheEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := serve.New(serve.Config{Workers: 2, CacheEntries: 8})
 	defer ref.Close()
 
 	cases := []api.RunRequest{
@@ -127,10 +124,7 @@ func TestDifferentialRun(t *testing.T) {
 // DoBatch item by item.
 func TestDifferentialBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 2, QueueDepth: 2, CacheEntries: 8}})
-	ref, err := serve.New(serve.Config{Workers: 2, QueueDepth: 2, CacheEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := serve.New(serve.Config{Workers: 2, QueueDepth: 2, CacheEntries: 8})
 	defer ref.Close()
 
 	var wire api.BatchRequest
@@ -389,6 +383,36 @@ func TestTracedRunDeadline(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("traced run took %v to honour a 100 ms deadline", elapsed)
+	}
+}
+
+// TestTracedRunBudget: a traced run's record is bounded by the wire trace
+// budget, not the library's defaults, since its source is untrusted and
+// the daemon keeps several traces. f(20000) fires about 280,000 times;
+// the run completes with the right value, and its stored trace keeps
+// exactly the budget's 1<<18 firings and reports the truncation.
+func TestTracedRunBudget(t *testing.T) {
+	s, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})
+
+	rr := api.RunRequest{
+		Program: api.Program{Source: srcLoop, Level: api.LevelFull},
+		Entry:   "f", Args: []int64{20000}, Trace: true,
+	}
+	resp := post(t, ts.URL+"/v1/run", rr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced run: status %d", resp.StatusCode)
+	}
+	run := decodeBody[api.RunResponse](t, resp)
+	if want := int64(20000 * 19999 / 2); run.Value != want {
+		t.Fatalf("traced f(20000) = %d, want %d", run.Value, want)
+	}
+	tr := s.traces.get(run.TraceID)
+	if tr == nil {
+		t.Fatalf("trace %q not stored", run.TraceID)
+	}
+	if len(tr.Firings) != 1<<18 || !tr.Truncated {
+		t.Errorf("stored trace holds %d firings (truncated %v), want %d (truncated true)",
+			len(tr.Firings), tr.Truncated, 1<<18)
 	}
 }
 

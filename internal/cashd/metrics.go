@@ -169,8 +169,6 @@ func (m *metrics) write(w io.Writer, s serve.Stats, traces int) {
 	counter("cashd_cache_evictions_total", "Compile cache entries evicted by the LRU bound.", s.CacheEvictions)
 	gauge("cashd_cache_hit_rate", "Hits+shared over all lookups (0 when no lookups).", s.HitRate())
 	gauge("cashd_cache_entries", "Compiled programs currently resident.", float64(s.CacheEntries))
-	gauge("cashd_cache_disk_loaded", "Entries warmed from the cache directory at startup.", float64(s.DiskLoaded))
-	gauge("cashd_cache_quarantined", "Unreadable or mis-keyed disk entries moved aside at startup.", float64(s.DiskQuarantined))
 	gauge("cashd_queue_depth", "Requests waiting for a worker right now.", float64(s.QueueLen))
 	gauge("cashd_queue_capacity", "Admission queue bound.", float64(s.QueueCap))
 	shedRate := 0.0

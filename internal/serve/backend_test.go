@@ -13,7 +13,7 @@ import (
 // occupy distinct cache entries — a cached Compiled is pinned to its
 // backend, so sharing one entry would silently serve the wrong engine.
 func TestBackendRoundTrip(t *testing.T) {
-	e := newEngine(t, Config{Workers: 2, CacheEntries: 8})
+	e := New(Config{Workers: 2, CacheEntries: 8})
 	defer e.Close()
 
 	interp := testReq(srcLoop, api.LevelFull, "f", 25)
@@ -52,7 +52,7 @@ func TestBackendRoundTrip(t *testing.T) {
 // naming partitions hits the sequential cache entry and returns a
 // bit-identical result.
 func TestPartitionedRoundTrip(t *testing.T) {
-	e := newEngine(t, Config{Workers: 2, CacheEntries: 8})
+	e := New(Config{Workers: 2, CacheEntries: 8})
 	defer e.Close()
 
 	seq := testReq(srcArr, api.LevelFull, "f", 3)

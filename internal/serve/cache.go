@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 
@@ -20,15 +19,13 @@ import (
 // deliberately excluded: they select what to run, not what to build.
 type cacheKey [sha256.Size]byte
 
-func (k cacheKey) String() string { return hex.EncodeToString(k[:]) }
-
 // programKey computes a wire program's content address. The simulator
 // configuration is converted to its internal form and normalized first,
 // so two requests whose configs differ only in defaulted zero fields
 // (e.g. MaxCycles 0 vs 200000000) share a compilation, while genuinely
-// different configs get distinct keys. This key addresses the (in-memory and
-// on-disk) compile cache; the coarser api.Program.Key, computed on the
-// raw wire form, routes between shards.
+// different configs get distinct keys. This key addresses the compile
+// cache; the coarser api.Program.Key, computed on the raw wire form,
+// routes between shards.
 func programKey(p api.Program) (cacheKey, error) {
 	level, err := levelOf(p.Level)
 	if err != nil {
@@ -50,19 +47,12 @@ func programKey(p api.Program) (cacheKey, error) {
 	// collapse onto one entry while "compiled" gets its own — a cached
 	// Compiled lazily builds the selected engine's structures, and its
 	// Backend field is immutable after CompileSource. The deprecated
-	// Partitions field does not key, but the prefix keeps its literal
-	// "parts=0": every sequential entry already on disk was written under
-	// that prefix and must still re-hash to its <keyhex>.json name rather
-	// than be quarantined as corrupt.
-	fmt.Fprintf(h, "v1\x00level=%d\x00backend=%s\x00parts=0\x00", level, backend)
+	// Partitions field does not key.
+	fmt.Fprintf(h, "level=%d\x00backend=%s\x00", level, backend)
 	if ps := passesOf(p.Passes); ps != nil {
 		fmt.Fprintf(h, "passes=%#v\x00", *ps)
 	}
-	// The sim text is %#v of dataflow.Config as it was with its edge
-	// depth (always 1), so persisted entries still re-hash to their names.
-	n := sim.Normalized()
-	fmt.Fprintf(h, "sim=dataflow.Config{Mem:%#v, EdgeCap:1, MaxCycles:%d, MaxActivations:%d}\x00src=%d\x00",
-		n.Mem, n.MaxCycles, n.MaxActivations, len(p.Source))
+	fmt.Fprintf(h, "sim=%#v\x00src=%d\x00", sim.Normalized(), len(p.Source))
 	io.WriteString(h, p.Source)
 	var k cacheKey
 	h.Sum(k[:0])
@@ -127,49 +117,22 @@ func (c *compileCache) lookup(key cacheKey) (ent *cacheEntry, leader bool) {
 // finish publishes the leader's result: successes enter the LRU (evicting
 // the coldest ready entries past max), failures leave the cache so a
 // later identical request recompiles. Must be called with the engine
-// mutex held; closing ready releases the waiters. The returned keys are
-// the entries evicted by the LRU bound, so the caller can prune the
-// disk store outside the lock.
-func (c *compileCache) finish(ent *cacheEntry, cp *core.Compiled, err error) []cacheKey {
+// mutex held; closing ready releases the waiters.
+func (c *compileCache) finish(ent *cacheEntry, cp *core.Compiled, err error) {
 	ent.cp, ent.err = cp, err
-	var evicted []cacheKey
 	if err != nil {
 		delete(c.entries, ent.key)
 	} else {
 		ent.elem = c.lru.PushFront(ent)
-		evicted = c.bound()
+		for c.lru.Len() > c.max {
+			back := c.lru.Back()
+			old := back.Value.(*cacheEntry)
+			c.lru.Remove(back)
+			delete(c.entries, old.key)
+			c.evictions++
+		}
 	}
 	close(ent.ready)
-	return evicted
-}
-
-// insert adds an already-compiled program as a ready entry (startup
-// warming from the disk store); it bypasses the hit/miss counters so
-// warming does not masquerade as traffic. Must be called with the
-// engine mutex held.
-func (c *compileCache) insert(key cacheKey, cp *core.Compiled) []cacheKey {
-	if _, ok := c.entries[key]; ok {
-		return nil
-	}
-	ent := &cacheEntry{key: key, ready: make(chan struct{}), cp: cp}
-	close(ent.ready)
-	c.entries[key] = ent
-	ent.elem = c.lru.PushFront(ent)
-	return c.bound()
-}
-
-// bound evicts the coldest ready entries past max, returning their keys.
-func (c *compileCache) bound() []cacheKey {
-	var evicted []cacheKey
-	for c.lru.Len() > c.max {
-		back := c.lru.Back()
-		old := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, old.key)
-		c.evictions++
-		evicted = append(evicted, old.key)
-	}
-	return evicted
 }
 
 // wait blocks until the entry's compile finishes or ctx is done.

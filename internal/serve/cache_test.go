@@ -128,7 +128,7 @@ func TestKeyNormalization(t *testing.T) {
 // TestCacheHitMissEviction drives the LRU through its full lifecycle and
 // checks every counter.
 func TestCacheHitMissEviction(t *testing.T) {
-	e := newEngine(t, Config{Workers: 1, CacheEntries: 2})
+	e := New(Config{Workers: 1, CacheEntries: 2})
 	defer e.Close()
 
 	do := func(src string, args ...int64) int64 {
@@ -161,7 +161,7 @@ func TestCacheHitMissEviction(t *testing.T) {
 
 	// Recency: a hit refreshes the entry. Touch arr, insert add, loop
 	// must be the eviction victim — arr must still be resident (a hit).
-	e2 := newEngine(t, Config{Workers: 1, CacheEntries: 2})
+	e2 := New(Config{Workers: 1, CacheEntries: 2})
 	defer e2.Close()
 	do2 := func(src string, args ...int64) {
 		t.Helper()
@@ -185,7 +185,7 @@ func TestCacheHitMissEviction(t *testing.T) {
 // request gets the result.
 func TestSingleFlight(t *testing.T) {
 	const callers = 8
-	e := newEngine(t, Config{Workers: callers, QueueDepth: callers, CacheEntries: 4})
+	e := New(Config{Workers: callers, QueueDepth: callers, CacheEntries: 4})
 	defer e.Close()
 
 	var compiles atomic.Int64
@@ -246,7 +246,7 @@ func TestSingleFlight(t *testing.T) {
 // of the flight but are not memoized: a later identical request
 // recompiles.
 func TestCompileErrorNotCached(t *testing.T) {
-	e := newEngine(t, Config{Workers: 2, CacheEntries: 4})
+	e := New(Config{Workers: 2, CacheEntries: 4})
 	defer e.Close()
 
 	var compiles atomic.Int64
@@ -268,34 +268,5 @@ func TestCompileErrorNotCached(t *testing.T) {
 	s := e.Stats()
 	if s.Failed != 2 || s.CacheEntries != 0 {
 		t.Fatalf("stats = failed %d entries %d, want 2/0", s.Failed, s.CacheEntries)
-	}
-}
-
-// TestKeyStableOnDisk pins one cache key to its hex digest. Entries on
-// disk are named by that digest and load quarantines any entry that no
-// longer re-hashes to its name, so a change to programKey's hashed
-// prefix (such as dropping the literal "parts=0") would quarantine every
-// persisted entry at the next restart.
-func TestKeyStableOnDisk(t *testing.T) {
-	const want = "b634411219ad4f901dd664699474516bd48a27120ec31fef33ef479f7a9da33f"
-	k, err := programKey(api.Program{Source: "int f(void){return 1;}", Level: api.LevelFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.String() != want {
-		t.Errorf("key = %s, want %s: persisted cache entries would stop re-hashing to their names", k, want)
-	}
-
-	// A non-default simulator config pins the spelled-out sim text
-	// (cache.go) beyond the defaults: the digest was computed while
-	// dataflow.Config still had its edge-depth field.
-	const wantSim = "b2488033f07ecb379b027b22dd1b533de838cc69c3edd3442831045c984230a3"
-	k, err = programKey(api.Program{Source: "int f(void){return 1;}", Level: api.LevelFull,
-		Sim: &api.SimConfig{Mem: &api.MemConfig{Kind: api.MemRealistic, Ports: 2}, MaxCycles: 1000000, EdgeCap: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.String() != wantSim {
-		t.Errorf("key = %s, want %s: persisted entries with a non-default sim config would stop re-hashing to their names", k, wantSim)
 	}
 }

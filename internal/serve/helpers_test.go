@@ -1,21 +1,6 @@
 package serve
 
-import (
-	"testing"
-
-	"spatial/api"
-)
-
-// newEngine builds an engine or fails the test; the error path of New
-// only triggers on an unusable cache directory.
-func newEngine(t *testing.T, cfg Config) *Engine {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
+import "spatial/api"
 
 // testReq builds a request in the wire form.
 func testReq(src string, level api.Level, entry string, args ...int64) Request {

@@ -10,7 +10,7 @@
 //     parameter; the value is the immutable *core.Compiled with its
 //     prebuilt per-graph structures. The cache is a bounded LRU with
 //     single-flight: N concurrent requests for the same program compile
-//     it exactly once.
+//     it exactly once. It lives in memory and ends with the engine.
 //
 //   - A fixed worker pool (default GOMAXPROCS) executes runs. Admission
 //     is a bounded queue: when it is full the engine rejects with
@@ -59,13 +59,6 @@ type Config struct {
 	// CacheEntries bounds the compile cache (distinct compiled programs
 	// kept); 0 means 64.
 	CacheEntries int
-	// CacheDir, when non-empty, persists the compile cache to this
-	// directory: every successful compile is written through (as its
-	// wire-form inputs), hits refresh recency, evictions delete, and New
-	// reloads — recompiling — the most recent CacheEntries programs so a
-	// restarted engine answers its first request for a known program
-	// with a cache hit. Empty means in-memory only.
-	CacheDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -136,10 +129,8 @@ type Stats struct {
 	CacheEvictions uint64 // ready entries evicted by the LRU bound
 	CacheEntries   int    // entries currently resident
 
-	QueueLen        int // requests waiting for a worker right now
-	QueueCap        int // admission queue bound (Config.QueueDepth)
-	DiskLoaded      int // entries warmed from CacheDir at startup
-	DiskQuarantined int // corrupt persisted entries quarantined at startup
+	QueueLen int // requests waiting for a worker right now
+	QueueCap int // admission queue bound (Config.QueueDepth)
 }
 
 // HitRate returns the fraction of lookups that avoided a compile.
@@ -175,12 +166,6 @@ type Engine struct {
 	mu    sync.Mutex // guards cache
 	cache *compileCache
 
-	// disk is the persistent cache store; nil without Config.CacheDir.
-	// All disk operations happen outside e.mu and are best-effort.
-	disk            *diskStore
-	diskLoaded      int
-	diskQuarantined int
-
 	// compileFn builds a Compiled for a request; tests swap it to count
 	// and instrument pipeline executions.
 	compileFn func(Request) (*core.Compiled, error)
@@ -195,13 +180,8 @@ type Engine struct {
 	wg      sync.WaitGroup
 }
 
-// New starts an engine with cfg's worker pool and cache. With
-// Config.CacheDir set it also opens the persistent store and warms the
-// in-memory cache by recompiling the most recently used persisted
-// programs (newest kept, LRU bound enforced across the restart); a
-// persisted program the current compiler rejects is dropped from disk.
-// New fails only on an unusable cache directory.
-func New(cfg Config) (*Engine, error) {
+// New starts an engine with cfg's worker pool and an empty cache.
+func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:       cfg,
@@ -209,29 +189,11 @@ func New(cfg Config) (*Engine, error) {
 		cache:     newCompileCache(cfg.CacheEntries),
 		compileFn: compileRequest,
 	}
-	if cfg.CacheDir != "" {
-		d, err := openDiskStore(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.disk = d
-		entries, quarantined := d.load(cfg.CacheEntries)
-		e.diskQuarantined = quarantined
-		for _, ent := range entries {
-			cp, err := e.compileFn(Request{Program: ent.prog})
-			if err != nil {
-				d.remove(ent.key)
-				continue
-			}
-			e.cache.insert(ent.key, cp)
-			e.diskLoaded++
-		}
-	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
 	}
-	return e, nil
+	return e
 }
 
 // compileRequest runs the full pipeline for a request's compile-time
@@ -432,11 +394,11 @@ func (e *Engine) process(j *job) (*Response, error) {
 
 // Resolve resolves the request's program through the compile cache
 // without running it: it returns the immutable compiled program,
-// compiling (and write-through persisting) it if absent. The second
-// result reports whether the compilation was shared (a ready entry or a
-// joined flight) rather than performed by this call. Resolve is what
-// the daemon's /v1/compile endpoint and traced runs use; Do and DoBatch
-// resolve through it on a worker.
+// compiling it if absent. The second result reports whether the
+// compilation was shared (a ready entry or a joined flight) rather than
+// performed by this call. Resolve is what the daemon's /v1/compile
+// endpoint and traced runs use; Do and DoBatch resolve through it on a
+// worker.
 func (e *Engine) Resolve(ctx context.Context, req Request) (*core.Compiled, bool, error) {
 	key, err := req.key()
 	if err != nil {
@@ -448,22 +410,11 @@ func (e *Engine) Resolve(ctx context.Context, req Request) (*core.Compiled, bool
 	if leader {
 		cp, cerr := e.compileFn(req)
 		e.mu.Lock()
-		evicted := e.cache.finish(ent, cp, cerr)
+		e.cache.finish(ent, cp, cerr)
 		e.mu.Unlock()
-		if e.disk != nil {
-			if cerr == nil {
-				_ = e.disk.put(key, req.Program) // best-effort: disk loss = cold cache
-			}
-			for _, k := range evicted {
-				e.disk.remove(k)
-			}
-		}
 		return cp, false, cerr
 	}
 	cp, werr := ent.wait(ctx)
-	if werr == nil && e.disk != nil {
-		e.disk.touch(key)
-	}
 	return cp, true, werr
 }
 
@@ -471,13 +422,11 @@ func (e *Engine) Resolve(ctx context.Context, req Request) (*core.Compiled, bool
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
-		CacheHits:       e.cache.hits,
-		CacheShared:     e.cache.shared,
-		CacheMisses:     e.cache.misses,
-		CacheEvictions:  e.cache.evictions,
-		CacheEntries:    e.cache.lru.Len(),
-		DiskLoaded:      e.diskLoaded,
-		DiskQuarantined: e.diskQuarantined,
+		CacheHits:      e.cache.hits,
+		CacheShared:    e.cache.shared,
+		CacheMisses:    e.cache.misses,
+		CacheEvictions: e.cache.evictions,
+		CacheEntries:   e.cache.lru.Len(),
 	}
 	e.mu.Unlock()
 	s.Completed = e.completed.Load()

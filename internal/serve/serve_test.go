@@ -17,7 +17,7 @@ import (
 // TestOverloadBackpressure fills the pool and the queue, then verifies
 // the next request is shed with ErrOverload instead of waiting.
 func TestOverloadBackpressure(t *testing.T) {
-	e := newEngine(t, Config{Workers: 1, QueueDepth: 1, CacheEntries: 4})
+	e := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 4})
 	defer e.Close()
 
 	gate := make(chan struct{})
@@ -68,7 +68,7 @@ func TestOverloadBackpressure(t *testing.T) {
 // TestDeadline verifies a per-request deadline aborts a long run through
 // the existing RunCtx cancellation path.
 func TestDeadline(t *testing.T) {
-	e := newEngine(t, Config{Workers: 1, CacheEntries: 4})
+	e := New(Config{Workers: 1, CacheEntries: 4})
 	defer e.Close()
 
 	// ~10^8 iterations: far longer than a microsecond deadline.
@@ -92,7 +92,7 @@ int f(void) {
 // TestDoBatch checks order preservation and per-item results, with the
 // batch larger than the queue (blocking admission).
 func TestDoBatch(t *testing.T) {
-	e := newEngine(t, Config{Workers: 2, QueueDepth: 2, CacheEntries: 4})
+	e := New(Config{Workers: 2, QueueDepth: 2, CacheEntries: 4})
 	defer e.Close()
 
 	reqs := make([]Request, 9)
@@ -122,7 +122,7 @@ func TestDoBatch(t *testing.T) {
 // within a small constant of its value before the call: the batch admits
 // its items from the caller's goroutine, not one goroutine per item.
 func TestDoBatchBoundedGoroutines(t *testing.T) {
-	e := newEngine(t, Config{Workers: 2, QueueDepth: 8, CacheEntries: 4})
+	e := New(Config{Workers: 2, QueueDepth: 8, CacheEntries: 4})
 	defer e.Close()
 	reqs := make([]Request, 20000)
 	for i := range reqs {
@@ -169,7 +169,7 @@ func TestDoBatchBoundedGoroutines(t *testing.T) {
 // so srcAdd items run at once.
 func gatedBatchEngine(t *testing.T, d time.Duration) *Engine {
 	t.Helper()
-	e := newEngine(t, Config{Workers: 1, QueueDepth: 1, CacheEntries: 4})
+	e := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 4})
 	if _, err := e.Do(context.Background(), testReq(srcAdd, api.LevelFull, "f", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDoBatchDeadlineFromCall(t *testing.T) {
 // serial reference — the service-level version of the simulator's
 // determinism contract. Run under -race in CI.
 func TestParallelDeterminism(t *testing.T) {
-	e := newEngine(t, Config{Workers: 4, QueueDepth: 64, CacheEntries: 8})
+	e := New(Config{Workers: 4, QueueDepth: 64, CacheEntries: 8})
 	defer e.Close()
 
 	mix := []Request{
@@ -323,9 +323,9 @@ func TestBatchScales(t *testing.T) {
 			for i := range batch {
 				batch[i] = req
 			}
-			one := newEngine(t, Config{Workers: 1, CacheEntries: 1})
+			one := New(Config{Workers: 1, CacheEntries: 1})
 			defer one.Close()
-			many := newEngine(t, Config{Workers: procs, CacheEntries: 1})
+			many := New(Config{Workers: procs, CacheEntries: 1})
 			defer many.Close()
 			ref, err := one.Do(context.Background(), req)
 			if err != nil {
@@ -360,10 +360,34 @@ func TestBatchScales(t *testing.T) {
 	}
 }
 
+// TestWireTraceFitsSuite: the fixed trace budget of wire programs
+// (wire.go) bounds what an untrusted traced run retains, yet every suite
+// program compiled from the wire traces whole at O0 and O3.
+func TestWireTraceFitsSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces the whole suite twice")
+	}
+	for _, w := range workloads.All() {
+		for _, lv := range []api.Level{api.LevelNone, api.LevelFull} {
+			cp, err := compileRequest(testReq(w.Source, lv, w.Entry))
+			if err != nil {
+				t.Fatalf("%s O%d: %v", w.Name, lv, err)
+			}
+			_, tr, err := cp.RunTraced(context.Background(), w.Entry, nil)
+			if err != nil {
+				t.Fatalf("%s O%d: %v", w.Name, lv, err)
+			}
+			if tr.Truncated {
+				t.Errorf("%s O%d: trace truncated at %d firings, %d memory events", w.Name, lv, len(tr.Firings), len(tr.Mem))
+			}
+		}
+	}
+}
+
 // TestClosed verifies post-Close submissions fail fast and Close is
 // idempotent.
 func TestClosed(t *testing.T) {
-	e := newEngine(t, Config{Workers: 1})
+	e := New(Config{Workers: 1})
 	e.Close()
 	e.Close()
 	if _, err := e.Do(context.Background(), testReq(srcAdd, api.LevelNone, "f", 1, 2)); !errors.Is(err, ErrClosed) {
@@ -374,7 +398,7 @@ func TestClosed(t *testing.T) {
 // TestCanceledWhileQueued verifies a job abandoned by its caller is
 // dropped by the worker rather than run.
 func TestCanceledWhileQueued(t *testing.T) {
-	e := newEngine(t, Config{Workers: 1, QueueDepth: 2, CacheEntries: 4})
+	e := New(Config{Workers: 1, QueueDepth: 2, CacheEntries: 4})
 	defer e.Close()
 
 	gate := make(chan struct{})

@@ -98,6 +98,17 @@ func simOf(s *api.SimConfig) (dataflow.Config, error) {
 	}, nil
 }
 
+// The trace budget of every wire program: a traced run keeps at most
+// this many firing and memory-event records, about 25 MB, against about
+// 400 MB under the library defaults. A trace request's source is
+// untrusted and the daemon holds several traces at once. Every suite
+// program still traces whole at O0 and O3: the most firings is gsm_e's
+// 176,870 and the most memory events is g721_e's 7,424.
+const (
+	wireTraceFirings   = 1 << 18
+	wireTraceMemEvents = 1 << 16
+)
+
 // coreOptions converts a wire program's compile-time configuration into
 // facade options. It rejects invalid wire values with plain errors; the
 // caller classifies them under core.ErrCompile.
@@ -106,7 +117,10 @@ func coreOptions(p api.Program) ([]core.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []core.Option{core.WithLevel(level)}
+	opts := []core.Option{
+		core.WithLevel(level),
+		core.WithTrace(core.TraceConfig{MaxFirings: wireTraceFirings, MaxMemEvents: wireTraceMemEvents}),
+	}
 	backend, err := core.ParseBackend(p.Backend)
 	if err != nil {
 		return nil, err

@@ -35,9 +35,7 @@ type Config struct {
 
 // DefaultConfig returns the standard trace setup: generous event caps
 // suitable for the paper's kernels.
-func DefaultConfig() Config {
-	return Config{MaxFirings: 4 << 20, MaxMemEvents: 1 << 20}
-}
+func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.MaxFirings <= 0 {

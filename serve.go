@@ -8,17 +8,15 @@ import (
 )
 
 // Engine is the batch simulation service: a content-addressed compile
-// cache (bounded LRU with single-flight, optionally persisted to disk)
-// in front of a fixed worker pool with a bounded admission queue.
+// cache (an in-memory bounded LRU with single-flight) in front of a
+// fixed worker pool with a bounded admission queue.
 // Create one with NewEngine, submit with Do or DoBatch from any number
 // of goroutines, and Close it when done. See internal/serve and
 // DESIGN.md "Concurrency model" / "Service layer".
 type Engine = serve.Engine
 
 // EngineConfig parameterizes NewEngine; the zero value selects
-// defaults (GOMAXPROCS workers, 4x queue depth, 64 cache entries,
-// in-memory cache). Set CacheDir to persist the compile cache across
-// restarts.
+// defaults (GOMAXPROCS workers, 4x queue depth, 64 cache entries).
 type EngineConfig = serve.Config
 
 // Program is the versioned wire form of a program's compile-time
@@ -51,9 +49,9 @@ var (
 	ErrEngineClosed = serve.ErrClosed
 )
 
-// NewEngine starts a batch simulation engine. It fails only when
-// EngineConfig.CacheDir names an unusable directory.
-func NewEngine(cfg EngineConfig) (*Engine, error) { return serve.New(cfg) }
+// NewEngine starts a batch simulation engine with an empty compile
+// cache.
+func NewEngine(cfg EngineConfig) *Engine { return serve.New(cfg) }
 
 // Simulate is the one-shot convenience for a single request on a
 // temporary engine, optionally configured by cfg (at most one; extras
@@ -62,17 +60,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return serve.New(cfg) }
 // Each call builds and tears down a fresh engine, so nothing is shared
 // between calls — in particular the compile cache starts empty every
 // time, and two Simulate calls for the same program compile it twice.
-// For repeated or concurrent use, keep an Engine (or set
-// EngineConfig.CacheDir so at least the persisted cache carries over).
+// For repeated or concurrent use, keep an Engine.
 func Simulate(ctx context.Context, req BatchRequest, cfg ...EngineConfig) (*BatchResponse, error) {
 	var c EngineConfig
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}
-	e, err := serve.New(c)
-	if err != nil {
-		return nil, err
-	}
+	e := serve.New(c)
 	defer e.Close()
 	return e.Do(ctx, req)
 }

@@ -12,10 +12,7 @@ import (
 // an engine, a cache-hitting request mix, the one-shot helper, and its
 // optional configuration.
 func TestPublicEngine(t *testing.T) {
-	e, err := spatial.NewEngine(spatial.EngineConfig{Workers: 2, CacheEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := spatial.NewEngine(spatial.EngineConfig{Workers: 2, CacheEntries: 4})
 	defer e.Close()
 
 	const src = `
