@@ -150,7 +150,8 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Trace requests a cycle-accurate event trace of the run; the
 	// response's TraceID can be downloaded from GET /v1/trace/{id} as
-	// Chrome trace-event JSON.
+	// Chrome trace-event JSON. A traced run is admitted like any run, so
+	// it may be shed with 429. Batch items may not set it.
 	Trace bool `json:"trace,omitempty"`
 }
 

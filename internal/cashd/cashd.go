@@ -7,12 +7,15 @@
 // Routes (all under the frozen api.Version prefix):
 //
 //	POST /v1/compile    compile (and cache) a program without running it
-//	POST /v1/run        one simulation; ?trace records a downloadable trace
+//	POST /v1/run        one simulation; "trace": true records a downloadable trace
 //	POST /v1/batch      many simulations, results in request order
 //	GET  /v1/trace/{id} Chrome trace-event JSON of a recorded run
 //	GET  /metrics       Prometheus text: cache, queue, shed, latency
 //	GET  /healthz       liveness
 //
+// Every endpoint that compiles or runs submits jobs to the engine, whose
+// one bounded queue admits, counts and drains them all; /v1/compile and
+// /v1/run are shed with 429 when it is full.
 // Failures carry a typed api.Error body whose class fixes the HTTP
 // status (compile/sim → 422, overload → 429 + Retry-After, deadline →
 // 504, internal → 500). A daemon is peer-unaware: it serves every
@@ -205,7 +208,21 @@ func toServeRequest(rr api.RunRequest) serve.Request {
 		Program:  rr.Program,
 		Entry:    rr.Entry,
 		Args:     rr.Args,
+		Trace:    rr.Trace,
 		Deadline: time.Duration(rr.TimeoutMS) * time.Millisecond,
+	}
+}
+
+// runResponse builds the wire form of one engine response; traceID names
+// its stored trace, if any.
+func runResponse(resp *serve.Response, traceID string) *api.RunResponse {
+	return &api.RunResponse{
+		Value:    resp.Value,
+		Stats:    toWireStats(resp.Stats),
+		CacheHit: resp.CacheHit,
+		WaitNS:   resp.Wait.Nanoseconds(),
+		TotalNS:  resp.Total.Nanoseconds(),
+		TraceID:  traceID,
 	}
 }
 
@@ -232,13 +249,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	_, hit, err := s.eng.Resolve(r.Context(), serve.Request{Program: req})
+	hit, err := s.eng.Compile(r.Context(), req)
 	if err != nil {
 		writeError(w, errorFor(err))
 		return
 	}
 	if !hit {
-		s.met.compile.observe(time.Since(start))
+		s.met.observe(&s.met.compile, time.Since(start))
 	}
 	writeJSON(w, api.CompileResponse{Key: req.Key().String(), CacheHit: hit})
 }
@@ -253,63 +270,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "run: empty source")
 		return
 	}
-	if req.Trace {
-		s.handleTracedRun(w, r, req)
-		return
-	}
 	start := time.Now()
 	resp, err := s.eng.Do(r.Context(), toServeRequest(req))
 	if err != nil {
 		writeError(w, errorFor(err))
 		return
 	}
-	s.met.run.observe(time.Since(start))
-	writeJSON(w, api.RunResponse{
-		Value:    resp.Value,
-		Stats:    toWireStats(resp.Stats),
-		CacheHit: resp.CacheHit,
-		WaitNS:   resp.Wait.Nanoseconds(),
-		TotalNS:  resp.Total.Nanoseconds(),
-	})
-}
-
-// handleTracedRun serves a run with trace recording. Traced runs are a
-// diagnostic path: they execute on the handler goroutine, bypassing the
-// worker pool, so a trace request cannot be shed. Like a plain run, the
-// request's TimeoutMS and the client's connection bound it.
-func (s *Server) handleTracedRun(w http.ResponseWriter, r *http.Request, req api.RunRequest) {
-	start := time.Now()
-	sreq := toServeRequest(req)
-	ctx := r.Context()
-	if sreq.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sreq.Deadline)
-		defer cancel()
+	s.met.observe(&s.met.run, time.Since(start))
+	var traceID string
+	if resp.Trace != nil {
+		traceID = s.traces.add(resp.Trace)
 	}
-	cp, hit, err := s.eng.Resolve(ctx, sreq)
-	if err != nil {
-		writeError(w, errorFor(err))
-		return
-	}
-	entry := req.Entry
-	if entry == "" {
-		entry = "main"
-	}
-	res, tr, err := cp.RunTraced(ctx, entry, req.Args)
-	if err != nil {
-		writeError(w, errorFor(err))
-		return
-	}
-	id := s.traces.add(tr)
-	s.met.run.observe(time.Since(start))
-	total := time.Since(start)
-	writeJSON(w, api.RunResponse{
-		Value:    res.Value,
-		Stats:    toWireStats(res.Stats),
-		CacheHit: hit,
-		TotalNS:  total.Nanoseconds(),
-		TraceID:  id,
-	})
+	writeJSON(w, runResponse(resp, traceID))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -336,7 +308,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	results := s.eng.DoBatch(r.Context(), reqs)
-	s.met.run.observe(time.Since(start))
+	s.met.observe(&s.met.run, time.Since(start))
 	out := api.BatchResponse{Results: make([]api.BatchItem, len(results))}
 	for i, br := range results {
 		if br.Err != nil {
@@ -345,13 +317,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i] = api.BatchItem{Err: e}
 			continue
 		}
-		out.Results[i] = api.BatchItem{Run: &api.RunResponse{
-			Value:    br.Resp.Value,
-			Stats:    toWireStats(br.Resp.Stats),
-			CacheHit: br.Resp.CacheHit,
-			WaitNS:   br.Resp.Wait.Nanoseconds(),
-			TotalNS:  br.Resp.Total.Nanoseconds(),
-		}}
+		out.Results[i] = api.BatchItem{Run: runResponse(br.Resp, "")}
 	}
 	writeJSON(w, out)
 }

@@ -268,8 +268,9 @@ func TestStatusMapping(t *testing.T) {
 }
 
 // TestOverloadSheds fills the single worker and the one-slot queue with
-// slow runs, then verifies the next request over HTTP is shed with 429,
-// a Retry-After header, and a temporary typed error.
+// slow runs, then verifies that the next run, traced run and compile
+// over HTTP are each shed with 429, a Retry-After header, and a
+// temporary typed error.
 func TestOverloadSheds(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, QueueDepth: 1, CacheEntries: 4}})
 
@@ -298,22 +299,38 @@ func TestOverloadSheds(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp := post(t, ts.URL+"/v1/run", slow)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
+	traced := slow
+	traced.Trace = true
+	for _, in := range []struct {
+		name, path string
+		body       any
+	}{
+		{"run", "/v1/run", slow},
+		{"traced run", "/v1/run", traced},
+		{"compile", "/v1/compile", api.CompileRequest{Source: srcAdd}},
+	} {
+		resp := post(t, ts.URL+in.path, in.body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			resp.Body.Close()
+			t.Errorf("%s: status %d, want 429", in.name, resp.StatusCode)
+			continue
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Errorf("%s: Retry-After %q, want 1 (seconds, rounded up)", in.name, ra)
+		}
+		e := decodeBody[api.Error](t, resp)
+		if e.Class != api.ClassOverload {
+			t.Errorf("%s: class %q, want overload", in.name, e.Class)
+		}
+		if !e.Temporary() {
+			t.Errorf("%s: overload error not marked temporary", in.name)
+		}
+		if e.RetryAfterMS != overloadRetryAfter.Milliseconds() {
+			t.Errorf("%s: retry_after_ms %d, want %d", in.name, e.RetryAfterMS, overloadRetryAfter.Milliseconds())
+		}
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After %q, want 1 (seconds, rounded up)", ra)
-	}
-	e := decodeBody[api.Error](t, resp)
-	if e.Class != api.ClassOverload {
-		t.Errorf("class %q, want overload", e.Class)
-	}
-	if !e.Temporary() {
-		t.Error("overload error not marked temporary")
-	}
-	if e.RetryAfterMS != overloadRetryAfter.Milliseconds() {
-		t.Errorf("retry_after_ms %d, want %d", e.RetryAfterMS, overloadRetryAfter.Milliseconds())
+	if got := s.Engine().Stats().Rejected; got != 3 {
+		t.Errorf("engine shed %d requests, want 3", got)
 	}
 }
 
@@ -441,12 +458,14 @@ func TestTraceStoreBound(t *testing.T) {
 
 // TestMetrics exercises the exposition after live traffic: engine
 // counters, the hit-rate gauge, and both latency histograms must appear
-// with self-consistent values.
+// with self-consistent values. A traced run counts as a completed run
+// and lands in the run histogram like any other.
 func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})
 
 	rr := api.RunRequest{Program: api.Program{Source: srcLoop, Level: api.LevelFull}, Entry: "f", Args: []int64{10}}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
+		rr.Trace = i == 3
 		resp := post(t, ts.URL+"/v1/run", rr)
 		resp.Body.Close()
 	}
@@ -464,19 +483,22 @@ func TestMetrics(t *testing.T) {
 
 	for _, want := range []string{
 		`cashd_requests_total{endpoint="compile",status="200"} 1`,
-		`cashd_requests_total{endpoint="run",status="200"} 3`,
+		`cashd_requests_total{endpoint="run",status="200"} 4`,
 		`cashd_requests_total{endpoint="run",status="422"} 1`,
-		"cashd_runs_completed_total 3",
+		// Every served run, the traced one included, is a completion and
+		// a run-histogram entry.
+		"cashd_runs_completed_total 4",
 		"cashd_runs_failed_total 1",
-		"cashd_cache_hits_total 2",
+		"cashd_cache_hits_total 3",
 		"cashd_cache_misses_total 3",
-		"cashd_run_duration_seconds_count 3",
+		"cashd_run_duration_seconds_count 4",
 		"cashd_run_duration_seconds_bucket",
 		"cashd_compile_duration_seconds_count 1",
 		"cashd_run_duration_seconds_p50",
 		"cashd_run_duration_seconds_p99",
 		"cashd_shed_rate 0",
 		"cashd_queue_capacity 4",
+		"cashd_traces_resident 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n----\n%s", want, text)

@@ -3,9 +3,11 @@ package cashd
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"spatial/internal/serve"
 )
@@ -13,12 +15,12 @@ import (
 // metrics is the daemon's instrumentation: request counters by endpoint
 // and status, plus latency histograms for compile and run work. The
 // export format is the Prometheus text exposition (version 0.0.4), which
-// needs no dependency — it is lines of `name{labels} value`.
+// needs no dependency — it is lines of `name{labels} value`. One mutex
+// guards all of it; an update is a few adds, nothing next to a run.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[reqKey]uint64
-	compile  *histogram
-	run      *histogram
+	mu           sync.Mutex
+	requests     map[reqKey]uint64
+	compile, run histogram
 }
 
 type reqKey struct {
@@ -27,11 +29,7 @@ type reqKey struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		requests: make(map[reqKey]uint64),
-		compile:  newHistogram(),
-		run:      newHistogram(),
-	}
+	return &metrics{requests: make(map[reqKey]uint64)}
 }
 
 func (m *metrics) countRequest(endpoint string, status int) {
@@ -43,8 +41,7 @@ func (m *metrics) countRequest(endpoint string, status int) {
 // histogram is a fixed exponential-bucket latency histogram: bucket i
 // holds observations below minBucket·2^i seconds, spanning ~100µs to
 // ~100s in 21 buckets. Quantiles are read back by linear interpolation
-// within the winning bucket — coarse, but honest to a factor of 2,
-// which is what a load curve needs.
+// within the winning bucket — coarse, but honest to a factor of 2.
 type histogram struct {
 	counts [histBuckets]uint64
 	sum    float64 // seconds
@@ -63,23 +60,19 @@ func histUpper(i int) float64 {
 	return histMinBucket * math.Pow(2, float64(i))
 }
 
-func newHistogram() *histogram { return &histogram{} }
-
-// observe is called under the metrics mutex by observeLocked; the
-// exported path takes the lock.
-func (h *histogram) observeLocked(seconds float64) {
+// observe records one latency in h, which is m.compile or m.run.
+func (m *metrics) observe(h *histogram, d time.Duration) {
+	seconds := d.Seconds()
 	i := 0
 	for i < histBuckets-1 && seconds >= histUpper(i) {
 		i++
 	}
+	m.mu.Lock()
 	h.counts[i]++
 	h.sum += seconds
 	h.total++
+	m.mu.Unlock()
 }
-
-// snapshot copies the histogram under no lock of its own; callers hold
-// the metrics mutex.
-func (h *histogram) snapshot() histogram { return *h }
 
 // quantile returns the q-quantile (0..1) in seconds, interpolated
 // within the selected bucket. Zero observations → 0.
@@ -112,30 +105,13 @@ func (h *histogram) quantile(q float64) float64 {
 	return histUpper(histBuckets - 2)
 }
 
-// observe records one latency.
-func (h *histogram) observe(d interface{ Seconds() float64 }) {
-	histMu.Lock()
-	h.observeLocked(d.Seconds())
-	histMu.Unlock()
-}
-
-// histMu guards all histograms; latency observation is two adds and an
-// increment, contention is irrelevant next to a simulation run.
-var histMu sync.Mutex
-
 // write renders the full exposition: daemon counters, engine counters,
 // and latency histograms with derived quantile gauges.
 func (m *metrics) write(w io.Writer, s serve.Stats, traces int) {
 	m.mu.Lock()
-	reqs := make(map[reqKey]uint64, len(m.requests))
-	for k, v := range m.requests {
-		reqs[k] = v
-	}
+	reqs := maps.Clone(m.requests)
+	compile, run := m.compile, m.run
 	m.mu.Unlock()
-	histMu.Lock()
-	compile := m.compile.snapshot()
-	run := m.run.snapshot()
-	histMu.Unlock()
 
 	fmt.Fprintln(w, "# HELP cashd_requests_total HTTP requests served, by endpoint and status.")
 	fmt.Fprintln(w, "# TYPE cashd_requests_total counter")
@@ -178,7 +154,7 @@ func (m *metrics) write(w io.Writer, s serve.Stats, traces int) {
 	gauge("cashd_shed_rate", "Rejected over all finished requests.", shedRate)
 	gauge("cashd_traces_resident", "Recorded traces held for download.", float64(traces))
 
-	writeHist(w, "cashd_compile_duration_seconds", "Compile endpoint latency (cache misses only; run-path compiles land in run duration).", &compile)
+	writeHist(w, "cashd_compile_duration_seconds", "Compile endpoint latency, including queue wait (cache misses only; run-path compiles land in run duration).", &compile)
 	writeHist(w, "cashd_run_duration_seconds", "Run latency (request residence, including queue wait).", &run)
 }
 

@@ -21,17 +21,15 @@
 //     a short straight-line "static program" run once per activation
 //     into a dense slot array — the interpreter's lazy memoized
 //     staticValue walk disappears entirely.
-//   - Input latches are bare []int64 FIFOs: every port has exactly one
-//     producer edge, so the producer bookkeeping the interpreter
-//     carries per latched value is precomputed per port.
-//   - The global (time, seq) binary heap is replaced by a calendar
-//     ring of per-cycle FIFO buckets (near-future events, the common
-//     case: latencies are 0–20 cycles) plus a small spill min-heap that
-//     holds only true asynchrony — far-future deliveries such as
-//     delayed memory responses or injected delays. Because the global
-//     seq counter is monotone and the ring only holds events within
-//     its horizon, FIFO bucket order IS (time, seq) order, and every
-//     spill event at a time t precedes all ring events at t.
+//   - An input latch (vq) holds its one value inline: every port has
+//     exactly one producer edge and edges are one-place, so the
+//     producer bookkeeping the interpreter carries per latched value is
+//     precomputed per port, and only an injected duplicate spills into
+//     the latch's overflow tail.
+//
+// The event queue and the memory image are the interpreter's own
+// (internal/evq, pegasus.Memory), so both engines pop the same events in
+// the same (time, push order).
 //
 // See DESIGN.md "Compiled simulation" for the full format.
 package codegen

@@ -3,12 +3,13 @@ package codegen
 // This file is the bytecode executor. It replays the interpreter's event
 // algebra exactly — same push order, same (time, seq) pop order, same
 // statistics — while eliminating its constant factors: rules instead of
-// node dispatch, bare int64 latch FIFOs, one flat occupancy array, and
-// inlined arithmetic that never allocates (division by zero yields 0
-// without an error value). The event queue and the memory image are the
-// interpreter's own (internal/evq, pegasus.Memory). Zero steady-state
-// allocations per event: activation state is pooled, and a fresh VM
-// grows its queue slab and memory image in a handful of allocations.
+// node dispatch, latches holding their one value inline, one flat
+// occupancy array, and inlined arithmetic that never allocates (division
+// by zero yields 0 without an error value). The event queue and the
+// memory image are the interpreter's own (internal/evq, pegasus.Memory).
+// Zero steady-state allocations per event: activation state is pooled,
+// and a fresh VM grows its queue slab and memory image in a handful of
+// allocations.
 
 import (
 	"context"

@@ -11,9 +11,9 @@
 // CompileSource produces a Compiled program holding the optimized Pegasus
 // graphs; Run executes it on the self-timed dataflow simulator (spatial
 // computation), RunSequential on the in-order interpreter baseline.
-// Compilation is configured with functional options — WithLevel,
-// WithPasses, WithMemory. (The legacy struct-style Options shim is gone;
-// pass WithLevel directly.)
+// Compilation is configured with functional options: WithLevel,
+// WithPasses, WithMemory, WithSim, WithTrace, WithBackend and
+// WithDeadline.
 package core
 
 import (
@@ -69,7 +69,7 @@ func WithMemory(m memsys.Config) Option {
 }
 
 // WithSim sets the full default simulator configuration (memory system,
-// edge capacity, cycle budget).
+// cycle and activation budgets).
 func WithSim(s SimConfig) Option {
 	return optionFunc(func(c *config) { c.sim = s })
 }

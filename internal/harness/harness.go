@@ -8,7 +8,7 @@ package harness
 import (
 	"fmt"
 
-	"spatial/internal/build"
+	"spatial/internal/core"
 	"spatial/internal/dataflow"
 	"spatial/internal/hw"
 	"spatial/internal/interp"
@@ -20,22 +20,15 @@ import (
 
 // compileWorkload builds one workload at a level (or explicit passes).
 func compileWorkload(w *workloads.Workload, level opt.Level, passes *opt.Options) (*pegasus.Program, error) {
-	prog, err := w.Parse()
-	if err != nil {
-		return nil, err
-	}
-	p, err := build.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	o := opt.LevelOptions(level)
+	opts := []core.Option{core.WithLevel(level)}
 	if passes != nil {
-		o = *passes
+		opts = append(opts, core.WithPasses(*passes))
 	}
-	if err := opt.Optimize(p, o); err != nil {
+	cp, err := core.CompileSource(w.Source, opts...)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	return p, nil
+	return cp.Program, nil
 }
 
 func staticMemOps(p *pegasus.Program) (loads, stores int) {

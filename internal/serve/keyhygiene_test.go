@@ -32,6 +32,7 @@ func TestRequestFieldInventory(t *testing.T) {
 	runtimeFields := map[string]bool{
 		"Entry":    true,
 		"Args":     true,
+		"Trace":    true,
 		"Deadline": true,
 	}
 	checkInventory(t, reflect.TypeOf(Request{}), "Request", keyedFields, runtimeFields)

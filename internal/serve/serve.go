@@ -12,10 +12,12 @@
 //     single-flight: N concurrent requests for the same program compile
 //     it exactly once. It lives in memory and ends with the engine.
 //
-//   - A fixed worker pool (default GOMAXPROCS) executes runs. Admission
-//     is a bounded queue: when it is full the engine rejects with
-//     ErrOverload instead of growing goroutines without bound, so an
-//     overloaded service degrades by shedding load, not by dying.
+//   - A fixed worker pool (default GOMAXPROCS) executes every job: plain
+//     and traced runs (Do, DoBatch) and compiles without a run
+//     (Compile). Admission is a bounded queue: when it is full the
+//     engine rejects with ErrOverload instead of growing goroutines
+//     without bound, so an overloaded service degrades by shedding
+//     load, not by dying.
 //
 // Requests are embarrassingly parallel — the paper's independence
 // argument applied at the service level: each run owns its memory image,
@@ -50,7 +52,7 @@ var (
 // Config parameterizes an Engine. The zero value selects sensible
 // defaults for every field.
 type Config struct {
-	// Workers is the number of goroutines executing runs; 0 means
+	// Workers is the number of goroutines executing jobs; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// QueueDepth bounds the admission queue; a request arriving when the
@@ -81,7 +83,7 @@ func (c Config) withDefaults() Config {
 // The compile-time half is api.Program — the same versioned wire type
 // the cashd daemon decodes off the network — so the in-process and
 // network paths serve one contract. The run-time half mirrors
-// api.RunRequest (Entry/Args/TimeoutMS), with the timeout already
+// api.RunRequest (Entry/Args/Trace/TimeoutMS), with the timeout already
 // lifted to a time.Duration.
 //
 // NOTE: TestRequestFieldInventory pins this struct's field set against
@@ -98,6 +100,9 @@ type Request struct {
 	Entry string
 	// Args are the entry function's arguments.
 	Args []int64
+	// Trace records the run's event stream (Compiled.RunTraced under the
+	// program's trace budget) and returns it in Response.Trace.
+	Trace bool
 	// Deadline, when positive, bounds the request's total time in the
 	// engine — queue wait plus run — via the run's context.
 	Deadline time.Duration
@@ -110,6 +115,9 @@ type Response struct {
 	// CacheHit reports whether compilation was served from the cache
 	// (including joining a compile already in flight).
 	CacheHit bool
+	// Trace is the run's recorded event stream when the request set
+	// Trace.
+	Trace *core.Trace
 	// Wait is the time the request spent queued before a worker took it.
 	Wait time.Duration
 	// Total is the request's full residence time in the engine.
@@ -118,7 +126,7 @@ type Response struct {
 
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
-	Completed uint64 // runs finished successfully
+	Completed uint64 // runs finished successfully, traced ones included
 	Failed    uint64 // requests that ended in a compile or run error
 	Rejected  uint64 // requests shed with ErrOverload
 	Canceled  uint64 // requests abandoned while queued (never ran)
@@ -142,13 +150,16 @@ func (s Stats) HitRate() float64 {
 	return float64(s.CacheHits+s.CacheShared) / float64(total)
 }
 
-// job is one queued request with its completion channel.
+// job is one queued request with its completion channel. A
+// compileOnly job resolves its program through the cache and stops
+// there (Compile).
 type job struct {
-	req    Request
-	ctx    context.Context
-	cancel context.CancelFunc // releases ctx's deadline timer; nil without one
-	queued time.Time
-	done   chan jobResult
+	req         Request
+	compileOnly bool
+	ctx         context.Context
+	cancel      context.CancelFunc // releases ctx's deadline timer; nil without one
+	queued      time.Time
+	done        chan jobResult
 }
 
 type jobResult struct {
@@ -157,8 +168,8 @@ type jobResult struct {
 }
 
 // Engine is the batch simulation service. Create one with New, submit
-// with Do or DoBatch from any number of goroutines, and Close it when
-// done. All methods are safe for concurrent use.
+// with Do, DoBatch or Compile from any number of goroutines, and Close
+// it when done. All methods are safe for concurrent use.
 type Engine struct {
 	cfg   Config
 	queue chan *job
@@ -229,6 +240,19 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	return e.submit(ctx, req, false)
 }
 
+// Compile resolves p through the compile cache without running it,
+// compiling it if absent. It is admitted, shed and drained like Do, and
+// a hit waits for a worker as a run does. hit reports whether the
+// compilation was shared (a ready entry or a joined flight) rather than
+// performed by this call.
+func (e *Engine) Compile(ctx context.Context, p api.Program) (hit bool, err error) {
+	resp, err := e.submit(ctx, Request{Program: p}, true)
+	if err != nil {
+		return false, err
+	}
+	return resp.CacheHit, nil
+}
+
 // BatchResult pairs one batch item's response with its error.
 type BatchResult struct {
 	Resp *Response
@@ -249,7 +273,7 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
-		jobs[i], out[i].Err = e.enqueue(ctx, r, start, true)
+		jobs[i], out[i].Err = e.enqueue(ctx, r, start, true, false)
 	}
 	for i, j := range jobs {
 		if j != nil {
@@ -259,9 +283,9 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchResult {
 	return out
 }
 
-// submit enqueues a job and waits for its result.
-func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response, error) {
-	j, err := e.enqueue(ctx, req, time.Now(), block)
+// submit admits a job without blocking and waits for its result.
+func (e *Engine) submit(ctx context.Context, req Request, compileOnly bool) (*Response, error) {
+	j, err := e.enqueue(ctx, req, time.Now(), false, compileOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -271,13 +295,14 @@ func (e *Engine) submit(ctx context.Context, req Request, block bool) (*Response
 // enqueue admits one request as a job that entered the engine at start;
 // its context carries the request's deadline, counted from start. block
 // selects the admission policy: false rejects with ErrOverload when the
-// queue is full, true waits for a slot (DoBatch). The caller must wait on
-// an admitted job, which releases its context.
-func (e *Engine) enqueue(ctx context.Context, req Request, start time.Time, block bool) (*job, error) {
+// queue is full, true waits for a slot (DoBatch). compileOnly marks a
+// Compile job. The caller must wait on an admitted job, which releases
+// its context.
+func (e *Engine) enqueue(ctx context.Context, req Request, start time.Time, block, compileOnly bool) (*job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	j := &job{req: req, ctx: ctx, queued: start, done: make(chan jobResult, 1)}
+	j := &job{req: req, compileOnly: compileOnly, ctx: ctx, queued: start, done: make(chan jobResult, 1)}
 	if req.Deadline > 0 {
 		j.ctx, j.cancel = context.WithDeadline(ctx, start.Add(req.Deadline))
 	}
@@ -351,7 +376,9 @@ func (e *Engine) worker() {
 		resp, err := e.process(j)
 		switch {
 		case err == nil:
-			e.completed.Add(1)
+			if !j.compileOnly {
+				e.completed.Add(1)
+			}
 		case errors.Is(err, errAbandoned):
 			e.canceled.Add(1)
 		default:
@@ -363,7 +390,8 @@ func (e *Engine) worker() {
 
 // process executes one job on the calling worker: resolve the compiled
 // program through the cache (compiling it here if this job is the
-// flight's leader), then run it under the job's context.
+// flight's leader), then, unless the job is compile-only, run it under
+// the job's context.
 func (e *Engine) process(j *job) (*Response, error) {
 	wait := time.Since(j.queued)
 	if err := j.ctx.Err(); err != nil {
@@ -371,35 +399,36 @@ func (e *Engine) process(j *job) (*Response, error) {
 		// run never starts, and Stats counts it apart from failures.
 		return nil, fmt.Errorf("%w: %w", errAbandoned, err)
 	}
-	cp, hit, err := e.Resolve(j.ctx, j.req)
+	cp, hit, err := e.resolve(j.ctx, j.req)
 	if err != nil {
 		return nil, err
 	}
-	entry := j.req.Entry
-	if entry == "" {
-		entry = "main"
+	resp := &Response{CacheHit: hit, Wait: wait}
+	if !j.compileOnly {
+		entry := j.req.Entry
+		if entry == "" {
+			entry = "main"
+		}
+		var res *core.SimResult
+		if j.req.Trace {
+			res, resp.Trace, err = cp.RunTraced(j.ctx, entry, j.req.Args)
+		} else {
+			res, err = cp.RunCtx(j.ctx, entry, j.req.Args)
+		}
+		if err != nil {
+			return nil, err
+		}
+		resp.Value, resp.Stats = res.Value, res.Stats
 	}
-	res, err := cp.RunCtx(j.ctx, entry, j.req.Args)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{
-		Value:    res.Value,
-		Stats:    res.Stats,
-		CacheHit: hit,
-		Wait:     wait,
-		Total:    time.Since(j.queued),
-	}, nil
+	resp.Total = time.Since(j.queued)
+	return resp, nil
 }
 
-// Resolve resolves the request's program through the compile cache
-// without running it: it returns the immutable compiled program,
+// resolve returns the request's compiled program from the compile cache,
 // compiling it if absent. The second result reports whether the
 // compilation was shared (a ready entry or a joined flight) rather than
-// performed by this call. Resolve is what the daemon's /v1/compile
-// endpoint and traced runs use; Do and DoBatch resolve through it on a
-// worker.
-func (e *Engine) Resolve(ctx context.Context, req Request) (*core.Compiled, bool, error) {
+// performed by this call.
+func (e *Engine) resolve(ctx context.Context, req Request) (*core.Compiled, bool, error) {
 	key, err := req.key()
 	if err != nil {
 		return nil, false, core.Classified(core.ErrCompile, err)

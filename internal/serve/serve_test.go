@@ -48,12 +48,21 @@ func TestOverloadBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Queue full, worker busy: this one must be rejected immediately.
+	// Queue full, worker busy: a run, a traced run and a compile must
+	// each be rejected immediately.
+	traced := req
+	traced.Trace = true
 	if _, err := e.Do(context.Background(), req); !errors.Is(err, ErrOverload) {
-		t.Fatalf("err = %v, want ErrOverload", err)
+		t.Fatalf("run: err = %v, want ErrOverload", err)
 	}
-	if s := e.Stats(); s.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", s.Rejected)
+	if _, err := e.Do(context.Background(), traced); !errors.Is(err, ErrOverload) {
+		t.Fatalf("traced run: err = %v, want ErrOverload", err)
+	}
+	if _, err := e.Compile(context.Background(), req.Program); !errors.Is(err, ErrOverload) {
+		t.Fatalf("compile: err = %v, want ErrOverload", err)
+	}
+	if s := e.Stats(); s.Rejected != 3 {
+		t.Fatalf("rejected = %d, want 3", s.Rejected)
 	}
 
 	close(gate)
@@ -384,14 +393,54 @@ func TestWireTraceFitsSuite(t *testing.T) {
 	}
 }
 
-// TestClosed verifies post-Close submissions fail fast and Close is
-// idempotent.
+// TestCompileAndTraceJobs: a compile-only job fills the cache without
+// counting a run, and a traced run returns its trace and counts as a
+// completed run.
+func TestCompileAndTraceJobs(t *testing.T) {
+	e := New(Config{Workers: 1, CacheEntries: 4})
+	defer e.Close()
+	req := testReq(srcLoop, api.LevelFull, "f", 10)
+	for i, want := range []bool{false, true} {
+		hit, err := e.Compile(context.Background(), req.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != want {
+			t.Fatalf("compile %d: hit %v, want %v", i, hit, want)
+		}
+	}
+	req.Trace = true
+	resp, err := e.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Value != 285 || !resp.CacheHit || resp.Trace == nil || len(resp.Trace.Firings) == 0 {
+		t.Fatalf("traced run = value %d, hit %v, trace recorded %v; want 285, a hit and a trace", resp.Value, resp.CacheHit, resp.Trace != nil)
+	}
+	if _, err := e.Compile(context.Background(), api.Program{Source: "int f( {"}); !errors.Is(err, core.ErrCompile) {
+		t.Fatalf("bad compile: err = %v, want ErrCompile", err)
+	}
+	s := e.Stats()
+	if s.Completed != 1 || s.Failed != 1 || s.CacheMisses != 2 || s.CacheHits != 2 {
+		t.Fatalf("completed/failed/misses/hits = %d/%d/%d/%d, want 1/1/2/2", s.Completed, s.Failed, s.CacheMisses, s.CacheHits)
+	}
+}
+
+// TestClosed verifies post-Close submissions, runs and compiles alike,
+// fail fast and Close is idempotent.
 func TestClosed(t *testing.T) {
 	e := New(Config{Workers: 1})
 	e.Close()
 	e.Close()
-	if _, err := e.Do(context.Background(), testReq(srcAdd, api.LevelNone, "f", 1, 2)); !errors.Is(err, ErrClosed) {
+	req := testReq(srcAdd, api.LevelNone, "f", 1, 2)
+	if _, err := e.Do(context.Background(), req); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if _, err := e.Compile(context.Background(), req.Program); !errors.Is(err, ErrClosed) {
+		t.Fatalf("compile: err = %v, want ErrClosed", err)
+	}
+	if s := e.Stats(); s.CacheMisses != 0 {
+		t.Fatalf("cache misses = %d after Close, want 0", s.CacheMisses)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // Engine is the batch simulation service: a content-addressed compile
 // cache (an in-memory bounded LRU with single-flight) in front of a
 // fixed worker pool with a bounded admission queue.
-// Create one with NewEngine, submit with Do or DoBatch from any number
-// of goroutines, and Close it when done. See internal/serve and
+// Create one with NewEngine, submit with Do, DoBatch or Compile from any
+// number of goroutines, and Close it when done. See internal/serve and
 // DESIGN.md "Concurrency model" / "Service layer".
 type Engine = serve.Engine
 
@@ -25,7 +25,7 @@ type EngineConfig = serve.Config
 type Program = api.Program
 
 // BatchRequest is one simulation to execute: the embedded Program forms
-// the cache key, run-time fields (Entry, Args, Deadline) do not.
+// the cache key, run-time fields (Entry, Args, Trace, Deadline) do not.
 type BatchRequest = serve.Request
 
 // BatchResponse is the outcome of one request, including whether the
