@@ -15,8 +15,9 @@
 //
 // -backend selects the execution engine: the event-driven interpreter
 // (the default) or the compiled flat-bytecode VM, which produces
-// bit-identical results several times faster. -trace and -profile hook
-// the interpreter's machinery and reject -backend compiled.
+// bit-identical results several times faster. Traced, profiled and
+// faulted runs (-trace, -profile, -jitter, -drop, -droptok, -memfail)
+// interpret whatever the backend.
 //
 // -trace records the full event stream, writes a Chrome trace-event file
 // (loadable in about://tracing or Perfetto), and prints the trace summary
@@ -58,7 +59,7 @@ func main() {
 	level := flag.String("O", "full", "optimization level: none, basic, medium, full")
 	entry := flag.String("entry", "main", "entry function")
 	mem := flag.String("mem", "perfect", "memory system: perfect, real1, real2, real4")
-	backend := flag.String("backend", "interp", "execution engine: interp or compiled (bit-identical)")
+	backend := flag.String("backend", "interp", "execution engine: interp or compiled (bit-identical); traced, profiled and faulted runs interpret")
 	seq := flag.Bool("seq", false, "also run the sequential baseline")
 	profile := flag.Bool("profile", false, "print per-operator firing profile")
 	topK := flag.Int("topk", 10, "entries in profile and critical-path reports")
@@ -103,10 +104,6 @@ func main() {
 	be, err := core.ParseBackend(*backend)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatialsim:", err)
-		os.Exit(2)
-	}
-	if be == core.BackendCompiled && (*traceOut != "" || *profile) {
-		fmt.Fprintln(os.Stderr, "spatialsim: -trace and -profile observe the interpreter and cannot be combined with -backend compiled")
 		os.Exit(2)
 	}
 	if *cpuProfile != "" {

@@ -114,26 +114,7 @@ func (b *fnBuilder) lowerBinExpr(e *cminor.BinExpr) pegasus.Ref {
 	if e.Op.IsComparison() {
 		vt = pegasus.Pred
 	}
-	return pegasus.V(b.binOp(e.Op, l, r, vt, isUnsigned(e, lt, rt)))
-}
-
-// isUnsigned mirrors the interpreter's operand-width rule: comparisons go
-// unsigned when either side is a pointer or an unsigned integer of at
-// least 32 bits (narrower unsigned values fit in a signed compare); other
-// operators follow the expression's own type.
-func isUnsigned(e *cminor.BinExpr, lt, rt *cminor.Type) bool {
-	if e.Op.IsComparison() {
-		for _, t := range []*cminor.Type{lt, rt} {
-			if t.IsPointer() {
-				return true
-			}
-			if t.IsInteger() && !t.Signed && t.Bits >= 32 {
-				return true
-			}
-		}
-		return false
-	}
-	return e.Typ.IsInteger() && !e.Typ.Signed
+	return pegasus.V(b.binOp(e.Op, l, r, vt, cminor.UnsignedOp(e.Op, lt, rt, e.Typ)))
 }
 
 // scaleIndex multiplies an index by the element size of pointer

@@ -397,9 +397,26 @@ func (b *fnBuilder) buildBlock(blk *cfg.Block, hb *cfg.Hyperblock) {
 	case cfg.TermGoto:
 		b.outEdge(blk.Term.Then, b.pred)
 	case cfg.TermIf:
+		// A constant condition takes the same side on every wave, and
+		// that side runs under the block's own predicate. b.pred ∧ c
+		// would be the static c itself when b.pred is the wave, and a
+		// static predicate leaves the side's etas only static inputs:
+		// they fire once per activation instead of once per wave. The
+		// other side keeps b.pred ∧ ¬c, which is false on every wave.
+		// ConstEval follows the typing rules this lowering follows
+		// (cminor.EvalTyped), so the side it picks is the one c takes.
 		c := b.boolize(b.lowerExpr(blk.Term.Cond))
-		b.outEdge(blk.Term.Then, b.g.PredAnd(b.pred, c))
-		b.outEdge(blk.Term.Else, b.g.PredAndNot(b.pred, c))
+		v, err := cminor.ConstEval(blk.Term.Cond)
+		then := b.g.PredAnd(b.pred, c)
+		if err == nil && v != 0 {
+			then = b.pred
+		}
+		b.outEdge(blk.Term.Then, then)
+		els := b.g.PredAndNot(b.pred, c)
+		if err == nil && v == 0 {
+			els = b.pred
+		}
+		b.outEdge(blk.Term.Else, els)
 	}
 }
 

@@ -506,6 +506,33 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestBatchMetrics: every run of a batch is a completion and a
+// run-histogram entry, so the two counts agree after a batch.
+func TestBatchMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})
+	var batch api.BatchRequest
+	for i := 0; i < 3; i++ {
+		batch.Runs = append(batch.Runs, api.RunRequest{Program: api.Program{Source: srcAdd}, Entry: "f", Args: []int64{int64(i), 1}})
+	}
+	resp := post(t, ts.URL+"/v1/batch", batch)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	for _, want := range []string{"cashd_runs_completed_total 3", "cashd_run_duration_seconds_count 3"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q\n----\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestHealthz: liveness is a plain 200.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})

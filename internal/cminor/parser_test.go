@@ -298,19 +298,25 @@ int f(int a, unsigned b, int *p) {
 
 func TestConstEval(t *testing.T) {
 	cases := map[string]int64{
-		"1 + 2*3":            7,
-		"-(4)":               -4,
-		"~0":                 -1,
-		"!3":                 0,
-		"!0":                 1,
-		"10 / 3":             3,
-		"10 % 3":             1,
-		"1 << 4":             16,
-		"0x100 >> 4":         16,
-		"(5 > 2) + (1 == 1)": 2,
-		"7 & 3":              3,
-		"1 | 6":              7,
-		"5 ^ 1":              4,
+		"1 + 2*3":                  7,
+		"-(4)":                     -4,
+		"~0":                       -1,
+		"!3":                       0,
+		"!0":                       1,
+		"10 / 3":                   3,
+		"10 % 3":                   1,
+		"1 << 4":                   16,
+		"0x100 >> 4":               16,
+		"(5 > 2) + (1 == 1)":       2,
+		"7 & 3":                    3,
+		"1 | 6":                    7,
+		"5 ^ 1":                    4,
+		"(unsigned)-1 > 0":         1, // a 32-bit unsigned operand compares unsigned
+		"(int *)8 - (int *)0":      2, // pointer arithmetic scales by the element size
+		"(int *)0 + 1 == (int *)4": 1,
+		"(void *)8 + 1":            9,
+		"-4294967296":              0, // negation wraps at 32 bits
+		"4294967296 && 1":          1, // a logical operand is tested whole
 	}
 	for src, want := range cases {
 		prog := mustFront(t, "int x = "+src+";")

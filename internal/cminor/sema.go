@@ -1,6 +1,9 @@
 package cminor
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Check resolves names, assigns types, enforces the cMinor placement rules
 // for side-effecting expressions, collects locals and pragmas, and interns
@@ -644,6 +647,11 @@ func isGlobalConstInit(e Expr) bool {
 	return false
 }
 
+// errNotConst is ConstEval's answer for an expression outside its
+// forms: one value, so a probe of an ordinary expression allocates
+// nothing.
+var errNotConst = errors.New("not a constant expression")
+
 // ConstEval evaluates a compile-time constant expression. It supports the
 // forms allowed in global initializers.
 func ConstEval(e Expr) (int64, error) {
@@ -657,7 +665,7 @@ func ConstEval(e Expr) (int64, error) {
 		}
 		switch e.Op {
 		case OpNeg:
-			return -v, nil
+			return int64(int32(-v)), nil
 		case OpBitNot:
 			return int64(int32(^v)), nil
 		case OpNot:
@@ -675,7 +683,7 @@ func ConstEval(e Expr) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return evalBinOp(e.Op, l, r, e.Typ != nil && !e.Typ.Signed)
+		return EvalTyped(e.Op, e.L.Type(), e.R.Type(), e.Typ, l, r)
 	case *CastExpr:
 		v, err := ConstEval(e.X)
 		if err != nil {
@@ -683,7 +691,46 @@ func ConstEval(e Expr) (int64, error) {
 		}
 		return truncateTo(v, e.To), nil
 	}
-	return 0, fmt.Errorf("not a constant expression: %T", e)
+	return 0, errNotConst
+}
+
+// EvalTyped evaluates op over l and r, operands of types lt and rt (after
+// array decay) giving type typ, as C types it: pointer arithmetic scales
+// by the element size (a void pointer by 1, as the compiler lowers it)
+// and UnsignedOp picks the signedness. ConstEval and the interpreter
+// both evaluate binary expressions here, and the compiler lowers them by
+// the same two rules, so a condition ConstEval folds takes the side the
+// compiled graph computes.
+func EvalTyped(op BinOpKind, lt, rt, typ *Type, l, r int64) (int64, error) {
+	switch {
+	case lt.IsPointer() && rt.IsInteger() && (op == OpAdd || op == OpSub):
+		r *= max(lt.Elem.Size(), 1)
+	case rt.IsPointer() && lt.IsInteger() && op == OpAdd:
+		l *= max(rt.Elem.Size(), 1)
+	case lt.IsPointer() && rt.IsPointer() && op == OpSub:
+		d := int64(int32(l - r))
+		if sz := lt.Elem.Size(); sz > 1 {
+			d /= sz
+		}
+		return d, nil
+	}
+	return evalBinOp(op, l, r, UnsignedOp(op, lt, rt, typ))
+}
+
+// UnsignedOp reports whether op takes unsigned semantics over operands of
+// types lt and rt (after array decay) giving type typ. A comparison does
+// when either operand is a pointer or an unsigned integer of at least 32
+// bits (narrower unsigned values fit in a signed compare); other
+// operators follow their result type.
+func UnsignedOp(op BinOpKind, lt, rt, typ *Type) bool {
+	if op.IsComparison() {
+		return unsignedOperand(lt) || unsignedOperand(rt)
+	}
+	return typ.IsInteger() && !typ.Signed
+}
+
+func unsignedOperand(t *Type) bool {
+	return t.IsPointer() || t.IsInteger() && !t.Signed && t.Bits >= 32
 }
 
 // EvalBinOp evaluates op over canonical 32-bit values with pisa hardware
@@ -771,10 +818,10 @@ func evalBinOp(op BinOpKind, l, r int64, uns bool) (int64, error) {
 			return b2i(lu >= ru), nil
 		}
 		return b2i(li >= ri), nil
-	case OpLogAnd:
-		return b2i(li != 0 && ri != 0), nil
+	case OpLogAnd: // operands tested whole, as the interpreter does
+		return b2i(l != 0 && r != 0), nil
 	case OpLogOr:
-		return b2i(li != 0 || ri != 0), nil
+		return b2i(l != 0 || r != 0), nil
 	}
 	return 0, fmt.Errorf("evalBinOp: unknown operator %v", op)
 }

@@ -4,7 +4,9 @@ package codegen
 // entry point of the package. Compile once, run many times — a Module is
 // immutable after Compile (except the per-graph activation-state pools,
 // which are concurrency-safe), so one Module may serve concurrent runs,
-// exactly like dataflow.Shared on the interpreted side.
+// exactly like dataflow.Shared on the interpreted side. A Module runs
+// clean schedules only: fault injection, profiling and tracing belong
+// to the interpreter.
 
 import (
 	"errors"
@@ -58,10 +60,10 @@ func (mod *Module) Run(entry string, args []int64, cfg dataflow.Config) (*datafl
 }
 
 // RunHooks is Run with the hooks of h, mirroring dataflow.Shared.RunHooks:
-// the same injector state produces the same fault deliveries at the same
-// events, and h.Events sees the interpreter's event stream element for
-// element. The VM has no profiler or tracer, so a run with h.Profile or
-// h.Trace set fails; observe those runs on the interpreter.
+// h.Events sees the interpreter's event stream element for element. The
+// VM runs clean schedules only: it has no profiler, tracer or fault
+// injector, so a run with h.Profile, h.Trace or h.Inject set fails; run
+// those on the interpreter.
 func (mod *Module) RunHooks(entry string, args []int64, cfg dataflow.Config, h dataflow.Hooks) (*dataflow.Result, error) {
 	var m vm // on the stack: initVM and exec do not leak it
 	if err := mod.initVM(&m, entry, args, cfg, h); err != nil {
@@ -72,8 +74,8 @@ func (mod *Module) RunHooks(entry string, args []int64, cfg dataflow.Config, h d
 
 // initVM checks a run's preconditions and sets m up for the run.
 func (mod *Module) initVM(m *vm, entry string, args []int64, cfg dataflow.Config, h dataflow.Hooks) error {
-	if h.Profile != nil || h.Trace != nil {
-		return errors.New("codegen: the compiled VM cannot profile or trace a run; use the interpreter")
+	if h.Profile != nil || h.Trace != nil || h.Inject != nil {
+		return errors.New("codegen: the compiled VM cannot profile, trace or inject faults into a run; use the interpreter")
 	}
 	_, cfg, err := dataflow.CheckRun(mod.prog, entry, args, cfg)
 	if err != nil {
@@ -86,15 +88,11 @@ func (mod *Module) initVM(m *vm, entry string, args []int64, cfg dataflow.Config
 		msys:       memsys.New(cfg.Mem),
 		sp:         mod.prog.Layout.StackBase,
 		freeFrames: make([][]uint32, mod.numFrameClasses),
-		inj:        h.Inject,
 		ctx:        h.Ctx,
 		evHook:     h.Events,
 	}
 	if h.Events != nil {
 		m.q.SpillAll()
-	}
-	if h.Inject != nil {
-		m.msys.SetPerturber(h.Inject)
 	}
 	return nil
 }

@@ -1,10 +1,10 @@
 package codegen
 
-// The gate pin: without fault injection, every fire attempt the VM makes
-// on a merge, an eta or the entry token succeeds, because their gates
-// (vnode.blocked) skip every attempt that would fail. This test reads
-// only the failure counts, so it cannot see a gate that skips an attempt
-// that would have fired; the identity tests catch that.
+// The gate pin: every fire attempt the VM makes on a merge, an eta or
+// the entry token succeeds, because their gates (vnode.blocked) skip
+// every attempt that would fail. This test reads only the failure
+// counts, so it cannot see a gate that skips an attempt that would have
+// fired; the identity tests catch that.
 
 import (
 	"testing"
@@ -84,9 +84,9 @@ func TestBlockedByGate(t *testing.T) {
 				c.gate, c.missing, c.full, c.counter, got, c.want)
 		}
 	}
-	// Two vnodes per cache line.
-	if size := unsafe.Sizeof(vnode{}); size != 32 {
-		t.Errorf("vnode is %d bytes, want 32", size)
+	// Four vnodes per cache line.
+	if size := unsafe.Sizeof(vnode{}); size != 16 {
+		t.Errorf("vnode is %d bytes, want 16", size)
 	}
 	// A rule keeps only what a firing reads inline; its lists live in
 	// the graph's tables.

@@ -3,8 +3,9 @@ package codegen_test
 // The run surface both engines share: one precondition check
 // (dataflow.CheckRun) and one hooked entry per engine (RunHooks). These
 // tests pin that the engines reject the same runs with the same error
-// text, that the VM refuses the observers it does not implement, and
-// that any combination of hooks leaves a run's Result unchanged.
+// text, that the VM refuses the observers and the fault injector it
+// does not implement, and that any combination of hooks leaves a run's
+// Result unchanged.
 
 import (
 	"context"
@@ -13,7 +14,6 @@ import (
 	"spatial/internal/codegen"
 	"spatial/internal/core"
 	"spatial/internal/dataflow"
-	"spatial/internal/faultsim"
 	"spatial/internal/opt"
 	"spatial/internal/trace"
 	"spatial/internal/workloads"
@@ -56,8 +56,9 @@ func TestRejectionsIdentical(t *testing.T) {
 	}
 }
 
-// TestVMRejectsObservers: the VM has no profiler or tracer, so a run
-// asking for either fails instead of silently running unobserved.
+// TestVMRejectsObservers: the VM has no profiler, tracer or fault
+// injector, so a run asking for any of them fails instead of silently
+// running unobserved or unperturbed.
 func TestVMRejectsObservers(t *testing.T) {
 	cp, err := core.CompileSource(`int f(int a) { return a + 1; }`)
 	if err != nil {
@@ -67,6 +68,7 @@ func TestVMRejectsObservers(t *testing.T) {
 	for name, h := range map[string]dataflow.Hooks{
 		"profile": {Profile: dataflow.NewProfile()},
 		"trace":   {Trace: trace.New(trace.Config{})},
+		"inject":  {Inject: core.NewInjector(core.FaultPlan{})},
 	} {
 		if _, err := mod.RunHooks("f", []int64{1}, dataflow.DefaultConfig(), h); err == nil {
 			t.Errorf("%s: VM run accepted an observer it cannot serve", name)
@@ -94,7 +96,7 @@ func TestAllHooksKeepResult(t *testing.T) {
 
 	got, err := sh.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{
 		Ctx:     context.Background(),
-		Inject:  faultsim.New(faultsim.Plan{}),
+		Inject:  core.NewInjector(core.FaultPlan{}),
 		Profile: dataflow.NewProfile(),
 		Trace:   trace.New(trace.Config{}),
 		Events:  count,
@@ -109,13 +111,12 @@ func TestAllHooksKeepResult(t *testing.T) {
 	events = 0
 	got, err = mod.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{
 		Ctx:    context.Background(),
-		Inject: faultsim.New(faultsim.Plan{}),
 		Events: count,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want || events != want.Stats.Events {
-		t.Errorf("VM with Ctx, Inject and Events diverged (%d events hooked):\n got %+v\nwant %+v", events, got, want)
+		t.Errorf("VM with Ctx and Events diverged (%d events hooked):\n got %+v\nwant %+v", events, got, want)
 	}
 }

@@ -7,12 +7,12 @@ package codegen_test
 // drift is a bug, not noise.
 
 import (
+	"errors"
 	"testing"
 
 	"spatial/internal/codegen"
 	"spatial/internal/core"
 	"spatial/internal/dataflow"
-	"spatial/internal/faultsim"
 	"spatial/internal/memsys"
 	"spatial/internal/opt"
 	"spatial/internal/workloads"
@@ -59,6 +59,24 @@ func TestResultIdentity(t *testing.T) {
 	}
 }
 
+// streamPrograms are the programs whose event streams must match: two
+// suite programs, and call-overlap, whose call site waits for each
+// activation to return (a busy call is refused, and its return rechecks
+// it) before it fires again.
+var streamPrograms = []struct{ name, src, entry string }{
+	{"adpcm_e", workloads.ByName("adpcm_e").Source, workloads.ByName("adpcm_e").Entry},
+	{"g721_e", workloads.ByName("g721_e").Source, workloads.ByName("g721_e").Entry},
+	{"call-overlap", `
+int a[8];
+int slow(int x) { int k; int s = 0; for (k = 0; k < x; k++) s += k; return s; }
+int bench(void) {
+  int i; int c = 0;
+  for (i = 0; i < 8; i++) { if (i < 100) { int x = slow(40 - 5 * i); if (i < 50) a[i] = x; } }
+  for (i = 0; i < 8; i++) c = c * 31 + a[i];
+  return c;
+}`, "bench"},
+}
+
 // TestEventStreamIdentity compares the two engines' full event streams —
 // every processed event's (time, seq, act, node) in execution order, not
 // just the end-of-run statistics. This exercises the VM's total-order
@@ -68,21 +86,21 @@ func TestEventStreamIdentity(t *testing.T) {
 		time, seq int64
 		act, node int
 	}
-	for _, name := range []string{"adpcm_e", "g721_e"} {
-		w := workloads.ByName(name)
-		cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
+	for _, p := range streamPrograms {
+		name := p.name
+		cp, err := core.CompileSource(p.src, core.WithLevel(opt.Full))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []ev
-		if _, err := dataflow.Prebuild(cp.Program).RunHooks(w.Entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
+		if _, err := dataflow.Prebuild(cp.Program).RunHooks(p.entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
 			Events: func(time, seq int64, act, node int) {
 				want = append(want, ev{time, seq, act, node})
 			}}); err != nil {
 			t.Fatal(err)
 		}
 		i, diverged := 0, false
-		_, err = codegen.Compile(cp.Program).RunHooks(w.Entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
+		_, err = codegen.Compile(cp.Program).RunHooks(p.entry, nil, dataflow.DefaultConfig(), dataflow.Hooks{
 			Events: func(time, seq int64, act, node int) {
 				if diverged {
 					return
@@ -107,63 +125,41 @@ func TestEventStreamIdentity(t *testing.T) {
 	}
 }
 
-// TestFaultedIdentity replays the same seeded faults through both engines
-// (fresh injector each, since injectors are stateful) and requires the
-// identical outcome — identical Result when both complete, identical
-// error text (including the rendered stuck report) when both abort, and
-// identical triggered-fault logs either way.
-func TestFaultedIdentity(t *testing.T) {
-	w := workloads.ByName("adpcm_e")
-	cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
-	cfg := dataflow.DefaultConfig()
-	cfg.MaxCycles = 1 << 22 // cut livelocks off fast
-	mk := []struct {
-		name string
-		inj  func() *faultsim.Injector
-	}{
-		{"jitter", func() *faultsim.Injector { return faultsim.NewJitter(42, 0.05, 8) }},
-		{"freeze", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.Freeze, Node: -1, Edge: -1, Nth: 17, Cycles: 40}}})
-		}},
-		{"drop-value", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.Drop, Node: -1, Edge: -1, Nth: 99}}})
-		}},
-		{"dup-value", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.Duplicate, Node: -1, Edge: -1, Nth: 55}}})
-		}},
-		{"mem-stretch", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.MemStretch, Node: -1, Edge: -1, Nth: 5, Cycles: 64}}})
-		}},
-		{"mem-fail", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.MemFail, Node: -1, Edge: -1, Nth: 3}}})
-		}},
-	}
-	for _, fr := range mk {
-		injI, injC := fr.inj(), fr.inj()
-		want, errI := sh.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injI})
-		got, errC := mod.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injC})
-		switch {
-		case (errI == nil) != (errC == nil):
-			t.Errorf("%s: outcome diverged: interp err=%v, compiled err=%v", fr.name, errI, errC)
-		case errI != nil:
-			if errI.Error() != errC.Error() {
-				t.Errorf("%s: error text diverged:\n interp  %v\n compiled %v", fr.name, errI, errC)
+// TestLivelockIdentity cuts every suite program at O3 off at three cycle
+// budgets and requires both engines to fail with the same error text,
+// rendered stuck report included: each cut catches the engines mid-run,
+// with calls, latches and occupied edges in flight, so the VM's state
+// must mirror the interpreter's at arbitrary points, not only at the end.
+// Six programs finish within 3000 cycles; there the Results must match.
+func TestLivelockIdentity(t *testing.T) {
+	reports := 0
+	for _, w := range workloads.All() {
+		cp, err := core.CompileSource(w.Source, core.WithLevel(opt.Full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
+		for _, maxCycles := range []int64{50, 777, 3000} {
+			cfg := dataflow.DefaultConfig()
+			cfg.MaxCycles = maxCycles
+			want, errI := sh.Run(w.Entry, nil, cfg)
+			got, errC := mod.Run(w.Entry, nil, cfg)
+			var le *dataflow.LivelockError
+			switch {
+			case errI == nil && errC == nil:
+				if *got != *want {
+					t.Errorf("%s at %d cycles: result diverged:\n got %+v\nwant %+v", w.Name, maxCycles, got, want)
+				}
+			case !errors.As(errI, &le):
+				t.Errorf("%s at %d cycles: interpreter err = %v, want a livelock", w.Name, maxCycles, errI)
+			case errC == nil || errI.Error() != errC.Error():
+				t.Errorf("%s at %d cycles: outcome diverged:\n interp   %v\n compiled %v", w.Name, maxCycles, errI, errC)
+			default:
+				reports++
 			}
-		case *want != *got:
-			t.Errorf("%s: result diverged:\n got %+v\nwant %+v", fr.name, got, want)
 		}
-		ti, tc := injI.Triggered(), injC.Triggered()
-		if len(ti) != len(tc) {
-			t.Errorf("%s: triggered-fault logs diverged: interp %v, compiled %v", fr.name, ti, tc)
-		}
+	}
+	if reports < 50 {
+		t.Errorf("compared %d livelock reports, want at least 50", reports)
 	}
 }

@@ -5,11 +5,12 @@
 // a VM (vm.go) that replays the interpreter's event algebra exactly.
 //
 // The contract with the interpreted engine (internal/dataflow) is
-// bit-identity: for any program, config, and fault plan, the compiled
-// backend produces the same value, the same cycle count, the same event
-// count, and the same (time, seq) event stream. The interpreter stays
-// the differential oracle (internal/difftest runs every check against
-// both engines); the compiled backend only removes constant factors:
+// bit-identity: for any program and config, the compiled backend
+// produces the same value, the same cycle count, the same event count,
+// and the same (time, seq) event stream. The interpreter stays the
+// differential oracle (internal/difftest runs every clean check against
+// both engines) and the one engine that injects faults, profiles and
+// traces; the compiled backend only removes constant factors:
 //
 //   - Per-node dispatch over *pegasus.Node, EachInput closures, and
 //     kind-specific field decoding are replaced by pre-lowered rules
@@ -21,11 +22,10 @@
 //     a short straight-line "static program" run once per activation
 //     into a dense slot array — the interpreter's lazy memoized
 //     staticValue walk disappears entirely.
-//   - An input latch (vq) holds its one value inline: every port has
-//     exactly one producer edge and edges are one-place, so the
-//     producer bookkeeping the interpreter carries per latched value is
-//     precomputed per port, and only an injected duplicate spills into
-//     the latch's overflow tail.
+//   - An input latch (vq) is one inline slot: every port has exactly one
+//     producer edge, edges are one-place and a producer emits only while
+//     its edges are empty, so the producer bookkeeping the interpreter
+//     carries per latched value is precomputed per port.
 //
 // The event queue and the memory image are the interpreter's own
 // (internal/evq, pegasus.Memory), so both engines pop the same events in
@@ -109,21 +109,20 @@ type rule struct {
 	bytes    uint8 // opLoad/opStore access size
 	lat      uint8 // output latency in cycles
 	// shape marks a specialized operand pattern (shBin2/shUn1/shConv1)
-	// that the pre-gated firing path executes without the generic
-	// consume loops; shapeA/shapeB are its dynamic input ports.
+	// that the firing path executes without the generic consume loops;
+	// shapeA/shapeB are its dynamic input ports.
 	shape          uint8
 	shapeA, shapeB int32
-	nodeID         int32 // pegasus node ID (fault matching, stuck reports)
+	nodeID         int32 // pegasus node ID (event hook, stuck reports)
 	tokN           int32 // opTokGen initial credit
 	tokPort        int32 // opTokGen: port of Toks[0]
 
 	// The full operand lists in consume order: nIns ins, nPreds preds
 	// and nToks toks from gprog.args[argOff] on (all-input rules).
 	argOff, nIns, nPreds, nToks int32
-	// The rule's port list, gprog.portLists[portOff:][:nPorts]: the
-	// dynamic input ports an all-input rule needs non-empty before it
-	// may fire, or a merge's dynamic source ports in declaration order.
-	portOff, nPorts int32
+	// A merge's dynamic source ports in declaration order,
+	// gprog.srcs[srcOff:][:nSrcs].
+	srcOff, nSrcs int32
 
 	// Consumer edges of the value and token outputs, in the same order
 	// the interpreter builds them: class sizes and occupancy bases into
@@ -166,8 +165,9 @@ const (
 	// etas with dynamic inputs their fire path does not read.
 	gateNone uint8 = iota
 	// gateAll: all-input kinds (simple/mem/call/return), blocked while any
-	// needPort is empty or any consumer edge is full. Passing proves the
-	// rule fireable.
+	// dynamic input latch is empty or any consumer edge is full (a call
+	// also while its activation runs). Passing proves the rule fireable,
+	// so these fire paths check nothing themselves.
 	gateAll
 	// gateMerge: blocked while a consumer edge is full or every source
 	// latch is empty (missing equals the source count, held in counter).
@@ -251,12 +251,12 @@ type gprog struct {
 	ports []pmeta
 
 	// The tables the rules index. args holds every all-input rule's
-	// operands; portLists every rule's port list; dests every consumer
+	// operands; srcs every merge's source ports; dests every consumer
 	// edge, indexed by occupancy slot: value slots first, token slots
 	// after, one per slot of an activation's occ array.
-	args      []oparg
-	portLists []int32
-	dests     []dest
+	args  []oparg
+	srcs  []int32
+	dests []dest
 
 	// frameClass indexes the VM's per-size free-frame lists (assigned by
 	// Compile over the module's distinct frame sizes).
@@ -300,9 +300,9 @@ func (gp *gprog) operands(r *rule) (ins, preds, toks []oparg) {
 	return a[:r.nIns], a[r.nIns : r.nIns+r.nPreds], a[r.nIns+r.nPreds:]
 }
 
-// portList returns r's port list (see rule.portOff).
-func (gp *gprog) portList(r *rule) []int32 {
-	return gp.portLists[r.portOff : r.portOff+r.nPorts]
+// sources returns merge r's dynamic source ports (see rule.srcOff).
+func (gp *gprog) sources(r *rule) []int32 {
+	return gp.srcs[r.srcOff : r.srcOff+r.nSrcs]
 }
 
 // consumers returns the consumer edges of r's token or value output and
@@ -494,9 +494,9 @@ func lowerGraph(mod *Module, gp *gprog) {
 			gp.ports[p] = pmeta{occ: o, prod: gp.ruleOf[r.N.ID], owner: owner}
 		})
 	}
-	// Size the operand and port-list tables, so lowering fills them
+	// Size the operand and merge-source tables, so lowering fills them
 	// without growing them.
-	nArgs, nLists, nSeeds := 0, 0, 0
+	nArgs, nSrcs, nSeeds := 0, 0, 0
 	for id := 0; id < maxID; id++ {
 		n := gp.nodeByID[id]
 		if n == nil || gp.static[id] {
@@ -508,19 +508,18 @@ func lowerGraph(mod *Module, gp *gprog) {
 			srcs, _ := mergeSources(n)
 			for _, src := range srcs {
 				if !gp.static[src.N.ID] {
-					nLists++
+					nSrcs++
 				}
 			}
 		default:
 			nArgs += len(n.Ins) + len(n.Preds) + len(n.Toks)
-			nLists += int(gp.dynIns[id])
 		}
 		if gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok {
 			nSeeds++
 		}
 	}
 	gp.args = make([]oparg, 0, nArgs)
-	gp.portLists = make([]int32, 0, nLists)
+	gp.srcs = make([]int32, 0, nSrcs)
 	// Lower each dynamic node to its rule.
 	lw := &lowerer{mod: mod, g: g, gp: gp, memo: make([]oparg, maxID), done: make([]bool, maxID)}
 	gp.entryRule = -1
@@ -568,7 +567,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 		case opTokGen:
 			ns.counter = r.tokN
 		case opMerge:
-			ns.counter = r.nPorts
+			ns.counter = r.nSrcs
 		}
 	}
 	if g.Entry != nil && gp.nodeByID[g.Entry.ID] != nil && !gp.static[g.Entry.ID] {
@@ -593,7 +592,7 @@ func gateOf(r *rule, dynIns int32) uint8 {
 	case opBin, opUn, opConv, opMux, opCombine, opLoad, opStore, opCall, opReturn:
 		return gateAll
 	case opMerge:
-		if dynIns == r.nPorts {
+		if dynIns == r.nSrcs {
 			return gateMerge
 		}
 	case opEta:
@@ -614,11 +613,10 @@ func isPort(g oparg) int32 {
 }
 
 // lowerRule fills the kind-specific fields of one rule, appending its
-// operands and port list to the graph's tables.
+// operands, or a merge's source ports, to the graph's tables.
 func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 	gp := lw.gp
 	r.argOff = int32(len(gp.args))
-	r.portOff = int32(len(gp.portLists))
 	switch n.Kind {
 	case pegasus.KEntryTok:
 		r.op = opEntry
@@ -641,6 +639,7 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 	case pegasus.KMerge:
 		r.op = opMerge
 		r.outTok = n.TokenOnly
+		r.srcOff = int32(len(gp.srcs))
 		srcs, cls := mergeSources(n)
 		for i, src := range srcs {
 			if gp.static[src.N.ID] {
@@ -648,9 +647,9 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 				// builder never creates them.
 				continue
 			}
-			gp.portLists = append(gp.portLists, gp.portIndex(n, cls, i))
+			gp.srcs = append(gp.srcs, gp.portIndex(n, cls, i))
 		}
-		r.nPorts = int32(len(gp.portLists)) - r.portOff
+		r.nSrcs = int32(len(gp.srcs)) - r.srcOff
 		return
 	case pegasus.KEta:
 		r.op = opEta
@@ -683,14 +682,7 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 	case pegasus.KReturn:
 		r.op = opReturn
 	}
-	// All-inputs rules: the dynamic readiness set plus the operand lists
-	// in consume order.
-	n.EachInput(func(rf *pegasus.Ref, cls pegasus.Port, idx int) {
-		if rf.Valid() && !gp.static[rf.N.ID] {
-			gp.portLists = append(gp.portLists, gp.portIndex(n, cls, idx))
-		}
-	})
-	r.nPorts = int32(len(gp.portLists)) - r.portOff
+	// All-inputs rules: the operand lists in consume order.
 	for i, rf := range n.Ins {
 		gp.args = append(gp.args, lw.argOf(n, pegasus.PortIn, i, rf))
 	}

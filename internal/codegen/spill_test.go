@@ -1,10 +1,10 @@
 package codegen_test
 
 // Spill-heap stress: the event queue's calendar ring (internal/evq) only
-// spans 512 cycles, so injected delays larger than that force deliveries
-// off the ring into the (time, seq) spill heap. These schedules are the
-// asynchrony-heavy worst case for the queue, and the VM must still replay
-// the interpreter bit for bit.
+// spans 512 cycles, so a memory slower than that schedules every load's
+// value past the ring's horizon, into the (time, seq) spill heap. These
+// schedules are the asynchrony-heavy worst case for the queue, and the VM
+// must still replay the interpreter bit for bit.
 
 import (
 	"testing"
@@ -12,7 +12,6 @@ import (
 	"spatial/internal/codegen"
 	"spatial/internal/core"
 	"spatial/internal/dataflow"
-	"spatial/internal/faultsim"
 	"spatial/internal/opt"
 	"spatial/internal/workloads"
 )
@@ -24,46 +23,22 @@ func TestSpillHeapStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
-	cfg := dataflow.DefaultConfig()
-	cfg.MaxCycles = 1 << 24 // delays of thousands of cycles stretch the run
-	mk := []struct {
-		name string
-		inj  func() *faultsim.Injector
-	}{
-		// Every ~10th delivery is pushed 0–4095 cycles out: far past the
-		// 512-cycle ring horizon, so most delayed events take the spill
-		// path instead of a bucket.
-		{"huge-jitter", func() *faultsim.Injector { return faultsim.NewJitter(7, 0.1, 4096) }},
-		// Repeatedly stretch memory completions by 2000 cycles — the
-		// realistic source of far-future events (slow memory), likewise
-		// past the ring horizon.
-		{"mem-stretch-2000", func() *faultsim.Injector {
-			return faultsim.New(faultsim.Plan{Faults: []faultsim.Fault{
-				{Op: faultsim.MemStretch, Node: -1, Edge: -1, Nth: 4, Cycles: 2000},
-				{Op: faultsim.MemStretch, Node: -1, Edge: -1, Nth: 9, Cycles: 3000}}})
-		}},
-		// Jitter with delays straddling the horizon: some events land at
-		// the ring's edge, some just past it, exercising the boundary.
-		{"horizon-jitter", func() *faultsim.Injector { return faultsim.NewJitter(99, 0.2, 600) }},
-	}
-	for _, fr := range mk {
-		injI := fr.inj()
-		want, errI := sh.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: injI})
-		if errI != nil {
-			t.Fatalf("%s: interpreter aborted: %v", fr.name, errI)
-		}
-		inj := fr.inj()
-		got, err := mod.RunHooks(w.Entry, nil, cfg, dataflow.Hooks{Inject: inj})
+	// Load latencies just inside, at and past the 512-cycle horizon, and
+	// far past it.
+	for _, lat := range []int64{511, 512, 600, 2000, 4096} {
+		cfg := dataflow.DefaultConfig()
+		cfg.Mem.PerfectLatency = lat
+		want, err := sh.Run(w.Entry, nil, cfg)
 		if err != nil {
-			t.Errorf("%s: aborted: %v", fr.name, err)
+			t.Fatalf("latency %d: interpreter aborted: %v", lat, err)
+		}
+		got, err := mod.Run(w.Entry, nil, cfg)
+		if err != nil {
+			t.Errorf("latency %d: aborted: %v", lat, err)
 			continue
 		}
 		if *got != *want {
-			t.Errorf("%s: result diverged:\n got %+v\nwant %+v", fr.name, got, want)
-		}
-		if len(injI.Triggered()) != len(inj.Triggered()) {
-			t.Errorf("%s: triggered-fault logs diverged: interp %d, vm %d",
-				fr.name, len(injI.Triggered()), len(inj.Triggered()))
+			t.Errorf("latency %d: result diverged:\n got %+v\nwant %+v", lat, got, want)
 		}
 	}
 }

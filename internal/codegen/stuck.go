@@ -54,7 +54,7 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 		if !ref.Valid() || gp.static[ref.N.ID] {
 			return
 		}
-		if a.st.ports[gp.portIndex(n, cls, idx)].size() > 0 {
+		if a.st.ports[gp.portIndex(n, cls, idx)].held {
 			b.Arrived++
 			return
 		}
@@ -77,7 +77,7 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 	case pegasus.KTokenGen:
 		// Token inputs are absorbed eagerly, so only the predicate path
 		// can block: pred missing, credit exhausted, or output full.
-		if r.predArg.mode == argPort && a.st.ports[r.predArg.idx].size() == 0 {
+		if r.predArg.mode == argPort && !a.st.ports[r.predArg.idx].held {
 			for _, w := range missing {
 				if w.Port == pegasus.PortPred {
 					b.Waits = append(b.Waits, w)

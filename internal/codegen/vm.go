@@ -9,7 +9,8 @@ package codegen
 // memory image are the interpreter's own (internal/evq, pegasus.Memory).
 // Zero steady-state allocations per event: activation state is pooled,
 // and a fresh VM grows its queue slab and memory image in a handful of
-// allocations.
+// allocations. The VM runs clean schedules only: a run with fault
+// injection, a profiler or a tracer interprets (core.Compiled.run).
 
 import (
 	"context"
@@ -18,30 +19,26 @@ import (
 	"spatial/internal/cminor"
 	"spatial/internal/dataflow"
 	"spatial/internal/evq"
-	"spatial/internal/faultsim"
 	"spatial/internal/memsys"
 	"spatial/internal/pegasus"
 )
 
-// vnode is the per-rule dynamic state: delivery-order floors, the
-// missing-input counter (number of currently empty dynamic input
-// latches), the full-edge counter (number of occupied consumer edges:
-// edges hold one value), the gate that reads them (see blocked), and counter: a token
-// generator's credit, or a gated merge's source count. missing and full
-// replace the interpreter's per-attempt input and capacity scans with
-// comparisons: every all-input rule's capacity gate is exactly "no
-// consumer edge full", because ops only ever emit on classes they gate on
-// (returns and entries have no in-graph consumers at all). The gate-hot
-// fields (missing, full, gate, counter) lead so the run loop's skip
-// decision reads the struct's first 16 bytes.
+// vnode is the per-rule dynamic state: the missing-input counter (number
+// of currently empty dynamic input latches), the full-edge counter
+// (number of occupied consumer edges: edges hold one value, plus one
+// while a call's activation runs), the gate that reads them (see
+// blocked), and counter: a token generator's credit, or a gated merge's
+// source count. missing and full replace the interpreter's per-attempt
+// input and capacity scans with comparisons: every all-input rule's
+// capacity gate is exactly "no consumer edge full", because ops only
+// ever emit on classes they gate on (returns and entries have no
+// in-graph consumers at all). Four vnodes share a cache line.
 type vnode struct {
 	missing int32
 	full    int32
 	gate    uint8
 	_       [3]byte
 	counter int32
-	lastVal int64
-	lastTok int64
 }
 
 // blocked reports whether the node's gate proves that a fire attempt
@@ -61,42 +58,14 @@ func (ns *vnode) blocked() bool {
 	return false
 }
 
-// vq is one input latch: a FIFO of raw values whose front is held
-// inline, so a delivery or consume touches no cache line beyond the
-// struct itself. The producer bookkeeping the interpreter latches per
-// value is static per port here (pmeta), because every port has exactly
-// one producer edge — a one-place edge, so a latch holds one value; only
-// an injected duplicate puts more on a port, and those wait in the
-// overflow tail.
+// vq is one input latch: one inline slot. Every port has exactly one
+// producer edge, and a producer emits only while all its consumer edges
+// are empty (a call counts as full until its activation returns), so a
+// latch never holds a second value. The producer bookkeeping the
+// interpreter latches per value is static per port here (pmeta).
 type vq struct {
-	n   int32
-	_   int32
-	v   int64
-	ovf []int64
-}
-
-func (q *vq) size() int { return int(q.n) }
-
-func (q *vq) push(val int64) {
-	if q.n == 0 {
-		q.v = val
-	} else {
-		q.ovf = append(q.ovf, val)
-	}
-	q.n++
-}
-
-// pop removes the front value, refilling the front from the overflow
-// tail, and reports whether the latch is now empty.
-func (q *vq) pop() (v int64, empty bool) {
-	v = q.v
-	q.n--
-	if q.n == 0 {
-		return v, true
-	}
-	q.v = q.ovf[0]
-	q.ovf = q.ovf[:copy(q.ovf, q.ovf[1:])]
-	return v, false
+	v    int64
+	held bool
 }
 
 // vstate is one activation's entire dynamic state, recycled through the
@@ -108,11 +77,6 @@ type vstate struct {
 	// gprog.dests: value edges first, then token edges — rule occupancy
 	// bases and pmeta.occ indices are pre-offset at lowering.
 	occ []int32
-	// next (fault injection only) tracks the earliest legal delivery
-	// time per consumer edge, preserving FIFO order under injected
-	// delays; same layout as occ. Lazily allocated, exactly like the
-	// interpreter.
-	next []int64
 	// slots holds the static program's results; fully overwritten by
 	// runStatics at activation start, so never cleared.
 	slots  []int64
@@ -131,23 +95,10 @@ func newVstate(gp *gprog) *vstate {
 // prepare resets recycled state to the pristine activation-start layout.
 func (st *vstate) prepare(gp *gprog, fresh bool) {
 	if !fresh {
-		for i := range st.ports {
-			st.ports[i].n = 0
-			st.ports[i].ovf = st.ports[i].ovf[:0]
-		}
+		clear(st.ports)
 		clear(st.occ)
-		clear(st.next)
 	}
 	copy(st.nodes, gp.nodeInit)
-}
-
-// edgeNext mirrors actState.edgeNext (fault injection only); base is the
-// rule's pre-offset occupancy base for the edge class being emitted.
-func (st *vstate) edgeNext(gp *gprog, base int32) []int64 {
-	if st.next == nil {
-		st.next = make([]int64, len(gp.dests))
-	}
-	return st.next[base:]
 }
 
 // vact is one dynamic instance of a function. The event-hot fields
@@ -205,7 +156,6 @@ type vm struct {
 	predsBuf []int64
 	toksBuf  []int64
 
-	inj     *faultsim.Injector
 	ctx     context.Context
 	ctxTick int
 	err     error
@@ -241,7 +191,6 @@ func (m *vm) run() error {
 	// unchanged across the call-heavy loop body.
 	hasCtx := m.ctx != nil
 	hasHook := m.evHook != nil
-	noInj := m.inj == nil
 	maxCycles := m.cfg.MaxCycles
 	for m.q.Len() > 0 {
 		if hasCtx {
@@ -271,22 +220,15 @@ func (m *vm) run() error {
 		}
 		ns := &a.st.nodes[e.rule]
 		if e.dstPort >= 0 {
-			q := &a.st.ports[e.dstPort]
-			if q.n == 0 {
-				ns.missing--
-			}
-			q.push(e.val)
+			a.st.ports[e.dstPort] = vq{v: e.val, held: true}
+			ns.missing--
 		}
-		if noInj {
-			// An attempt the gate proves would fail has no observable
-			// effect: skip the dispatch without touching the rule struct.
-			if ns.blocked() {
-				continue
-			}
-			m.tryFire(a, e.rule, ns)
-		} else {
-			m.tryFireFaulted(a, e.rule)
+		// An attempt the gate proves would fail has no observable effect:
+		// skip the dispatch without touching the rule struct.
+		if ns.blocked() {
+			continue
 		}
+		m.tryFire(a, e.rule, ns)
 		if m.err != nil {
 			return m.err
 		}
@@ -436,10 +378,9 @@ func argv(st *vstate, g oparg) int64 {
 func (m *vm) consume(a *vact, p int32) int64 {
 	st := a.st
 	pm := &a.gp.ports[p]
-	v, empty := st.ports[p].pop()
-	if empty {
-		st.nodes[pm.owner].missing++
-	}
+	v := st.ports[p].v
+	st.ports[p].held = false
+	st.nodes[pm.owner].missing++
 	o := st.occ[pm.occ]
 	st.occ[pm.occ] = o - 1
 	if o == 1 {
@@ -480,82 +421,37 @@ func (m *vm) consumeClass(a *vact, args []oparg, buf *[]int64) []int64 {
 }
 
 // emit schedules delivery of one output to every consumer and reserves
-// edge occupancy, flooring the time by the in-order delivery constraint.
-// An edge is full from its first occupant (one-place edges), and each
-// crossing between empty and occupied maintains the rule's full counter.
+// edge occupancy. An edge is full from its first occupant (one-place
+// edges), and each crossing between empty and occupied maintains the
+// rule's full counter. A rule emits only while its edges are empty, so a
+// later emit never needs flooring behind an earlier delivery: the
+// interpreter's in-order delivery floors never bind on clean schedules.
 func (m *vm) emit(a *vact, ri int32, r *rule, tok bool, val, t int64) {
 	st := a.st
 	ns := &st.nodes[ri]
-	var cnt, base int32
-	var d0 dest
+	cnt, d0, base := r.valCnt, r.valD0, r.valOccBase
 	if tok {
-		if t < ns.lastTok {
-			t = ns.lastTok
-		}
-		ns.lastTok = t
 		cnt, d0, base = r.tokCnt, r.tokD0, r.tokOccBase
-	} else {
-		if t < ns.lastVal {
-			t = ns.lastVal
-		}
-		ns.lastVal = t
-		cnt, d0, base = r.valCnt, r.valD0, r.valOccBase
 	}
-	if m.inj == nil {
-		if cnt == 1 {
-			// Single consumer: the inlined dest avoids the dests table
-			// entirely.
-			o := st.occ[base] + 1
-			st.occ[base] = o
-			if o == 1 {
-				ns.full++
-			}
-			m.push(t, val, a, d0.rule, d0.port)
-			return
+	if cnt == 1 {
+		// Single consumer: the inlined dest avoids the dests table
+		// entirely.
+		o := st.occ[base] + 1
+		st.occ[base] = o
+		if o == 1 {
+			ns.full++
 		}
-		occ := st.occ[base:]
-		for i, d := range a.gp.dests[base : base+cnt] {
-			o := occ[i] + 1
-			occ[i] = o
-			if o == 1 {
-				ns.full++
-			}
-			m.push(t, val, a, d.rule, d.port)
-		}
+		m.push(t, val, a, d0.rule, d0.port)
 		return
 	}
-	m.emitFaulted(a, ns, r, tok, val, t)
-}
-
-// emitFaulted is the fault-injection delivery path, mirroring the
-// interpreter's exactly (same Deliver call order, same FIFO floors).
-func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64) {
-	cons, base := a.gp.consumers(r, tok)
-	occ := a.st.occ[base:]
-	for i := range cons {
-		dt := t
-		copies := 1
-		switch fa := m.inj.Deliver(m.now, a.gp.name, int(r.nodeID), tok, i); fa.Kind {
-		case faultsim.ActDrop:
-			copies = 0
-		case faultsim.ActDup:
-			copies = 2
-		case faultsim.ActDelay:
-			dt = t + fa.Delay
+	occ := st.occ[base:]
+	for i, d := range a.gp.dests[base : base+cnt] {
+		o := occ[i] + 1
+		occ[i] = o
+		if o == 1 {
+			ns.full++
 		}
-		next := a.st.edgeNext(a.gp, base)
-		if dt < next[i] {
-			dt = next[i]
-		}
-		next[i] = dt
-		for k := 0; k < copies; k++ {
-			o := occ[i] + 1
-			occ[i] = o
-			if o == 1 {
-				ns.full++
-			}
-			m.push(dt, val, a, cons[i].rule, cons[i].port)
-		}
+		m.push(t, val, a, d.rule, d.port)
 	}
 }
 
@@ -563,16 +459,16 @@ func (m *vm) emitFaulted(a *vact, ns *vnode, r *rule, tok bool, val, t int64) {
 
 // tryFire fires a rule whose gate is open, and again after every success
 // while its gate stays open. This is the interpreter's attempt sequence
-// (done check, freeze probe, fire-once gate, dispatch, repeated until an
-// attempt fails) minus the attempts the gate proves would fail, which
-// have no observable effect without fault injection.
+// (done check, fire-once gate, dispatch, repeated until an attempt fails)
+// minus the attempts the gate proves would fail, which have no
+// observable effect.
 func (m *vm) tryFire(a *vact, ri int32, ns *vnode) {
 	r := &a.gp.rules[ri]
 	for {
 		// The open gate proves an all-input rule fireable, so its fire
-		// path skips its own rechecks (pre); the other fire paths check
-		// for themselves.
-		if !m.dispatch(a, ri, r, true) {
+		// path does not recheck its inputs or edges; the other fire paths
+		// check for themselves.
+		if !m.dispatch(a, ri, r) {
 			m.failed[r.op]++
 			return
 		}
@@ -589,37 +485,10 @@ func (m *vm) tryFire(a *vact, ri int32, ns *vnode) {
 	}
 }
 
-// tryFireFaulted is tryFire under fault injection, which must probe the
-// injector on every attempt like the interpreter: the freeze probe comes
-// first, and only a gate closed for good (gateNever) is trusted.
-func (m *vm) tryFireFaulted(a *vact, ri int32) {
-	r := &a.gp.rules[ri]
-	for {
-		if a.done {
-			return
-		}
-		if thaw := m.inj.FrozenUntil(m.now, a.gp.name, int(r.nodeID)); thaw > m.now {
-			m.pushCheck(thaw, a, ri)
-			return
-		}
-		ns := &a.st.nodes[ri]
-		if ns.gate == gateNever {
-			return
-		}
-		if !m.dispatch(a, ri, r, false) {
-			m.failed[r.op]++
-			return
-		}
-		if r.fireOnce && !a.done {
-			ns.gate = gateNever
-		}
-	}
-}
-
-func (m *vm) dispatch(a *vact, ri int32, r *rule, pre bool) bool {
+func (m *vm) dispatch(a *vact, ri int32, r *rule) bool {
 	switch r.op {
 	case opBin, opUn, opConv, opMux, opCombine:
-		return m.fireSimple(a, ri, r, pre)
+		return m.fireSimple(a, ri, r)
 	case opMerge:
 		return m.fireMerge(a, ri, r)
 	case opEta:
@@ -627,30 +496,20 @@ func (m *vm) dispatch(a *vact, ri int32, r *rule, pre bool) bool {
 	case opTokGen:
 		return m.fireTokenGen(a, ri, r)
 	case opLoad, opStore:
-		return m.fireMemOp(a, ri, r, pre)
+		return m.fireMemOp(a, ri, r)
 	case opCall:
-		return m.fireCall(a, ri, r, pre)
+		return m.fireCall(a, ri, r)
 	case opReturn:
-		return m.fireReturn(a, r, pre)
+		return m.fireReturn(a, r)
 	default: // opEntry: fired once at activation start
 		return false
 	}
 }
 
-func (m *vm) fireSimple(a *vact, ri int32, r *rule, pre bool) bool {
-	st := a.st
-	if !pre {
-		for _, p := range a.gp.portList(r) {
-			if st.ports[p].size() == 0 {
-				return false
-			}
-		}
-		if st.nodes[ri].full > 0 {
-			return false
-		}
-	} else if r.shape != shGeneric {
-		// Pre-gated specialized shapes: consume straight off the ports
-		// (same order as the generic class loop) and emit.
+func (m *vm) fireSimple(a *vact, ri int32, r *rule) bool {
+	if r.shape != shGeneric {
+		// Specialized shapes: consume straight off the ports (same order
+		// as the generic class loop) and emit.
 		var v int64
 		switch r.shape {
 		case shBin2:
@@ -706,8 +565,8 @@ func (m *vm) fireMerge(a *vact, ri int32, r *rule) bool {
 	if a.st.nodes[ri].full > 0 {
 		return false
 	}
-	for _, p := range a.gp.portList(r) {
-		if a.st.ports[p].size() > 0 {
+	for _, p := range a.gp.sources(r) {
+		if a.st.ports[p].held {
 			v := m.consume(a, p)
 			m.stats.OpsFired++
 			m.emit(a, ri, r, r.outTok, v, m.now+int64(r.lat))
@@ -719,10 +578,10 @@ func (m *vm) fireMerge(a *vact, ri int32, r *rule) bool {
 
 func (m *vm) fireEta(a *vact, ri int32, r *rule) bool {
 	st := a.st
-	if r.predArg.mode == argPort && st.ports[r.predArg.idx].size() == 0 {
+	if r.predArg.mode == argPort && !st.ports[r.predArg.idx].held {
 		return false
 	}
-	if r.dataArg.mode == argPort && st.ports[r.dataArg.idx].size() == 0 {
+	if r.dataArg.mode == argPort && !st.ports[r.dataArg.idx].held {
 		return false
 	}
 	// Peek the predicate: only a true predicate needs output capacity.
@@ -753,13 +612,13 @@ func (m *vm) fireTokenGen(a *vact, ri int32, r *rule) bool {
 	st := a.st
 	ns := &st.nodes[ri]
 	// Absorb token inputs eagerly.
-	if st.ports[r.tokPort].size() > 0 {
+	if st.ports[r.tokPort].held {
 		m.consume(a, r.tokPort)
 		ns.counter++
 		m.stats.OpsFired++
 		return true
 	}
-	if r.predArg.mode == argPort && st.ports[r.predArg.idx].size() == 0 {
+	if r.predArg.mode == argPort && !st.ports[r.predArg.idx].held {
 		return false
 	}
 	var predVal int64
@@ -795,18 +654,7 @@ func (m *vm) fireTokenGen(a *vact, ri int32, r *rule) bool {
 	return true
 }
 
-func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
-	st := a.st
-	if !pre {
-		for _, p := range a.gp.portList(r) {
-			if st.ports[p].size() == 0 {
-				return false
-			}
-		}
-		if st.nodes[ri].full > 0 {
-			return false
-		}
-	}
+func (m *vm) fireMemOp(a *vact, ri int32, r *rule) bool {
 	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	ins := m.consumeClass(a, insArgs, &m.insBuf)
 	preds := m.consumeClass(a, predArgs, &m.predsBuf)
@@ -836,25 +684,14 @@ func (m *vm) fireMemOp(a *vact, ri int32, r *rule, pre bool) bool {
 		m.mem.Store(addr, int(r.bytes), ins[1])
 		m.emit(a, ri, r, true, 1, m.now+1)
 	}
-	if m.inj != nil && m.msys.TakeFault() {
-		n := a.gp.nodeByID[r.nodeID]
-		m.fail(fmt.Errorf("%w: %s at address 0x%x, cycle %d", dataflow.ErrMemFault, n, addr, m.now))
-	}
 	return true
 }
 
-func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
-	st := a.st
-	if !pre {
-		for _, p := range a.gp.portList(r) {
-			if st.ports[p].size() == 0 {
-				return false
-			}
-		}
-		if st.nodes[ri].full > 0 {
-			return false
-		}
-	}
+// fireCall instantiates the callee; a false predicate squashes it. A
+// call holds its outputs as if full until its activation returns, so the
+// call site cannot start a second activation whose value could pair with
+// the wrong wave (DESIGN.md, decision 5).
+func (m *vm) fireCall(a *vact, ri int32, r *rule) bool {
 	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	var ins []int64
 	if len(insArgs) > 0 {
@@ -883,18 +720,11 @@ func (m *vm) fireCall(a *vact, ri int32, r *rule, pre bool) bool {
 	}
 	m.stats.Calls++
 	m.newActivation(r.callee, ins, ri, a)
+	a.st.nodes[ri].full++
 	return true
 }
 
-func (m *vm) fireReturn(a *vact, r *rule, pre bool) bool {
-	st := a.st
-	if !pre {
-		for _, p := range a.gp.portList(r) {
-			if st.ports[p].size() == 0 {
-				return false
-			}
-		}
-	}
+func (m *vm) fireReturn(a *vact, r *rule) bool {
 	insArgs, predArgs, tokArgs := a.gp.operands(r)
 	var ins []int64
 	if len(insArgs) > 0 {
@@ -918,7 +748,20 @@ func (m *vm) fireReturn(a *vact, r *rule, pre bool) bool {
 		return true
 	}
 	parent := a.retAct
+	if parent.done {
+		// The caller returned first: a pure call's outputs need not
+		// feed its caller's return, and nothing waits for them.
+		return true
+	}
 	pr := &parent.gp.rules[a.retRule]
+	// Release the call. Its next inputs may have arrived while it was
+	// busy, and when its outputs have no consumers no consume rechecks
+	// it, so check it now if they are all latched.
+	pns := &parent.st.nodes[a.retRule]
+	pns.full--
+	if !pr.fireOnce && pns.missing == 0 {
+		m.pushCheck(m.now, parent, a.retRule)
+	}
 	if pr.hasValue {
 		m.emit(parent, a.retRule, pr, false, val, m.now+1)
 	}

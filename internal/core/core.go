@@ -80,8 +80,7 @@ func WithTrace(tc TraceConfig) Option {
 	return optionFunc(func(c *config) { c.trc = tc })
 }
 
-// Backend selects the execution engine behind Run, RunCtx and
-// RunFaulted.
+// Backend selects the execution engine behind Run and RunCtx.
 type Backend uint8
 
 const (
@@ -92,8 +91,8 @@ const (
 	// BackendCompiled lowers each graph to specialized flat bytecode
 	// (internal/codegen) once, then executes the bytecode. Bit-identical
 	// to the interpreter (values, cycles, events) and several times
-	// faster. RunTraced and RunProfiled still interpret: the VM has no
-	// tracer or profiler.
+	// faster. Traced, profiled and faulted runs (RunTraced, RunProfiled,
+	// RunFaulted) still interpret: the VM runs clean schedules only.
 	BackendCompiled
 )
 
@@ -123,7 +122,8 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (want interp or compiled)", s)
 }
 
-// WithBackend selects the execution engine (default BackendInterpreted).
+// WithBackend selects the execution engine (default BackendInterpreted)
+// of plain runs; traced, profiled and faulted runs always interpret.
 func WithBackend(b Backend) Option {
 	return optionFunc(func(c *config) { c.backend = b })
 }
@@ -156,8 +156,9 @@ type Compiled struct {
 	// Deadline is the wall-clock budget each Run gets (see WithDeadline);
 	// zero means unbounded.
 	Deadline time.Duration
-	// Backend is the execution engine Run, RunCtx and RunFaulted use
-	// (see WithBackend); RunTraced and RunProfiled always interpret.
+	// Backend is the execution engine Run and RunCtx use (see
+	// WithBackend); RunTraced, RunProfiled and RunFaulted always
+	// interpret.
 	Backend Backend
 
 	// shared is the prebuilt per-graph structure table every run of this
@@ -252,15 +253,16 @@ func (c *Compiled) deadlineCtx(ctx context.Context) (context.Context, context.Ca
 }
 
 // run is the one run path of every method below: it recovers panics,
-// applies the deadline, picks the engine and classifies the error. The
-// compiled VM runs if and only if the backend is BackendCompiled and no
-// profiler or tracer observes the run; every other run interprets.
+// applies the deadline, picks the engine and classifies the error. It is
+// the one place that picks an engine: the compiled VM runs if and only
+// if the backend is BackendCompiled and no profiler, tracer or fault
+// injector hooks the run; every other run interprets.
 func (c *Compiled) run(ctx context.Context, entry string, args []int64, cfg SimConfig, h dataflow.Hooks) (res *SimResult, err error) {
 	defer guard(&err)
 	ctx, cancel := c.deadlineCtx(ctx)
 	defer cancel()
 	h.Ctx = ctx
-	if c.Backend == BackendCompiled && h.Profile == nil && h.Trace == nil {
+	if c.Backend == BackendCompiled && h.Profile == nil && h.Trace == nil && h.Inject == nil {
 		res, err = c.compiledInfo().RunHooks(entry, args, cfg, h)
 	} else {
 		res, err = c.sharedInfo().RunHooks(entry, args, cfg, h)
@@ -286,7 +288,8 @@ func (c *Compiled) RunCtx(ctx context.Context, entry string, args []int64) (*Sim
 }
 
 // RunFaulted is RunCtx under fault injection: inj perturbs edge
-// deliveries, fire attempts, and memory responses during the run. Use
+// deliveries, fire attempts, and memory responses during the run, which
+// interprets whatever the backend (the compiled VM has no injector). Use
 // NewInjector (planned faults) or NewJitterInjector (seeded random
 // delays) to build inj; a nil inj behaves like RunCtx.
 func (c *Compiled) RunFaulted(ctx context.Context, entry string, args []int64, inj *FaultInjector) (*SimResult, error) {

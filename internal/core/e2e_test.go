@@ -9,13 +9,27 @@ import (
 
 // The e2e programs mirror the repository examples: quickstart's
 // reduction, memopt's Section 2 kernel (driven through a checksum
-// wrapper), and pipeline's producer/consumer loop. Two regression
-// programs follow; both returned wrong values on both engines while an
+// wrapper), and pipeline's producer/consumer loop. Regression programs
+// follow. The first two returned wrong values on both engines while an
 // edge could hold more than one value, because deliveries carry no wave
 // tags: a nested loop whose inner entry value overtook the previous
 // wave's loop-carried values (gsm_e's ltpSearch, reduced; 0 instead of
 // 3), and a call inside a loop with several activations in flight (0
-// instead of 4).
+// instead of 4). call-overlap returned -1242946485 at -O medium and full
+// while a call site could fire again before its activation returned: a
+// later, shorter call returned first and its value paired with an
+// earlier iteration. Now a busy call is refused, and call-unused pins
+// the recheck at its return: its call's outputs have no consumers, so
+// no consume rechecks it, and without the return's check it deadlocks.
+// In call-unused-nested, mid returns before its unused call does, and
+// that call's return to a finished caller panicked on both engines.
+// const-cond deadlocked at -O none while a constant branch condition
+// (11 + 0) became a static predicate, so the inner loop's entry eta
+// fired once per activation instead of once per wave. const-cond-typed
+// pins that the compile-time value of a condition follows C's typing
+// as the graph does (an unsigned comparison, a pointer difference, void
+// pointer arithmetic): when the two disagree, both sides run on every
+// wave.
 var e2ePrograms = []struct {
 	name  string
 	src   string
@@ -115,6 +129,67 @@ int bench(void) {
   int v1 = 14; int i0;
   for (i0 = 0; i0 < 5; i0++) v1 = id(i0);
   return v1;
+}`,
+		entry: "bench",
+	},
+	{
+		name: "call-overlap",
+		src: `
+int a[8];
+int slow(int x) { int k; int s = 0; for (k = 0; k < x; k++) s += k; return s; }
+int bench(void) {
+  int i; int c = 0;
+  for (i = 0; i < 8; i++) { if (i < 100) { int x = slow(40 - 5 * i); if (i < 50) a[i] = x; } }
+  for (i = 0; i < 8; i++) c = c * 31 + a[i];
+  return c;
+}`,
+		entry: "bench",
+	},
+	{
+		name: "call-unused",
+		src: `
+int sum(int x) { int k; int s = 0; for (k = 0; k < x; k++) s += k; return s; }
+int bench(void) { int i; int t = 0; for (i = 0; i < 5; i++) { sum(i); t = t + i; } return t; }`,
+		entry: "bench",
+	},
+	{
+		name: "call-unused-nested",
+		src: `
+int sum(int x) { int k; int s = 0; for (k = 0; k < x; k++) s += k; return s; }
+int mid(int n) { sum(n + 20); return n + 1; }
+int bench(void) {
+  int i; int t = 0;
+  for (i = 0; i < 5; i++) t = t + mid(i);
+  for (i = 0; i < 300; i++) t = t + i;
+  return t;
+}`,
+		entry: "bench",
+	},
+	{
+		name: "const-cond",
+		src: `
+int bench(void) {
+  int i0; int i1; int s = 0;
+  for (i0 = 0; i0 < 3; i0++) {
+    for (i1 = 0; i1 < 2; i1++) s = s + 1;
+    if (11 + 0) { for (i1 = 0; i1 < 2; i1++) s = s + 2; }
+  }
+  return s;
+}`,
+		entry: "bench",
+	},
+	{
+		name: "const-cond-typed",
+		src: `
+int bench(void) {
+  int i0; int i1; int s = 0;
+  for (i0 = 0; i0 < 3; i0++) {
+    for (i1 = 0; i1 < 2; i1++) s = s + 1;
+    if ((unsigned)-1 > 0) { for (i1 = 0; i1 < 2; i1++) s = s + 2; } else s = s + 100;
+    if ((int *)8 - (int *)0 == 2) { for (i1 = 0; i1 < 2; i1++) s = s + 1000; } else s = s + 10000;
+    if ((void *)8 + 1 == (void *)9) { for (i1 = 0; i1 < 2; i1++) s = s + 100000; } else s = s + 1000000;
+  }
+  return s + ((void *)8 + 1 - (void *)0);
 }`,
 		entry: "bench",
 	},

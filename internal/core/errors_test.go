@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"spatial/internal/dataflow"
+	"spatial/internal/opt"
 	"spatial/internal/pegasus"
+	"spatial/internal/workloads"
 )
 
 // longLoopSrc runs long enough that the simulator's periodic context poll
@@ -166,6 +169,60 @@ func TestRunFaultedSmoke(t *testing.T) {
 	if _, err := cp.RunFaulted(context.Background(), "f", []int64{21}, inj2); err != nil {
 		if !errors.Is(err, ErrSim) {
 			t.Fatalf("detected fault not classed ErrSim: %v", err)
+		}
+	}
+}
+
+// TestRunFaultedInterprets: a faulted run interprets whatever the
+// backend, so RunFaulted on a BackendCompiled program returns the
+// interpreter's Result or error text and triggers the same faults.
+func TestRunFaultedInterprets(t *testing.T) {
+	w := workloads.ByName("adpcm_e")
+	sim := DefaultSim()
+	sim.MaxCycles = 1 << 22 // cut livelocks off fast
+	var cps [2]*Compiled
+	for i, be := range []Backend{BackendInterpreted, BackendCompiled} {
+		cp, err := CompileSource(w.Source, WithLevel(opt.Full), WithSim(sim), WithBackend(be))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps[i] = cp
+	}
+	plans := map[string]func() *FaultInjector{
+		"delay": func() *FaultInjector {
+			return NewInjector(FaultPlan{Faults: []Fault{{Op: FaultDelay, Node: -1, Edge: -1, Nth: 30, Cycles: 600}}})
+		},
+		"freeze": func() *FaultInjector {
+			return NewInjector(FaultPlan{Faults: []Fault{{Op: FaultFreeze, Node: -1, Edge: -1, Nth: 17, Cycles: 40}}})
+		},
+		"dup-value": func() *FaultInjector {
+			return NewInjector(FaultPlan{Faults: []Fault{{Op: FaultDuplicate, Node: -1, Edge: -1, Nth: 55}}})
+		},
+		"drop-token": func() *FaultInjector {
+			return NewInjector(FaultPlan{Faults: []Fault{{Op: FaultDrop, Node: -1, Edge: -1, Token: true, Nth: 9}}})
+		},
+		"mem-fail": func() *FaultInjector {
+			return NewInjector(FaultPlan{Faults: []Fault{{Op: FaultMemFail, Node: -1, Edge: -1, Nth: 3}}})
+		},
+	}
+	for name, mk := range plans {
+		var out [2]string
+		var trig [2]string
+		for i, cp := range cps {
+			inj := mk()
+			res, err := cp.RunFaulted(context.Background(), w.Entry, nil, inj)
+			if err != nil {
+				out[i] = "error: " + err.Error()
+			} else {
+				out[i] = fmt.Sprintf("%+v", *res)
+			}
+			trig[i] = fmt.Sprint(inj.Triggered())
+		}
+		if out[0] != out[1] {
+			t.Errorf("%s: outcome diverged:\n interpreted %s\n compiled    %s", name, out[0], out[1])
+		}
+		if trig[0] != trig[1] || trig[0] == "[]" {
+			t.Errorf("%s: triggered faults: interpreted %s, compiled %s (want equal and non-empty)", name, trig[0], trig[1])
 		}
 	}
 }

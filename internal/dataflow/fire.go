@@ -418,10 +418,18 @@ func (m *machine) fireMemOp(a *activation, n *pegasus.Node) bool {
 	return true
 }
 
-// fireCall instantiates the callee; a false predicate squashes it.
+// fireCall instantiates the callee; a false predicate squashes it. A
+// call holds its outputs as if full until its activation returns: its
+// outputs reserve their edges only at the return, so a call site firing
+// again meanwhile could return a later, shorter activation first, and
+// with no wave tags that value would pair with the earlier iteration
+// (DESIGN.md, decision 5).
 func (m *machine) fireCall(a *activation, n *pegasus.Node) bool {
 	if !m.allInputsReady(a, n) {
 		return m.stallInputs(a, n)
+	}
+	if a.st.nodes[n.ID].callBusy {
+		return m.stallBack(n)
 	}
 	if n.HasValue() && !m.capacityFree(a, n, pegasus.OutValue) {
 		return m.stallBack(n)
@@ -451,6 +459,7 @@ func (m *machine) fireCall(a *activation, n *pegasus.Node) bool {
 	}
 	m.stats.Calls++
 	m.newActivation(callee, ins, n, a)
+	a.st.nodes[n.ID].callBusy = true
 	return true
 }
 
@@ -475,10 +484,22 @@ func (m *machine) fireReturn(a *activation, n *pegasus.Node) bool {
 		}
 		return true
 	}
-	call := a.retTo
-	if call.HasValue() {
-		m.emit(a.retAct, call, pegasus.OutValue, val, m.now+1)
+	call, parent := a.retTo, a.retAct
+	if parent.done {
+		// The caller returned first: a pure call's outputs need not
+		// feed its caller's return, and nothing waits for them.
+		return true
 	}
-	m.emit(a.retAct, call, pegasus.OutToken, 1, m.now+1)
+	// Release the call. Its next inputs may have arrived while it was
+	// busy, and when its outputs have no consumers no consume rechecks
+	// it, so check it now if they are all latched.
+	parent.st.nodes[call.ID].callBusy = false
+	if parent.gi.dynIns[call.ID] > 0 && m.allInputsReady(parent, call) {
+		m.pushCheck(m.now, parent, call)
+	}
+	if call.HasValue() {
+		m.emit(parent, call, pegasus.OutValue, val, m.now+1)
+	}
+	m.emit(parent, call, pegasus.OutToken, 1, m.now+1)
 	return true
 }

@@ -265,9 +265,10 @@ func buildGraphInfo(g *pegasus.Graph) *graphInfo {
 }
 
 // nodeState is the dynamic state of one node instance: delivery-order
-// floors, the token generator's credit counter, and the fired-once mark
-// of wave-less nodes. Latches and edge occupancy live in the activation's
-// flat arrays (see actState), not here.
+// floors, the token generator's credit counter, the fired-once mark of
+// wave-less nodes, and the busy mark of a call whose activation runs.
+// Latches and edge occupancy live in the activation's flat arrays (see
+// actState), not here.
 type nodeState struct {
 	// lastDeliver enforces in-order output delivery.
 	lastDeliverVal int64
@@ -276,6 +277,9 @@ type nodeState struct {
 	counter int32
 	// firedOnce marks completion of zero-dynamic-input nodes.
 	firedOnce bool
+	// callBusy marks a call between its firing and its activation's
+	// return: its outputs count as full (see fireCall).
+	callBusy bool
 }
 
 // latchEntry is one arrived value latched at a consumer port, together

@@ -38,16 +38,29 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
+// regressionSeeds are progen seeds that once failed: 258 and 1921 have
+// constant branch conditions that deadlocked at -O none while the
+// builder turned them into static predicates. 1420 deadlocks at -O none
+// if the not-taken side of a constant condition, (49 == 40) inside a
+// loop, gets a static false predicate: the pure call with a constant
+// argument on that side then fires once per activation.
+var regressionSeeds = []int64{258, 1420, 1921}
+
 // TestDifferentialSeeds is the deterministic slice of the fuzz target
 // that runs under plain `go test`: clean equivalence on a spread of
-// seeds, plus the full fault battery on a few. Under -short (the race
-// job) it checks seeds 1–4 clean and seed 1 under faults.
+// seeds and the regression seeds, plus the full fault battery on a few.
+// Under -short (the race job) it checks seeds 1–4 and the regression
+// seeds clean and seed 1 under faults.
 func TestDifferentialSeeds(t *testing.T) {
 	clean, faulted := int64(12), int64(3)
 	if testing.Short() {
 		clean, faulted = 4, 1
 	}
+	seeds := append([]int64{}, regressionSeeds...)
 	for seed := int64(1); seed <= clean; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
 		src := progen.Generate(progen.DefaultConfig(seed))
 		if err := Check(src, 0); err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)

@@ -566,35 +566,9 @@ func (m *Machine) binExpr(fr *frame, e *cminor.BinExpr) (int64, error) {
 	default:
 		m.tick(1)
 	}
-	// Pointer arithmetic scaling.
-	switch {
-	case lt.IsPointer() && rt.IsInteger() && (e.Op == cminor.OpAdd || e.Op == cminor.OpSub):
-		r *= lt.Elem.Size()
-	case rt.IsPointer() && lt.IsInteger() && e.Op == cminor.OpAdd:
-		l *= rt.Elem.Size()
-	case lt.IsPointer() && rt.IsPointer() && e.Op == cminor.OpSub:
-		d := int64(int32(l - r))
-		if sz := lt.Elem.Size(); sz > 1 {
-			d /= sz
-		}
-		return d, nil
-	}
-	uns := isUnsigned(lt, rt, e)
-	v, err := cminor.EvalBinOp(e.Op, l, r, uns)
+	v, err := cminor.EvalTyped(e.Op, lt, rt, e.Typ, l, r)
 	if err != nil {
 		return 0, nil // hardware: division by zero yields 0
 	}
 	return v, nil
-}
-
-func isUnsigned(lt, rt *cminor.Type, e *cminor.BinExpr) bool {
-	if e.Op.IsComparison() {
-		if lt.IsPointer() || rt.IsPointer() {
-			return true
-		}
-		lu := lt.IsInteger() && lt.Bits >= 32 && !lt.Signed
-		ru := rt.IsInteger() && rt.Bits >= 32 && !rt.Signed
-		return lu || ru
-	}
-	return e.Typ != nil && e.Typ.IsInteger() && !e.Typ.Signed
 }
