@@ -169,9 +169,9 @@ type Induction struct {
 // nodes, the hyperblock's live nodes (Graph.NodesInHyper, or a pass's own
 // listing). A value merge qualifies when every back-edge input is an eta
 // whose data source decomposes to merge + step for one constant step.
-func FindInductions(g *pegasus.Graph, hyper int, nodes []*pegasus.Node) map[*pegasus.Node]*Induction {
+func FindInductions(g *pegasus.Graph, hyper int32, nodes []*pegasus.Node) map[*pegasus.Node]*Induction {
 	out := map[*pegasus.Node]*Induction{}
-	if hyper < 0 || hyper >= len(g.Hypers) || !g.Hypers[hyper].IsLoop {
+	if hyper < 0 || int(hyper) >= len(g.Hypers) || !g.Hypers[hyper].IsLoop {
 		return out
 	}
 	for _, m := range nodes {

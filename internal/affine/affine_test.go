@@ -25,7 +25,7 @@ func (m *mini) konst(v int64) *pegasus.Node {
 	return n
 }
 
-func (m *mini) param(i int) *pegasus.Node {
+func (m *mini) param(i int32) *pegasus.Node {
 	n := m.g.NewNode(pegasus.KParam, 0)
 	n.VT = pegasus.I32
 	n.ParamIdx = i

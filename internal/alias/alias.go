@@ -31,7 +31,7 @@ type Object struct {
 
 // ClassID identifies a location class: the unit that receives its own
 // merge/eta token circuit (paper Section 6, Figure 11).
-type ClassID int
+type ClassID int32
 
 // Analysis holds the results of the whole-program memory analysis.
 type Analysis struct {
@@ -317,6 +317,10 @@ func (a *Analysis) solvePointsTo() {
 				}
 				return ptVal{keys: a.loadKeys(ptOf(e.Array), &loads)}
 			case *cminor.DerefExpr:
+				// *p of a pointer to a row is its address, like a[i] above.
+				if e.Typ.Kind == cminor.TypeArray {
+					return ptOf(e.X)
+				}
 				return ptVal{keys: a.loadKeys(ptOf(e.X), &loads)}
 			case *cminor.CallExpr:
 				if e.Func != nil {
@@ -670,6 +674,9 @@ func (a *Analysis) addrVal(e cminor.Expr) ptVal {
 		}
 		return v
 	case *cminor.DerefExpr:
+		if e.Typ != nil && e.Typ.Kind == cminor.TypeArray {
+			return a.addrVal(e.X)
+		}
 		base := a.flatten(a.addrVal(e.X))
 		var v ptVal
 		for _, o := range base.Elems() {
@@ -727,7 +734,10 @@ func Roots(e cminor.Expr) []*cminor.VarDecl {
 			}
 			return false // address loaded from memory
 		case *cminor.DerefExpr:
-			return false
+			if e.Typ != nil && e.Typ.Kind == cminor.TypeArray {
+				return walk(e.X)
+			}
+			return false // address loaded from memory
 		case *cminor.CondExpr:
 			return walk(e.Then) && walk(e.Else)
 		}
@@ -906,7 +916,9 @@ func (a *Analysis) visitAccesses(fn *cminor.FuncDecl, access func(addr cminor.Ex
 			}
 		case *cminor.DerefExpr:
 			walkExpr(e.X, false)
-			access(e.X, isStoreTarget)
+			if e.Typ.Kind != cminor.TypeArray {
+				access(e.X, isStoreTarget)
+			}
 		case *cminor.AddrExpr:
 			// Taking an address is not an access; but &a[i] evaluates i.
 			if idx, ok := e.X.(*cminor.IndexExpr); ok {

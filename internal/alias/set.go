@@ -14,7 +14,7 @@ import (
 )
 
 // ObjID identifies an abstract memory object.
-type ObjID int
+type ObjID int32
 
 // Set is a bit set of ObjIDs.
 type Set struct {

@@ -1,6 +1,8 @@
 package build
 
 import (
+	"fmt"
+
 	"spatial/internal/alias"
 	"spatial/internal/cminor"
 	"spatial/internal/pegasus"
@@ -51,12 +53,11 @@ func chainWrite(ch *tokChain, n *pegasus.Node) {
 // the pipeline pass never pulls them into a token circuit.
 func (b *fnBuilder) load(addr pegasus.Ref, bytes int, signed bool, rw alias.Set) *pegasus.Node {
 	n := b.g.NewNode(pegasus.KLoad, b.hyper)
-	n.VT = pegasus.VType{Bits: bytes * 8, Signed: signed}
+	n.Bytes = accessBytes(bytes)
+	n.VT = pegasus.VType{Bits: n.Bytes * 8, Signed: signed}
 	n.Ins = []pegasus.Ref{addr}
 	n.Preds = []pegasus.Ref{pegasus.V(b.pred)}
-	n.Bytes = bytes
 	n.RW = rw
-	n.Pos = b.pos
 	n.Class = -1
 	if cl, ch := b.chainFor(rw); ch != nil {
 		n.Class = cl
@@ -71,15 +72,24 @@ func (b *fnBuilder) store(addr, val pegasus.Ref, bytes int, rw alias.Set) *pegas
 	n := b.g.NewNode(pegasus.KStore, b.hyper)
 	n.Ins = []pegasus.Ref{addr, val}
 	n.Preds = []pegasus.Ref{pegasus.V(b.pred)}
-	n.Bytes = bytes
+	n.Bytes = accessBytes(bytes)
 	n.RW = rw
-	n.Pos = b.pos
 	n.Class = -1
 	if cl, ch := b.chainFor(rw); ch != nil {
 		n.Class = cl
 		chainWrite(ch, n)
 	}
 	return n
+}
+
+// accessBytes narrows an access size to the node's field. The checker
+// admits loads and stores of integers and pointers only, so a size other
+// than 1, 2 or 4 bytes is a builder defect and must not wrap into one.
+func accessBytes(bytes int) uint8 {
+	if bytes != 1 && bytes != 2 && bytes != 4 {
+		panic(fmt.Sprintf("build: %d-byte memory access", bytes))
+	}
+	return uint8(bytes)
 }
 
 // emitCall lowers a call: arguments are converted to the parameter types
@@ -95,22 +105,20 @@ func (b *fnBuilder) emitCall(e *cminor.CallExpr) pegasus.Ref {
 	n.Callee = e.Func
 	n.Ins = ins
 	n.Preds = []pegasus.Ref{pegasus.V(b.pred)}
-	n.Pos = b.pos
-	n.Reads = b.an.FuncReads(e.Func)
-	n.Writes = b.an.FuncWrites(e.Func)
-	rw := n.Reads.Clone()
-	rw.Union(n.Writes)
+	reads, writes := b.an.FuncReads(e.Func), b.an.FuncWrites(e.Func)
+	rw := reads.Clone()
+	rw.Union(writes)
 	n.RW = rw
 
 	// Per threaded class: 2 if the call may write it, else 1 if it may
 	// read it.
 	access := make([]uint8, len(b.classes))
-	n.Reads.Each(func(o alias.ObjID) {
+	reads.Each(func(o alias.ObjID) {
 		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
 			access[ci] = 1
 		}
 	})
-	n.Writes.Each(func(o alias.ObjID) {
+	writes.Each(func(o alias.ObjID) {
 		if ci := b.classIdx[b.an.ClassOf(o)]; ci >= 0 {
 			access[ci] = 2
 		}
@@ -175,7 +183,6 @@ func (b *fnBuilder) spillParams() {
 		if !mem {
 			continue
 		}
-		b.pos = p.Pos
 		b.store(pegasus.V(b.addrOfNode(obj)), pegasus.V(b.g.Params[i]),
 			int(p.Type.Decay().Size()), alias.SetOf(obj))
 	}

@@ -38,7 +38,6 @@ func (b *fnBuilder) lowerExpr(e cminor.Expr) pegasus.Ref {
 		f := b.lowerExpr(e.Else)
 		mux := b.g.NewNode(pegasus.KMux, b.hyper)
 		mux.VT = pegasus.VTypeOf(e.Typ)
-		mux.Pos = b.pos
 		mux.Ins = []pegasus.Ref{t, f}
 		mux.Preds = []pegasus.Ref{pegasus.V(c), pegasus.V(b.g.PredNot(c))}
 		return pegasus.V(mux)
@@ -52,6 +51,10 @@ func (b *fnBuilder) lowerExpr(e cminor.Expr) pegasus.Ref {
 			e.Typ.IsInteger() && e.Typ.Signed, b.an.AddrObjects(e.Array)))
 	case *cminor.DerefExpr:
 		addr := b.lowerExpr(e.X)
+		if e.Typ.Kind == cminor.TypeArray {
+			// Dereferencing a pointer to a row yields the row's address.
+			return addr
+		}
 		return pegasus.V(b.load(addr, int(e.Typ.Size()),
 			e.Typ.IsInteger() && e.Typ.Signed, b.an.AddrObjects(e.X)))
 	case *cminor.AddrExpr:
@@ -187,11 +190,9 @@ func (b *fnBuilder) conv(r pegasus.Ref, t *cminor.Type) pegasus.Ref {
 	if n.VT.Bits == 0 {
 		n.VT = pegasus.I32
 	}
-	n.FromBits = 32
-	n.ToBits = bits
+	n.ToBits = uint8(bits)
 	n.ConvSign = sign
 	n.Ins = []pegasus.Ref{r}
-	n.Pos = b.pos
 	return pegasus.V(n)
 }
 
@@ -212,7 +213,6 @@ func (b *fnBuilder) binOp(op cminor.BinOpKind, l, r pegasus.Ref, vt pegasus.VTyp
 	n.Unsigned = unsigned
 	n.VT = vt
 	n.Ins = []pegasus.Ref{l, r}
-	n.Pos = b.pos
 	return n
 }
 
@@ -221,6 +221,5 @@ func (b *fnBuilder) unOp(op pegasus.UnOpKind, x pegasus.Ref, vt pegasus.VType) *
 	n.UnOp = op
 	n.VT = vt
 	n.Ins = []pegasus.Ref{x}
-	n.Pos = b.pos
 	return n
 }

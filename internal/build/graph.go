@@ -22,7 +22,7 @@ import (
 // exactly one.
 type snap struct {
 	pred   *pegasus.Node
-	hyper  int
+	hyper  int32
 	env    []pegasus.Ref
 	toks   []pegasus.Ref
 	chains []tokChain
@@ -41,7 +41,7 @@ type headerInfo struct {
 // retSite is one TermRet block: its predicate, converted return value,
 // and token boundary, which the exit hyperblock merges together.
 type retSite struct {
-	hyper int
+	hyper int32
 	pred  *pegasus.Node
 	val   pegasus.Ref
 	toks  []pegasus.Ref
@@ -67,14 +67,13 @@ type tokWrite struct {
 }
 
 type constKey struct {
-	val    int64
-	bits   int
-	signed bool
+	val int64
+	vt  pegasus.VType
 }
 
 type boolKey struct {
 	n     *pegasus.Node
-	hyper int
+	hyper int32
 }
 
 type fnBuilder struct {
@@ -83,7 +82,7 @@ type fnBuilder struct {
 	cg *cfg.Graph
 	g  *pegasus.Graph
 
-	exitHyper int
+	exitHyper int32
 	classes   []alias.ClassID
 	classIdx  []int // by ClassID: index in classes, or -1
 	vars      []*cminor.VarDecl
@@ -101,9 +100,8 @@ type fnBuilder struct {
 	retSites []retSite
 
 	// Walking state for the current block, in memory the walk reuses.
-	hyper int
+	hyper int32
 	pred  *pegasus.Node
-	pos   cminor.Pos
 	env   []pegasus.Ref // by variable
 	tok   []tokChain    // by class
 
@@ -121,16 +119,15 @@ func (b *fnBuilder) build() {
 	for _, hb := range b.cg.Hypers {
 		b.g.NewHyper(hb.IsLoopHeader)
 	}
-	b.exitHyper = len(b.g.Hypers)
+	b.exitHyper = int32(len(b.g.Hypers))
 	b.g.NewHyper(false)
 	b.truePred = make([]*pegasus.Node, len(b.g.Hypers))
 
 	b.g.Entry = b.g.NewNode(pegasus.KEntryTok, 0)
 	for i, p := range b.fn.Params {
 		n := b.g.NewNode(pegasus.KParam, 0)
-		n.ParamIdx = i
+		n.ParamIdx = int32(i)
 		n.VT = pegasus.VTypeOf(p.Type.Decay())
-		n.Pos = p.Pos
 		b.g.Params = append(b.g.Params, n)
 		b.params[p] = n
 	}
@@ -301,7 +298,7 @@ func (b *fnBuilder) collectClasses() {
 
 func (b *fnBuilder) buildHyper(hb *cfg.Hyperblock) {
 	h := hb.ID
-	b.hyper = h
+	b.hyper = int32(h)
 	if h == 0 {
 		b.truePred[0] = b.g.ConstPred(0, true)
 		for _, p := range b.fn.Params {
@@ -327,7 +324,7 @@ func (b *fnBuilder) buildHyper(hb *cfg.Hyperblock) {
 // headers additionally register a headerInfo so back edges can append
 // their etas when the walk reaches the latches.
 func (b *fnBuilder) openHyper(hb *cfg.Hyperblock) {
-	h := hb.ID
+	h := b.hyper
 	snaps := b.inSnaps[hb.Seed.ID]
 	wm := b.g.NewNode(pegasus.KMerge, h)
 	wm.VT = pegasus.Pred
@@ -348,7 +345,7 @@ func (b *fnBuilder) openHyper(hb *cfg.Hyperblock) {
 
 	clear(b.env)
 	for i, v := range b.vars {
-		if b.maxRead[i] < h {
+		if b.maxRead[i] < int(h) {
 			continue
 		}
 		vt := pegasus.VTypeOf(v.Type.Decay())
@@ -384,7 +381,6 @@ func (b *fnBuilder) buildBlock(blk *cfg.Block, hb *cfg.Hyperblock) {
 		b.joinBlock(blk)
 	}
 	for _, ins := range blk.Instrs {
-		b.pos = ins.Pos
 		if ins.LHS == nil {
 			b.lowerExpr(ins.RHS)
 		} else {
@@ -438,7 +434,7 @@ func (b *fnBuilder) joinBlock(blk *cfg.Block) {
 	}
 	clear(b.env)
 	for i, v := range b.vars {
-		if b.maxRead[i] < b.hyper {
+		if b.maxRead[i] < int(b.hyper) {
 			continue
 		}
 		present := false
@@ -482,7 +478,7 @@ func (b *fnBuilder) outEdge(to *cfg.Block, pred *pegasus.Node) {
 		// Forward edge: the target reads the snapshot later.
 		s := snap{pred: pred, hyper: b.hyper, env: b.refs(len(b.vars))}
 		copy(s.env, b.env)
-		if to.Hyper.ID == b.hyper {
+		if to.Hyper.ID == int(b.hyper) {
 			// Intra-hyperblock edge: fork the full token state so sibling
 			// branches order independently against the common frontier.
 			s.chains = b.fork()
@@ -529,7 +525,7 @@ func (b *fnBuilder) setLoopPreds() {
 		var lp *pegasus.Node
 		ok := len(hi.backPreds) > 0
 		for _, p := range hi.backPreds {
-			if p.Hyper != h {
+			if int(p.Hyper) != h {
 				ok = false
 				break
 			}
@@ -608,7 +604,7 @@ func (b *fnBuilder) buildReturn() {
 
 // --- small node factories ---
 
-func (b *fnBuilder) valueEta(hyper int, pred *pegasus.Node, data pegasus.Ref, vt pegasus.VType) *pegasus.Node {
+func (b *fnBuilder) valueEta(hyper int32, pred *pegasus.Node, data pegasus.Ref, vt pegasus.VType) *pegasus.Node {
 	n := b.g.NewNode(pegasus.KEta, hyper)
 	n.VT = vt
 	n.Ins = []pegasus.Ref{data}
@@ -616,7 +612,7 @@ func (b *fnBuilder) valueEta(hyper int, pred *pegasus.Node, data pegasus.Ref, vt
 	return n
 }
 
-func (b *fnBuilder) tokenEta(hyper int, pred *pegasus.Node, tok pegasus.Ref, cl alias.ClassID) *pegasus.Node {
+func (b *fnBuilder) tokenEta(hyper int32, pred *pegasus.Node, tok pegasus.Ref, cl alias.ClassID) *pegasus.Node {
 	n := b.g.NewNode(pegasus.KEta, hyper)
 	n.TokenOnly = true
 	n.TokClass = cl
@@ -632,7 +628,7 @@ func (b *fnBuilder) constNode(val int64, vt pegasus.VType) *pegasus.Node {
 	if vt.Bits == 1 {
 		return b.g.ConstPred(b.hyper, val != 0)
 	}
-	k := constKey{val: val, bits: vt.Bits, signed: vt.Signed}
+	k := constKey{val: val, vt: vt}
 	if n, ok := b.consts[k]; ok {
 		return n
 	}

@@ -180,7 +180,7 @@ func (*EmptyStmt) stmt()    {}
 // --- Expressions ---
 
 // BinOpKind enumerates binary operators (after assignment desugaring).
-type BinOpKind int
+type BinOpKind uint8
 
 // Binary operators.
 const (

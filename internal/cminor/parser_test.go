@@ -231,6 +231,13 @@ func TestParseErrorCases(t *testing.T) {
 		"void f(const int *p) { *p = 1; }":              "const",
 		"void f(int x) { 3 = x; }":                      "not an lvalue",
 		"void f(int x) { x++ ++; }":                     "may only appear",
+		"int a[2][3];\nvoid f(int *p) { a[1] = p; }":    "cannot assign to array",
+		"void f(int *p) { int a[4]; a = p; }":           "cannot assign to array",
+		"int a[2][3];\nvoid f(void) { a[1]++; }":        "is an array",
+		"void f(const int *p) { (*p)++; }":              "const",
+		"void f(void *p) { *p; }":                       "cannot dereference",
+		"int f(void *p) { return &p[1] != 0; }":         "cannot index",
+		"void g(void);\nint f(void) { return !g(); }":   "used as a value",
 	}
 	for src, want := range bad {
 		prog, err := Parse(src)

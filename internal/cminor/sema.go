@@ -312,16 +312,18 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 		e.Typ = v.Type
 		return nil
 	case *BinExpr:
+		// A side effect in a short-circuit operand is refused before the
+		// operand's type is checked: the effect, not its type, is the error.
+		if e.Op == OpLogAnd || e.Op == OpLogOr {
+			if err := noSideEffects(e.R, "the right operand of "+e.Op.String()); err != nil {
+				return err
+			}
+		}
 		if err := c.checkExpr(e.L, false); err != nil {
 			return err
 		}
 		if err := c.checkExpr(e.R, false); err != nil {
 			return err
-		}
-		if e.Op == OpLogAnd || e.Op == OpLogOr {
-			if err := noSideEffects(e.R, "the right operand of "+e.Op.String()); err != nil {
-				return err
-			}
 		}
 		lt, rt := e.L.Type().Decay(), e.R.Type().Decay()
 		switch {
@@ -400,6 +402,9 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 		if !e.Index.Type().Decay().IsInteger() {
 			return errf(e.Pos, "array index has type %s", e.Index.Type())
 		}
+		if at.Elem.Kind == TypeVoid {
+			return errf(e.Pos, "cannot index %s", at)
+		}
 		e.Typ = at.Elem
 		return nil
 	case *DerefExpr:
@@ -407,7 +412,7 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 			return err
 		}
 		t := e.X.Type().Decay()
-		if !t.IsPointer() {
+		if !t.IsPointer() || t.Elem.Kind == TypeVoid {
 			return errf(e.Pos, "cannot dereference %s", t)
 		}
 		e.Typ = t.Elem
@@ -450,6 +455,9 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 		}
 		e.Func = fn
 		e.Typ = fn.Ret
+		if fn.Ret.Kind == TypeVoid && !stmtRoot {
+			return errf(e.Pos, "void function %s used as a value", e.Callee)
+		}
 		if len(e.Args) != len(fn.Params) {
 			return errf(e.Pos, "%s expects %d arguments, got %d", e.Callee, len(fn.Params), len(e.Args))
 		}
@@ -472,6 +480,9 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 		if !isLvalue(e.LHS) {
 			return errf(e.Pos, "left side of assignment is not an lvalue")
 		}
+		if t := lvalueType(e.LHS); t.Kind == TypeArray {
+			return errf(e.Pos, "cannot assign to array of type %s", t)
+		}
 		if lvalueType(e.LHS).Const {
 			return errf(e.Pos, "assignment to const object")
 		}
@@ -489,6 +500,12 @@ func (c *checker) checkExpr(e Expr, stmtRoot bool) error {
 		}
 		if !isLvalue(e.X) {
 			return errf(e.Pos, "operand of ++/-- is not an lvalue")
+		}
+		if t := lvalueType(e.X); t.Kind == TypeArray {
+			return errf(e.Pos, "operand of ++/-- is an array of type %s", t)
+		}
+		if lvalueType(e.X).Const {
+			return errf(e.Pos, "++/-- of const object")
 		}
 		e.Typ = lvalueType(e.X)
 		return nil

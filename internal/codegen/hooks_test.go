@@ -9,6 +9,7 @@ package codegen_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"spatial/internal/codegen"
@@ -52,6 +53,37 @@ func TestRejectionsIdentical(t *testing.T) {
 			t.Errorf("%s: accepted: interp err=%v, compiled err=%v", tc.name, errI, errC)
 		case errI.Error() != errC.Error():
 			t.Errorf("%s: error text diverged:\n interp   %v\n compiled %v", tc.name, errI, errC)
+		}
+	}
+}
+
+// TestCallErrorsIdentical: the two call failures that name their callee,
+// a call to a declaration with no body and a call past the activation
+// limit, fail with the same error text on both engines. The VM names the
+// callee from the graph (the first) and from the lowered callee (the
+// second).
+func TestCallErrorsIdentical(t *testing.T) {
+	cp, err := core.CompileSource(`
+int ext(int x);
+int deep(int n) { if (n == 0) return 0; return deep(n - 1) + 1; }
+int f(int a) { if (a) return ext(a); return deep(50); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, mod := dataflow.Prebuild(cp.Program), codegen.Compile(cp.Program)
+	cfg := dataflow.DefaultConfig()
+	cfg.MaxActivations = 10
+	for _, tc := range []struct {
+		arg  int64
+		want error
+	}{{1, dataflow.ErrUnbuiltCall}, {0, dataflow.ErrActivationLimit}} {
+		_, errI := sh.Run("f", []int64{tc.arg}, cfg)
+		_, errC := mod.Run("f", []int64{tc.arg}, cfg)
+		switch {
+		case !errors.Is(errI, tc.want) || !errors.Is(errC, tc.want):
+			t.Errorf("f(%d): want %v: interp err=%v, compiled err=%v", tc.arg, tc.want, errI, errC)
+		case errI.Error() != errC.Error():
+			t.Errorf("f(%d): error text diverged:\n interp   %v\n compiled %v", tc.arg, errI, errC)
 		}
 	}
 }

@@ -98,12 +98,12 @@ type dest struct {
 // offsets, so a rule is 128 bytes (TestBlockedByGate pins it).
 type rule struct {
 	op       opcode
-	fireOnce bool  // zero dynamic inputs: fires exactly once per activation
-	outTok   bool  // primary output is the token output (combine, token-only merge/eta)
-	unsigned bool  // opBin
-	signed   bool  // opConv, opLoad: sign-extend the narrow result
-	hasValue bool  // opCall: callee returns a value
-	bin      uint8 // opBin: a cminor.BinOpKind
+	fireOnce bool             // zero dynamic inputs: fires exactly once per activation
+	outTok   bool             // primary output is the token output (combine, token-only merge/eta)
+	unsigned bool             // opBin
+	signed   bool             // opConv, opLoad: sign-extend the narrow result
+	hasValue bool             // opCall: callee returns a value
+	bin      cminor.BinOpKind // opBin
 	un       pegasus.UnOpKind
 	toBits   uint8 // opConv
 	bytes    uint8 // opLoad/opStore access size
@@ -208,7 +208,7 @@ const (
 type sinstr struct {
 	op   sop
 	dst  int32
-	bits int32
+	bits uint8
 	uns  bool
 	sign bool
 	bin  cminor.BinOpKind
@@ -218,10 +218,11 @@ type sinstr struct {
 	mux  []oparg // pred0, in0, pred1, in1, ...
 }
 
-// gprog is one graph's lowered program plus the cold-path metadata
-// (static classification, port layout, node table) the stuck-state
-// diagnosis needs. Immutable after lowering except pool; shared by every
-// run of the module, including concurrent ones.
+// gprog is one graph's lowered program. Immutable after lowering except
+// pool; shared by every run of the module, including concurrent ones.
+// It keeps nothing indexed by node ID: the cold paths that need a rule's
+// or a port's node (stuck reports, a failed call) recover it from g
+// (layout).
 type gprog struct {
 	g         *pegasus.Graph
 	name      string
@@ -229,8 +230,6 @@ type gprog struct {
 	frameSize uint32
 
 	rules []rule
-	// ruleOf maps node ID → rule index (-1 for static/dead nodes).
-	ruleOf []int32
 	// entryRule is the KEntryTok rule fired by newActivation (-1: none).
 	entryRule int32
 	// seeds are rules with no dynamic inputs, checked once at activation
@@ -243,11 +242,12 @@ type gprog struct {
 
 	// Per-port static producer metadata: each input port has exactly one
 	// producer edge, so consuming from port p releases occupancy slot
-	// ports[p].occ and rechecks rule ports[p].prod. Value and token
-	// occupancy share one flat array (value slots first, token slots
-	// after), so the hot path never branches on the edge class. owner
-	// names the consuming rule. One struct per port keeps everything
-	// consume touches on a single cache line.
+	// ports[p].occ and rechecks rule ports[p].prod (-1: the input is
+	// activation-static and never latched). Value and token occupancy
+	// share one flat array (value slots first, token slots after), so the
+	// hot path never branches on the edge class. owner names the
+	// consuming rule. One struct per port keeps everything consume
+	// touches on a single cache line.
 	ports []pmeta
 
 	// The tables the rules index. args holds every all-input rule's
@@ -262,15 +262,6 @@ type gprog struct {
 	// Compile over the module's distinct frame sizes).
 	frameClass int32
 
-	// Cold-path mirrors of the interpreter's graphInfo, used only by the
-	// stuck-state diagnosis.
-	nodeByID []*pegasus.Node
-	static   []bool
-	dynIns   []int32
-	inOff    []int32
-	predOff  []int32
-	tokOff   []int32
-
 	numPorts int
 	numSlots int
 	sprog    []sinstr
@@ -281,16 +272,44 @@ type gprog struct {
 	pool sync.Pool
 }
 
-// portIndex is the flat index of one input slot (cold path; the hot path
-// uses pre-resolved indices).
-func (gp *gprog) portIndex(n *pegasus.Node, cls pegasus.Port, idx int) int32 {
-	switch cls {
-	case pegasus.PortIn:
-		return gp.inOff[n.ID] + int32(idx)
-	case pegasus.PortPred:
-		return gp.predOff[n.ID] + int32(idx)
+// ruleLayout is what the cold paths (stuck reports, a failed call) need
+// to know of each rule: its node and the flat index of its first input
+// port.
+type ruleLayout struct {
+	nodes     []*pegasus.Node
+	firstPort []int32
+}
+
+// layout recovers the ruleLayout from g. Lowering numbers rules and
+// ports in node-ID order, which is the order of g.Nodes: one rule per
+// dynamic node, one port per input of it.
+func (gp *gprog) layout() ruleLayout {
+	l := ruleLayout{make([]*pegasus.Node, len(gp.rules)), make([]int32, len(gp.rules))}
+	ri, off := 0, int32(0)
+	for _, n := range gp.g.Nodes {
+		if ri == len(gp.rules) {
+			break
+		}
+		if int32(n.ID) != gp.rules[ri].nodeID {
+			continue
+		}
+		l.nodes[ri], l.firstPort[ri] = n, off
+		off += int32(len(n.Ins) + len(n.Preds) + len(n.Toks))
+		ri++
+	}
+	return l
+}
+
+// portClass splits an offset into n's inputs into its port class and
+// the index within the class.
+func portClass(n *pegasus.Node, off int) (pegasus.Port, int) {
+	switch {
+	case off < len(n.Ins):
+		return pegasus.PortIn, off
+	case off < len(n.Ins)+len(n.Preds):
+		return pegasus.PortPred, off - len(n.Ins)
 	default:
-		return gp.tokOff[n.ID] + int32(idx)
+		return pegasus.PortTok, off - len(n.Ins) - len(n.Preds)
 	}
 }
 
@@ -314,20 +333,6 @@ func (gp *gprog) consumers(r *rule, tok bool) (cons []dest, base int32) {
 	return gp.dests[r.valOccBase : r.valOccBase+r.valCnt], r.valOccBase
 }
 
-// portLoc recovers the consuming node and input slot of a flat port
-// index (cold path: rendering backpressure wait edges).
-func (gp *gprog) portLoc(p int32) (*pegasus.Node, pegasus.Port, int) {
-	n := gp.nodeByID[gp.rules[gp.ports[p].owner].nodeID]
-	switch {
-	case p < gp.predOff[n.ID]:
-		return n, pegasus.PortIn, int(p - gp.inOff[n.ID])
-	case p < gp.tokOff[n.ID]:
-		return n, pegasus.PortPred, int(p - gp.predOff[n.ID])
-	default:
-		return n, pegasus.PortTok, int(p - gp.tokOff[n.ID])
-	}
-}
-
 // opLatencyOf mirrors dataflow's opLatency table.
 func opLatencyOf(n *pegasus.Node) uint8 {
 	switch n.Kind {
@@ -347,20 +352,40 @@ func opLatencyOf(n *pegasus.Node) uint8 {
 	}
 }
 
-// lowerer holds per-graph lowering state.
+// lowerer holds per-graph lowering state. Its tables span the node-ID
+// range and go when lowering ends.
 type lowerer struct {
-	mod   *Module
-	g     *pegasus.Graph
-	gp    *gprog
-	memo  []oparg // static node ID → lowered arg
-	done  []bool
-	slots int
+	mod *Module
+	gp  *gprog
+	// By node ID: the static closure, the rule (-1 for static and dead
+	// nodes), the dynamic input count, and the flat index of the first
+	// value, predicate and token port.
+	static                 []bool
+	ruleOf                 []int32
+	dynIns                 []int32
+	inOff, predOff, tokOff []int32
+	memo                   []oparg // static node ID → lowered arg
+	done                   []bool
+	slots                  int
+}
+
+// portIndex is the flat index of one input slot of n.
+func (lw *lowerer) portIndex(n *pegasus.Node, cls pegasus.Port, idx int) int32 {
+	switch cls {
+	case pegasus.PortIn:
+		return lw.inOff[n.ID] + int32(idx)
+	case pegasus.PortPred:
+		return lw.predOff[n.ID] + int32(idx)
+	default:
+		return lw.tokOff[n.ID] + int32(idx)
+	}
 }
 
 // lowerGraph fills gp with the lowered program for gp.g. The node
 // iteration orders deliberately mirror dataflow.buildGraphInfo and
 // newActivation so that consumer lists — and therefore event push order,
 // seq numbering, and pop order — are identical to the interpreter's.
+// g.Nodes is in node-ID order, so rules and ports are numbered in it.
 func lowerGraph(mod *Module, gp *gprog) {
 	g := gp.g
 	maxID := g.MaxID()
@@ -368,19 +393,13 @@ func lowerGraph(mod *Module, gp *gprog) {
 	if g.Fn != nil {
 		gp.numParams = len(g.Fn.Params)
 	}
-	gp.nodeByID = make([]*pegasus.Node, maxID)
-	gp.static = make([]bool, maxID)
-	for _, n := range g.Nodes {
-		if !n.Dead {
-			gp.nodeByID[n.ID] = n
-		}
-	}
+	lw := &lowerer{mod: mod, gp: gp, static: make([]bool, maxID)}
 	// Static closure over pure ops — the same fixpoint as the
 	// interpreter, so both engines agree on what handshakes.
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.Nodes {
-			if n.Dead || gp.static[n.ID] {
+			if n.Dead || lw.static[n.ID] {
 				continue
 			}
 			s := false
@@ -390,58 +409,55 @@ func lowerGraph(mod *Module, gp *gprog) {
 			case pegasus.KBinOp, pegasus.KUnOp, pegasus.KConv, pegasus.KMux:
 				s = true
 				n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-					if !r.Valid() || !gp.static[r.N.ID] {
+					if !r.Valid() || !lw.static[r.N.ID] {
 						s = false
 					}
 				})
 			}
 			if s {
-				gp.static[n.ID] = true
+				lw.static[n.ID] = true
 				changed = true
 			}
 		}
 	}
-	// Flat port layout and rule numbering, both in node-ID order.
-	gp.dynIns = make([]int32, maxID)
-	gp.inOff = make([]int32, maxID)
-	gp.predOff = make([]int32, maxID)
-	gp.tokOff = make([]int32, maxID)
-	gp.ruleOf = make([]int32, maxID)
-	for i := range gp.ruleOf {
-		gp.ruleOf[i] = -1
+	// Flat port layout and rule numbering, both in node-ID order. The
+	// dynamic nodes, in that order, are what every later loop walks.
+	lw.dynIns = make([]int32, maxID)
+	lw.inOff = make([]int32, maxID)
+	lw.predOff = make([]int32, maxID)
+	lw.tokOff = make([]int32, maxID)
+	lw.ruleOf = make([]int32, maxID)
+	for i := range lw.ruleOf {
+		lw.ruleOf[i] = -1
 	}
+	dyn := make([]*pegasus.Node, 0, len(g.Nodes))
 	off := int32(0)
-	nRules := 0
-	for id := 0; id < maxID; id++ {
-		n := gp.nodeByID[id]
-		if n == nil || gp.static[id] {
+	for _, n := range g.Nodes {
+		if n.Dead || lw.static[n.ID] {
 			continue
 		}
-		gp.inOff[id] = off
-		gp.predOff[id] = off + int32(len(n.Ins))
-		gp.tokOff[id] = off + int32(len(n.Ins)+len(n.Preds))
+		lw.inOff[n.ID] = off
+		lw.predOff[n.ID] = off + int32(len(n.Ins))
+		lw.tokOff[n.ID] = off + int32(len(n.Ins)+len(n.Preds))
 		off += int32(len(n.Ins) + len(n.Preds) + len(n.Toks))
-		gp.ruleOf[id] = int32(nRules)
-		nRules++
+		lw.ruleOf[n.ID] = int32(len(dyn))
+		dyn = append(dyn, n)
 	}
 	gp.numPorts = int(off)
-	gp.rules = make([]rule, nRules)
+	gp.rules = make([]rule, len(dyn))
 	// Count each producer's value and token consumers and each consumer's
 	// dynamic inputs, in the interpreter's iteration order (graph node
 	// order × EachInput order).
 	nVal := make([]int32, 2*maxID)
 	nTok := nVal[maxID:]
 	nVal = nVal[:maxID:maxID]
-	for _, n := range g.Nodes {
-		if n.Dead || gp.static[n.ID] {
-			continue
-		}
+	for _, n := range dyn {
 		user := n
 		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-			if !r.Valid() || gp.static[r.N.ID] {
+			if !r.Valid() || lw.static[r.N.ID] {
 				return
 			}
-			gp.dynIns[user.ID]++
+			lw.dynIns[user.ID]++
 			if r.Out == pegasus.OutToken {
 				nTok[r.N.ID]++
 			} else {
@@ -455,13 +471,13 @@ func lowerGraph(mod *Module, gp *gprog) {
 	// class. Each count becomes its producer's fill cursor.
 	occ := int32(0)
 	for id := 0; id < maxID; id++ {
-		if ri := gp.ruleOf[id]; ri >= 0 {
+		if ri := lw.ruleOf[id]; ri >= 0 {
 			gp.rules[ri].valOccBase, gp.rules[ri].valCnt = occ, nVal[id]
 		}
 		occ, nVal[id] = occ+nVal[id], occ
 	}
 	for id := 0; id < maxID; id++ {
-		if ri := gp.ruleOf[id]; ri >= 0 {
+		if ri := lw.ruleOf[id]; ri >= 0 {
 			gp.rules[ri].tokOccBase, gp.rules[ri].tokCnt = occ, nTok[id]
 		}
 		occ, nTok[id] = occ+nTok[id], occ
@@ -474,13 +490,10 @@ func lowerGraph(mod *Module, gp *gprog) {
 	for p := range gp.ports {
 		gp.ports[p].prod = -1
 	}
-	for _, n := range g.Nodes {
-		if n.Dead || gp.static[n.ID] {
-			continue
-		}
-		owner := gp.ruleOf[n.ID]
+	for ri, n := range dyn {
+		owner := int32(ri)
 		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-			if !r.Valid() || gp.static[r.N.ID] {
+			if !r.Valid() || lw.static[r.N.ID] {
 				return
 			}
 			cur := &nVal[r.N.ID]
@@ -489,47 +502,38 @@ func lowerGraph(mod *Module, gp *gprog) {
 			}
 			o := *cur
 			*cur = o + 1
-			p := gp.portIndex(n, cls, idx)
+			p := lw.portIndex(n, cls, idx)
 			gp.dests[o] = dest{rule: owner, port: p}
-			gp.ports[p] = pmeta{occ: o, prod: gp.ruleOf[r.N.ID], owner: owner}
+			gp.ports[p] = pmeta{occ: o, prod: lw.ruleOf[r.N.ID], owner: owner}
 		})
 	}
 	// Size the operand and merge-source tables, so lowering fills them
 	// without growing them.
 	nArgs, nSrcs, nSeeds := 0, 0, 0
-	for id := 0; id < maxID; id++ {
-		n := gp.nodeByID[id]
-		if n == nil || gp.static[id] {
-			continue
-		}
+	for _, n := range dyn {
 		switch n.Kind {
 		case pegasus.KEta, pegasus.KTokenGen:
 		case pegasus.KMerge:
 			srcs, _ := mergeSources(n)
 			for _, src := range srcs {
-				if !gp.static[src.N.ID] {
+				if !lw.static[src.N.ID] {
 					nSrcs++
 				}
 			}
 		default:
 			nArgs += len(n.Ins) + len(n.Preds) + len(n.Toks)
 		}
-		if gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok {
+		if lw.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
 			nSeeds++
 		}
 	}
 	gp.args = make([]oparg, 0, nArgs)
 	gp.srcs = make([]int32, 0, nSrcs)
 	// Lower each dynamic node to its rule.
-	lw := &lowerer{mod: mod, g: g, gp: gp, memo: make([]oparg, maxID), done: make([]bool, maxID)}
-	gp.entryRule = -1
-	for id := 0; id < maxID; id++ {
-		n := gp.nodeByID[id]
-		if n == nil || gp.static[id] {
-			continue
-		}
-		r := &gp.rules[gp.ruleOf[id]]
-		r.nodeID = int32(id)
+	lw.memo, lw.done = make([]oparg, maxID), make([]bool, maxID)
+	for ri, n := range dyn {
+		r := &gp.rules[ri]
+		r.nodeID = int32(n.ID)
 		if r.valCnt > 0 {
 			r.valD0 = gp.dests[r.valOccBase]
 		}
@@ -537,7 +541,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 			r.tokD0 = gp.dests[r.tokOccBase]
 		}
 		r.lat = opLatencyOf(n)
-		r.fireOnce = gp.dynIns[id] == 0 && n.Kind != pegasus.KEntryTok
+		r.fireOnce = lw.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok
 		lw.lowerRule(n, r)
 		if r.nPreds == 0 && r.nToks == 0 {
 			ins, _, _ := gp.operands(r)
@@ -554,31 +558,25 @@ func lowerGraph(mod *Module, gp *gprog) {
 	// Pristine per-rule dynamic state: missing-input counters start at
 	// the full dynamic input count (all latches empty), token generators
 	// at their initial credit, gated merges at their source count.
-	gp.nodeInit = make([]vnode, nRules)
-	for id := 0; id < maxID; id++ {
-		if n := gp.nodeByID[id]; n == nil || gp.static[id] {
-			continue
-		}
-		ri := gp.ruleOf[id]
+	gp.nodeInit = make([]vnode, len(dyn))
+	gp.entryRule = -1
+	gp.seeds = make([]int32, 0, nSeeds)
+	for ri, n := range dyn {
 		r, ns := &gp.rules[ri], &gp.nodeInit[ri]
-		ns.missing = gp.dynIns[id]
-		ns.gate = gateOf(r, gp.dynIns[id])
+		ns.missing = lw.dynIns[n.ID]
+		ns.gate = gateOf(r, ns.missing)
 		switch r.op {
 		case opTokGen:
 			ns.counter = r.tokN
 		case opMerge:
 			ns.counter = r.nSrcs
 		}
-	}
-	if g.Entry != nil && gp.nodeByID[g.Entry.ID] != nil && !gp.static[g.Entry.ID] {
-		gp.entryRule = gp.ruleOf[g.Entry.ID]
-	}
-	// Seed set in graph node order (the interpreter's newActivation
-	// order — seq numbering depends on it).
-	gp.seeds = make([]int32, 0, nSeeds)
-	for _, n := range g.Nodes {
-		if !n.Dead && !gp.static[n.ID] && gp.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
-			gp.seeds = append(gp.seeds, gp.ruleOf[n.ID])
+		// Seeds in graph node order (the interpreter's newActivation
+		// order — seq numbering depends on it).
+		if n == g.Entry {
+			gp.entryRule = int32(ri)
+		} else if r.fireOnce {
+			gp.seeds = append(gp.seeds, int32(ri))
 		}
 	}
 	gp.numSlots = lw.slots
@@ -622,14 +620,14 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		r.op = opEntry
 	case pegasus.KBinOp:
 		r.op = opBin
-		r.bin = uint8(n.BinOp)
+		r.bin = n.BinOp
 		r.unsigned = n.Unsigned
 	case pegasus.KUnOp:
 		r.op = opUn
 		r.un = n.UnOp
 	case pegasus.KConv:
 		r.op = opConv
-		r.toBits = uint8(n.ToBits)
+		r.toBits = n.ToBits
 		r.signed = n.ConvSign
 	case pegasus.KMux:
 		r.op = opMux
@@ -642,12 +640,12 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		r.srcOff = int32(len(gp.srcs))
 		srcs, cls := mergeSources(n)
 		for i, src := range srcs {
-			if gp.static[src.N.ID] {
+			if lw.static[src.N.ID] {
 				// Static merge inputs would fire unboundedly; the
 				// builder never creates them.
 				continue
 			}
-			gp.srcs = append(gp.srcs, gp.portIndex(n, cls, i))
+			gp.srcs = append(gp.srcs, lw.portIndex(n, cls, i))
 		}
 		r.nSrcs = int32(len(gp.srcs)) - r.srcOff
 		return
@@ -664,17 +662,17 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 	case pegasus.KTokenGen:
 		r.op = opTokGen
 		r.outTok = true
-		r.tokN = int32(n.TokN)
-		r.tokPort = gp.tokOff[n.ID]
+		r.tokN = n.TokN
+		r.tokPort = lw.tokOff[n.ID]
 		r.predArg = lw.argOf(n, pegasus.PortPred, 0, n.Preds[0])
 		return
 	case pegasus.KLoad:
 		r.op = opLoad
-		r.bytes = uint8(n.Bytes)
+		r.bytes = n.Bytes
 		r.signed = n.VT.Signed
 	case pegasus.KStore:
 		r.op = opStore
-		r.bytes = uint8(n.Bytes)
+		r.bytes = n.Bytes
 	case pegasus.KCall:
 		r.op = opCall
 		r.hasValue = n.HasValue()
@@ -706,10 +704,10 @@ func mergeSources(n *pegasus.Node) ([]pegasus.Ref, pegasus.Port) {
 // argOf lowers one input reference: static refs become immediates or
 // slots, dynamic refs become ports.
 func (lw *lowerer) argOf(n *pegasus.Node, cls pegasus.Port, idx int, r pegasus.Ref) oparg {
-	if r.Valid() && lw.gp.static[r.N.ID] {
+	if r.Valid() && lw.static[r.N.ID] {
 		return lw.staticArg(r.N)
 	}
-	return oparg{mode: argPort, idx: lw.gp.portIndex(n, cls, idx)}
+	return oparg{mode: argPort, idx: lw.portIndex(n, cls, idx)}
 }
 
 // staticArg lowers a static node, memoized per graph: constant folding
@@ -774,7 +772,7 @@ func (lw *lowerer) lowerStatic(n *pegasus.Node) oparg {
 			return imm(convValue(a.imm, n.ToBits, n.ConvSign))
 		}
 		dst := lw.newSlot()
-		gp.sprog = append(gp.sprog, sinstr{op: sConv, dst: dst, a: a, bits: int32(n.ToBits), sign: n.ConvSign})
+		gp.sprog = append(gp.sprog, sinstr{op: sConv, dst: dst, a: a, bits: n.ToBits, sign: n.ConvSign})
 		return slot(dst)
 	case pegasus.KMux:
 		// Fold away constant-false arms; a constant-true predicate makes

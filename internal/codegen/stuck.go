@@ -13,15 +13,22 @@ import (
 
 func (m *vm) stuckReport(kind string) *dataflow.StuckReport {
 	var blocked []dataflow.BlockedNode
+	layouts := map[*gprog]ruleLayout{}
 	for _, a := range m.acts {
 		if a.done {
 			continue
 		}
-		for _, n := range a.gp.g.Nodes {
-			if n.Dead || a.gp.static[n.ID] || n.Kind == pegasus.KEntryTok {
+		l, ok := layouts[a.gp]
+		if !ok {
+			l = a.gp.layout()
+			layouts[a.gp] = l
+		}
+		// Rules are in graph node order, the interpreter's scan order.
+		for ri, n := range l.nodes {
+			if n.Kind == pegasus.KEntryTok {
 				continue
 			}
-			b, isBlocked := m.classifyBlocked(a, n)
+			b, isBlocked := m.classifyBlocked(a, l, int32(ri))
 			if !isBlocked {
 				continue
 			}
@@ -33,28 +40,31 @@ func (m *vm) stuckReport(kind string) *dataflow.StuckReport {
 
 // classifyBlocked mirrors dataflow.(*machine).classifyBlocked against
 // the VM's state.
-func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bool) {
+func (m *vm) classifyBlocked(a *vact, l ruleLayout, ri int32) (dataflow.BlockedNode, bool) {
 	gp := a.gp
+	n := l.nodes[ri]
 	b := dataflow.BlockedNode{Graph: gp.name, Act: a.id, Node: n}
-	ri := gp.ruleOf[n.ID]
 	r := &gp.rules[ri]
 	ns := &a.st.nodes[ri]
-	if gp.dynIns[n.ID] == 0 {
+	if gp.nodeInit[ri].missing == 0 {
 		// Fire-once node: blocked only if it never managed to fire
 		// (firing closes its gate for good), which can only be
 		// backpressure.
 		if ns.gate == gateNever {
 			return b, false
 		}
-		b.Waits = m.backpressureEdges(a, r)
+		b.Waits = m.backpressureEdges(a, l, r)
 		return b, len(b.Waits) > 0
 	}
 	var missing []dataflow.WaitEdge
+	p := l.firstPort[ri]
 	n.EachInput(func(ref *pegasus.Ref, cls pegasus.Port, idx int) {
-		if !ref.Valid() || gp.static[ref.N.ID] {
-			return
+		port := p
+		p++
+		if gp.ports[port].prod < 0 {
+			return // an activation-static input
 		}
-		if a.st.ports[gp.portIndex(n, cls, idx)].held {
+		if a.st.ports[port].held {
 			b.Arrived++
 			return
 		}
@@ -72,7 +82,7 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 			b.Waits = missing
 			return b, len(b.Waits) > 0
 		}
-		b.Waits = m.backpressureEdges(a, r)
+		b.Waits = m.backpressureEdges(a, l, r)
 		return b, len(b.Waits) > 0
 	case pegasus.KTokenGen:
 		// Token inputs are absorbed eagerly, so only the predicate path
@@ -101,7 +111,7 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 			b.Waits = []dataflow.WaitEdge{{Kind: dataflow.WaitCredit, Port: pegasus.PortTok, Idx: 0, Peer: n.Toks[0].N, PeerAct: a.id}}
 			return b, true
 		}
-		b.Waits = m.backpressureEdges(a, r)
+		b.Waits = m.backpressureEdges(a, l, r)
 		return b, len(b.Waits) > 0
 	default:
 		if len(missing) > 0 {
@@ -109,21 +119,22 @@ func (m *vm) classifyBlocked(a *vact, n *pegasus.Node) (dataflow.BlockedNode, bo
 			return b, true
 		}
 		// Every input present yet unfired: output edges must be full.
-		b.Waits = m.backpressureEdges(a, r)
+		b.Waits = m.backpressureEdges(a, l, r)
 		return b, len(b.Waits) > 0
 	}
 }
 
 // backpressureEdges lists wait edges to the consumers of the rule's full
 // output edges, in the interpreter's order (value edges, then token).
-func (m *vm) backpressureEdges(a *vact, r *rule) []dataflow.WaitEdge {
+func (m *vm) backpressureEdges(a *vact, l ruleLayout, r *rule) []dataflow.WaitEdge {
 	var out []dataflow.WaitEdge
 	gp := a.gp
 	for _, tok := range [2]bool{false, true} {
 		cons, base := gp.consumers(r, tok)
 		for i, d := range cons {
 			if a.st.occ[base+int32(i)] > 0 {
-				peer, cls, idx := gp.portLoc(d.port)
+				peer := l.nodes[d.rule]
+				cls, idx := portClass(peer, int(d.port-l.firstPort[d.rule]))
 				out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
 			}
 		}

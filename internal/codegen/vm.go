@@ -351,7 +351,7 @@ func (m *vm) runStatics(a *vact) {
 		case sUn:
 			v = evalUn(ins.un, argv(st, ins.a))
 		case sConv:
-			v = convValue(argv(st, ins.a), int(ins.bits), ins.sign)
+			v = convValue(argv(st, ins.a), ins.bits, ins.sign)
 		case sMux:
 			for j := 0; j < len(ins.mux); j += 2 {
 				if argv(st, ins.mux[j]) != 0 {
@@ -515,11 +515,11 @@ func (m *vm) fireSimple(a *vact, ri int32, r *rule) bool {
 		case shBin2:
 			x := m.consume(a, r.shapeA)
 			y := m.consume(a, r.shapeB)
-			v = evalBin(cminor.BinOpKind(r.bin), x, y, r.unsigned)
+			v = evalBin(r.bin, x, y, r.unsigned)
 		case shUn1:
 			v = evalUn(r.un, m.consume(a, r.shapeA))
 		default: // shConv1
-			v = convValue(m.consume(a, r.shapeA), int(r.toBits), r.signed)
+			v = convValue(m.consume(a, r.shapeA), r.toBits, r.signed)
 		}
 		m.stats.OpsFired++
 		m.emit(a, ri, r, false, v, m.now+int64(r.lat))
@@ -541,11 +541,11 @@ func (m *vm) fireSimple(a *vact, ri int32, r *rule) bool {
 	var v int64
 	switch r.op {
 	case opBin:
-		v = evalBin(cminor.BinOpKind(r.bin), ins[0], ins[1], r.unsigned)
+		v = evalBin(r.bin, ins[0], ins[1], r.unsigned)
 	case opUn:
 		v = evalUn(r.un, ins[0])
 	case opConv:
-		v = convValue(ins[0], int(r.toBits), r.signed)
+		v = convValue(ins[0], r.toBits, r.signed)
 	case opMux:
 		for i, p := range preds {
 			if p != 0 {
@@ -710,12 +710,13 @@ func (m *vm) fireCall(a *vact, ri int32, r *rule) bool {
 		return true
 	}
 	if r.callee == nil {
-		m.fail(fmt.Errorf("%w: %s (extern declaration with no body?)", dataflow.ErrUnbuiltCall, a.gp.nodeByID[r.nodeID].Callee.Name))
+		callee := a.gp.layout().nodes[ri].Callee
+		m.fail(fmt.Errorf("%w: %s (extern declaration with no body?)", dataflow.ErrUnbuiltCall, callee.Name))
 		return false
 	}
 	if m.nextActID >= m.cfg.MaxActivations {
 		m.fail(fmt.Errorf("%w: %d activations, calling %s at cycle %d",
-			dataflow.ErrActivationLimit, m.nextActID, a.gp.nodeByID[r.nodeID].Callee.Name, m.now))
+			dataflow.ErrActivationLimit, m.nextActID, r.callee.name, m.now))
 		return false
 	}
 	m.stats.Calls++
@@ -877,7 +878,7 @@ func evalUn(op pegasus.UnOpKind, x int64) int64 {
 	}
 }
 
-func convValue(v int64, bits int, signed bool) int64 {
+func convValue(v int64, bits uint8, signed bool) int64 {
 	switch {
 	case bits == 8 && signed:
 		return int64(int8(v))

@@ -189,7 +189,8 @@ func (c *Compiled) compiledInfo() *codegen.Module {
 // CompileSource parses, checks, builds, and optimizes a cMinor program.
 // Every failure — including an invalid configuration option or a panic in
 // a compiler pass — comes back classified under ErrCompile (or ErrInternal
-// for recovered panics), never as a panic.
+// for recovered panics and graphs that fail their check), never as a
+// panic.
 func CompileSource(src string, opts ...Option) (cp *Compiled, err error) {
 	defer guard(&err)
 	cfg := config{sim: dataflow.DefaultConfig()}
@@ -208,14 +209,14 @@ func CompileSource(src string, opts ...Option) (cp *Compiled, err error) {
 	}
 	p, err := build.Compile(prog)
 	if err != nil {
-		return nil, classify(ErrCompile, err)
+		return nil, compileError(err)
 	}
 	passes := opt.LevelOptions(cfg.level)
 	if cfg.passes != nil {
 		passes = *cfg.passes
 	}
 	if err := opt.Optimize(p, passes); err != nil {
-		return nil, classify(ErrCompile, err)
+		return nil, compileError(err)
 	}
 	// Normalize once here: the Config this Compiled reports is the Config
 	// its runs actually execute under, zero fields already defaulted.

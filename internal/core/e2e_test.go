@@ -236,6 +236,40 @@ func TestExamplesAllLevels(t *testing.T) {
 	}
 }
 
+// TestRowDeref: dereferencing a pointer to a row of a two-dimensional
+// array yields the row's address, as indexing does, so **a reads
+// a[0][0] and a store through q = *(a + 1) is seen by a[1][3]. Once the
+// builder and the oracle loaded the 260-byte row instead, and the access
+// size wrapped to 4 bytes: **a read a[0][0]'s value as an address.
+func TestRowDeref(t *testing.T) {
+	const src = `
+int a[2][65];
+int bench(void) {
+  int *q = *(a + 1);
+  a[0][0] = 7; a[1][2] = 30; q[3] = 400;
+  return **a + *(*(a + 1) + 2) + a[1][3];
+}`
+	for _, lv := range []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full} {
+		for _, be := range []Backend{BackendInterpreted, BackendCompiled} {
+			cp, err := CompileSource(src, WithLevel(lv), WithBackend(be))
+			if err != nil {
+				t.Fatalf("level %v: %v", lv, err)
+			}
+			res, err := cp.Run("bench", nil)
+			if err != nil {
+				t.Fatalf("level %v %v: %v", lv, be, err)
+			}
+			seq, err := cp.RunSequential("bench", nil)
+			if err != nil {
+				t.Fatalf("level %v: sequential: %v", lv, err)
+			}
+			if res.Value != 437 || seq.Value != 437 {
+				t.Errorf("level %v %v: spatial %d, sequential %d, want 437", lv, be, res.Value, seq.Value)
+			}
+		}
+	}
+}
+
 // TestExamplesFunctionalOptions exercises the option forms on the same
 // program: a level preset must be exactly its expanded pass set.
 func TestExamplesFunctionalOptions(t *testing.T) {

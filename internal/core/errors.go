@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 
 	"spatial/internal/dataflow"
+	"spatial/internal/pegasus"
 )
 
 // The facade classifies every failure under one of three error classes,
@@ -16,7 +17,8 @@ import (
 //	ErrSim      — the compiled program misbehaved at run time (deadlock,
 //	              livelock, activation limit, detected fault, cancellation)
 //	ErrInternal — a bug in this library: a recovered panic or violated
-//	              invariant; never the caller's fault
+//	              invariant (a graph failing its check after building or
+//	              optimizing); never the caller's fault
 //
 // The original error chain stays inspectable through errors.As — e.g. a
 // *DeadlockError (with its StuckReport) still unwraps from an ErrSim-
@@ -69,6 +71,16 @@ func classify(class, err error) error {
 		return err
 	}
 	return &classedError{class: class, err: err}
+}
+
+// compileError classifies a failure to build or optimize a program: a
+// graph that fails its check (pegasus.ErrInvalidGraph) is a compiler
+// defect, anything else a rejection of the source.
+func compileError(err error) error {
+	if errors.Is(err, pegasus.ErrInvalidGraph) {
+		return classify(ErrInternal, err)
+	}
+	return classify(ErrCompile, err)
 }
 
 // Classified wraps err under one of the facade's error classes — the

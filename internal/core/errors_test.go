@@ -47,6 +47,17 @@ var badLayoutSources = []string{
 	`int f(void) { int a[700000]; int b[700000]; a[0] = 1; b[0] = 2; return a[0] + b[0]; }`,
 }
 
+// badValueSources assign to an array, read through a void pointer or use
+// a void call's value; the checker must reject each. Unchecked, they
+// reach the builder as a 0- or 260-byte access or an input with no
+// producer, which the graph check reports as a compiler defect.
+var badValueSources = []string{
+	`int a[2][65]; int *p; int f(void) { a[0] = p; return 0; }`,
+	`int a[2][65]; int f(void) { a[1]++; return 0; }`,
+	`int g; void *p; int f(void) { p = &g; if (*p) return 1; return 0; }`,
+	`int g; void v(void) { g = 1; } int f(void) { return !v(); }`,
+}
+
 // TestErrorClasses: every failure out of the facade carries exactly one
 // of the three sentinel classes, matchable with errors.Is.
 func TestErrorClasses(t *testing.T) {
@@ -56,7 +67,8 @@ func TestErrorClasses(t *testing.T) {
 	if _, err := CompileSource(`int f(void) { return 1; }`, WithSim(SimConfig{MaxCycles: -1})); !errors.Is(err, ErrCompile) {
 		t.Fatalf("invalid sim config not classed ErrCompile: %v", err)
 	}
-	for _, src := range append(badInitSources, badLayoutSources...) {
+	bad := append(append(badInitSources, badLayoutSources...), badValueSources...)
+	for _, src := range bad {
 		if _, err := CompileSource(src); !errors.Is(err, ErrCompile) {
 			t.Fatalf("%q: not classed ErrCompile: %v", src, err)
 		}
@@ -109,6 +121,36 @@ func TestPanicBecomesErrInternal(t *testing.T) {
 	}
 	if pe.Value == nil || len(pe.Stack) == 0 {
 		t.Fatalf("PanicError missing detail: %+v", pe)
+	}
+}
+
+// TestGraphCheckIsInternal: a graph that fails its check after an
+// optimization round is a compiler defect. Give a compiled graph a
+// forward cycle (its load also waits on the store of the loaded value):
+// opt.Optimize must fail with an error matching pegasus.ErrInvalidGraph,
+// and the classification CompileSource applies must make it ErrInternal,
+// not a compile error that blames the source.
+func TestGraphCheckIsInternal(t *testing.T) {
+	cp, err := CompileSource(`int a[4]; int f(void) { int x = a[1]; a[2] = x; return x; }`, WithLevel(opt.None))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var load, store *pegasus.Node
+	for _, n := range cp.Program.Graph("f").Nodes {
+		switch n.Kind {
+		case pegasus.KLoad:
+			load = n
+		case pegasus.KStore:
+			store = n
+		}
+	}
+	load.Toks = append(load.Toks, pegasus.T(store))
+	err = opt.Optimize(cp.Program, opt.Options{})
+	if !errors.Is(err, pegasus.ErrInvalidGraph) {
+		t.Fatalf("Optimize on a cyclic graph: %v, want an error matching pegasus.ErrInvalidGraph", err)
+	}
+	if err := compileError(err); !errors.Is(err, ErrInternal) || errors.Is(err, ErrCompile) {
+		t.Errorf("graph check failure classed as %v, want ErrInternal only", err)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 
 // FuzzCompileSource feeds arbitrary source text to the front end, the
 // builder and the optimizer at opt.Full: every input up to 4 KiB must
-// either compile or fail with ErrCompile. ErrInternal (a recovered panic)
-// fails the target. An accepted input is compiled a second time, and
-// every function's dump must be identical: the compiler is deterministic.
+// either compile or fail with ErrCompile. ErrInternal (a recovered panic,
+// or a graph that fails its check) fails the target. An accepted input
+// is compiled a second time, and every function's dump must be
+// identical: the compiler is deterministic.
 // It is also lowered to VM bytecode (codegen.Compile), as a run with the
 // compiled backend lowers any source it is sent; lowering must not
 // panic. Run it with
@@ -29,6 +30,9 @@ func FuzzCompileSource(f *testing.F) {
 	}
 	// The token pass's worst shape (ROADMAP item 3), 2.7 KB.
 	f.Add(repeatedAccess(100))
+	for _, src := range badValueSources {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4<<10 {
 			t.Skip()

@@ -237,7 +237,7 @@ func evalUnOp(op pegasus.UnOpKind, x int64) int64 {
 	panic("bad unop")
 }
 
-func convValue(v int64, bits int, signed bool) int64 {
+func convValue(v int64, bits uint8, signed bool) int64 {
 	switch {
 	case bits == 8 && signed:
 		return int64(int8(v))
@@ -395,14 +395,14 @@ func (m *machine) fireMemOp(a *activation, n *pegasus.Node) bool {
 	addr := uint32(ins[0])
 	if n.Kind == pegasus.KLoad {
 		m.stats.DynLoads++
-		done := m.msys.Submit(m.now, true, addr, n.Bytes)
-		v := m.mem.Load(addr, n.Bytes, n.VT.Signed)
+		done := m.msys.Submit(m.now, true, addr, int(n.Bytes))
+		v := m.mem.Load(addr, int(n.Bytes), n.VT.Signed)
 		m.emit(a, n, pegasus.OutValue, v, done)
 		m.emit(a, n, pegasus.OutToken, 1, m.now+1)
 	} else {
 		m.stats.DynStores++
-		m.msys.Submit(m.now, false, addr, n.Bytes)
-		m.mem.Store(addr, n.Bytes, ins[1])
+		m.msys.Submit(m.now, false, addr, int(n.Bytes))
+		m.mem.Store(addr, int(n.Bytes), ins[1])
 		m.emit(a, n, pegasus.OutToken, 1, m.now+1)
 	}
 	if m.inj != nil && m.msys.TakeFault() {

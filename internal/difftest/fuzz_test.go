@@ -43,8 +43,10 @@ func FuzzDifferential(f *testing.F) {
 // builder turned them into static predicates. 1420 deadlocks at -O none
 // if the not-taken side of a constant condition, (49 == 40) inside a
 // loop, gets a static false predicate: the pure call with a constant
-// argument on that side then fires once per activation.
-var regressionSeeds = []int64{258, 1420, 1921}
+// argument on that side then fires once per activation. 1872 failed to
+// compile at -O full: §5.1 memory merging installed an existing OR node
+// that depended on one of the merged ops, closing a cycle.
+var regressionSeeds = []int64{258, 1420, 1872, 1921}
 
 // TestDifferentialSeeds is the deterministic slice of the fuzz target
 // that runs under plain `go test`: clean equivalence on a spread of

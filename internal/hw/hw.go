@@ -164,8 +164,8 @@ func (r *Report) computeDepth(g *pegasus.Graph) {
 			cost = 0
 		}
 		depth[n] = d + cost
-		if depth[n] > r.Depth[n.Hyper] {
-			r.Depth[n.Hyper] = depth[n]
+		if h := int(n.Hyper); depth[n] > r.Depth[h] {
+			r.Depth[h] = depth[n]
 		}
 		if depth[n] > r.MaxDepth {
 			r.MaxDepth = depth[n]

@@ -455,6 +455,10 @@ func (m *Machine) expr(fr *frame, e cminor.Expr) (int64, error) {
 		m.loadCost(addr, sz)
 		return m.mem.Load(addr, sz, e.Typ.IsInteger() && e.Typ.Signed), nil
 	case *cminor.DerefExpr:
+		if e.Typ.Kind == cminor.TypeArray {
+			// A dereferenced pointer to a row is the row's address.
+			return m.expr(fr, e.X)
+		}
 		addr, sz, err := m.lvalueAddr(fr, e)
 		if err != nil {
 			return 0, err

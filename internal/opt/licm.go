@@ -17,15 +17,15 @@ import (
 
 // loopEntry describes a loop hyperblock with a unique entry edge.
 type loopEntry struct {
-	hyper     int
+	hyper     int32
 	entryPred *pegasus.Node // predicate (in the predecessor hyperblock) of the entry edge
-	predHyper int
+	predHyper int32
 }
 
 // findLoopEntry checks that every merge of the loop, among its given
 // nodes, has exactly one non-back-edge input, all arriving from the same
 // predecessor hyperblock under the same eta predicate.
-func findLoopEntry(g *pegasus.Graph, hyper int, nodes []*pegasus.Node) (*loopEntry, bool) {
+func findLoopEntry(g *pegasus.Graph, hyper int32, nodes []*pegasus.Node) (*loopEntry, bool) {
 	hb := g.Hypers[hyper]
 	if !hb.IsLoop || hb.LoopPred == nil || hb.LoopPred.Hyper != hyper {
 		return nil, false
@@ -166,7 +166,6 @@ func (h *hoister) entryValue(n *pegasus.Node) pegasus.Ref {
 		clone.BinOp = n.BinOp
 		clone.UnOp = n.UnOp
 		clone.Unsigned = n.Unsigned
-		clone.FromBits = n.FromBits
 		clone.ToBits = n.ToBits
 		clone.ConvSign = n.ConvSign
 		for _, in := range n.Ins {
@@ -191,7 +190,7 @@ func loopInvariantMotion(c *ctx) (bool, error) {
 			continue
 		}
 		nodes := lists[hyper]
-		le, ok := findLoopEntry(g, hyper, nodes)
+		le, ok := findLoopEntry(g, int32(hyper), nodes)
 		if !ok {
 			continue
 		}
@@ -217,7 +216,7 @@ func loopInvariantMotion(c *ctx) (bool, error) {
 			var tokenMerge *pegasus.Node
 			if len(l.Toks) == 1 {
 				tm := l.Toks[0].N
-				if tm.Kind != pegasus.KMerge || !tm.TokenOnly || tm.Hyper != hyper || !h.identityMerge(tm) {
+				if tm.Kind != pegasus.KMerge || !tm.TokenOnly || int(tm.Hyper) != hyper || !h.identityMerge(tm) {
 					continue
 				}
 				tokenMerge = tm
@@ -241,7 +240,6 @@ func hoistLoad(c *ctx, le *loopEntry, l *pegasus.Node, tokenMerge *pegasus.Node)
 	lift.Bytes = l.Bytes
 	lift.RW = l.RW
 	lift.Class = l.Class
-	lift.Pos = l.Pos
 	lift.Ins = []pegasus.Ref{h.entryValue(l.Ins[0].N)}
 	lift.Preds = []pegasus.Ref{pegasus.V(le.entryPred)}
 	if tokenMerge != nil {

@@ -89,13 +89,18 @@ func memMerge(c *ctx) (bool, error) {
 
 // mergeLoads rewrites two compatible loads into one with predicate
 // pa ∨ pb (Figure 7). The cycle-free condition: neither predicate may
-// depend on the other load's value.
+// depend on the other load's value, and neither may the OR, which
+// PredOr can return as an existing node with the same function built
+// from other inputs.
 func mergeLoads(c *ctx, reach *pegasus.Reachability, a, b, pa, pb *pegasus.Node) bool {
 	g := c.g
 	if reach.Reaches(a, pb) || reach.Reaches(b, pa) {
 		return false
 	}
 	or := g.PredOr(pa, pb)
+	if reach.Reaches(a, or) || reach.Reaches(b, or) {
+		return false
+	}
 	a.Preds[0] = pegasus.V(or)
 	g.ReplaceUses(b, pegasus.OutValue, pegasus.V(a))
 	g.ReplaceUses(b, pegasus.OutToken, pegasus.T(a))
@@ -122,8 +127,15 @@ func mergeStores(c *ctx, reach *pegasus.Reachability, a, b, pa, pb *pegasus.Node
 	}
 	mux.Ins = []pegasus.Ref{a.Ins[1], b.Ins[1]}
 	mux.Preds = []pegasus.Ref{pegasus.V(pa), pegasus.V(pb)}
+	// Make the mux before the OR: the nodes get the same IDs whether or
+	// not the merge goes ahead, and a refused merge leaves the mux dead.
+	or := g.PredOr(pa, pb)
+	if reach.Reaches(a, or) || reach.Reaches(b, or) {
+		mux.Dead = true
+		return false
+	}
 	a.Ins[1] = pegasus.V(mux)
-	a.Preds[0] = pegasus.V(g.PredOr(pa, pb))
+	a.Preds[0] = pegasus.V(or)
 	g.ReplaceUses(b, pegasus.OutToken, pegasus.T(a))
 	b.Dead = true
 	return true
@@ -133,11 +145,14 @@ func mergeStores(c *ctx, reach *pegasus.Reachability, a, b, pa, pb *pegasus.Node
 // s2 at the same address (and nothing else consumes s1's token, so no
 // intervening access exists), s1 needs to execute only when s2 will not
 // overwrite it: pred(s1) := pred(s1) ∧ ¬pred(s2). If that predicate is
-// constant false, s1 is dead and removed (Section 4.1 rule).
+// constant false, s1 is dead and removed (Section 4.1 rule). The new
+// predicate may be an existing node that depends on s1; then the rewrite
+// would close a cycle and is skipped.
 func storeBeforeStore(c *ctx) (bool, error) {
 	g := c.g
 	changed := false
 	uses := c.scratch.UseCounts(g)
+	reach := pegasus.NewReachability(g)
 	for _, s2 := range g.Nodes {
 		if s2.Dead || s2.Kind != pegasus.KStore {
 			continue
@@ -159,11 +174,12 @@ func storeBeforeStore(c *ctx) (bool, error) {
 				continue
 			}
 			newPred := g.PredAndNot(p1, p2)
-			if newPred == p1 {
-				continue // no change (e.g. already disjoint)
+			if newPred == p1 || reach.Reaches(s1, newPred) {
+				continue // no change (e.g. already disjoint), or a cycle
 			}
 			s1.Preds[0] = pegasus.V(newPred)
 			changed = true
+			reach = pegasus.NewReachability(g)
 			if g.IsConstFalse(newPred) {
 				spliceTokens(g, s1)
 				s1.Dead = true
@@ -228,6 +244,11 @@ func loadAfterStore(c *ctx) (bool, error) {
 			// a no-op (or build an ever-growing mux chain); skip.
 			continue
 		}
+		if reach.Reaches(l, residual) {
+			// The residual is an existing node that depends on the load:
+			// predicating the load on it would close a cycle.
+			continue
+		}
 		mux := g.NewNode(pegasus.KMux, l.Hyper)
 		mux.VT = l.VT
 		for _, s := range stores {
@@ -240,7 +261,6 @@ func loadAfterStore(c *ctx) (bool, error) {
 		if l.Bytes < 4 {
 			conv := g.NewNode(pegasus.KConv, l.Hyper)
 			conv.VT = l.VT
-			conv.FromBits = 32
 			conv.ToBits = l.Bytes * 8
 			conv.ConvSign = l.VT.Signed
 			conv.Ins = []pegasus.Ref{pegasus.V(mux)}

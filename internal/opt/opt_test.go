@@ -204,6 +204,117 @@ void f(int x) {
 	}
 }
 
+// cancelledPred builds by hand a predicate node computing f ∧ ¬q that
+// also reads dep: (f ∧ (c ∨ ¬c)) ∧ ¬q with c the comparison dep != dep.
+// Its function is f ∧ ¬q, so once it is registered the predicate algebra
+// returns it whenever that function is asked for, as PredOr and
+// PredAndNot can return any existing node with the wanted function.
+func cancelledPred(g *pegasus.Graph, f, q, dep *pegasus.Node) *pegasus.Node {
+	g.PredBDD(f)
+	g.PredBDD(q)
+	node := func(op cminor.BinOpKind, a, b *pegasus.Node) *pegasus.Node {
+		n := g.NewNode(pegasus.KBinOp, f.Hyper)
+		n.BinOp = op
+		n.VT = pegasus.Pred
+		n.Ins = []pegasus.Ref{pegasus.V(a), pegasus.V(b)}
+		return n
+	}
+	c := node(cminor.OpNe, dep, dep)
+	x := node(cminor.OpAnd, node(cminor.OpAnd, f, node(cminor.OpOr, c, g.PredNot(c))), g.PredNot(q))
+	g.PredBDD(x)
+	return x
+}
+
+// memOps compiles src with transitive reduction alone, which leaves
+// each memory op waiting only on the nearest accesses before it, and
+// returns f's graph with its loads and stores in node order. Accesses
+// to *a share one address node, as the §5 rewrites require.
+func memOps(t *testing.T, src string) (g *pegasus.Graph, loads, stores []*pegasus.Node) {
+	t.Helper()
+	p := compileAt(t, src, None)
+	if err := Optimize(p, Options{TransitiveReduction: true}); err != nil {
+		t.Fatal(err)
+	}
+	g = p.Graph("f")
+	for _, n := range g.Nodes {
+		switch n.Kind {
+		case pegasus.KLoad:
+			loads = append(loads, n)
+		case pegasus.KStore:
+			stores = append(stores, n)
+		}
+	}
+	return g, loads, stores
+}
+
+// TestStoreBeforeStoreRefusesCycle: the predicate p1 ∧ ¬p2 that
+// storeBeforeStore would give the first store already exists as a node
+// reading a load that waits on the second store, which waits on the
+// first (and nothing else does). Installing it would close a cycle; the
+// pass must leave the first store's predicate alone and the graph
+// acyclic.
+func TestStoreBeforeStoreRefusesCycle(t *testing.T) {
+	g, loads, stores := memOps(t, `
+int a[4];
+int f(int c, int d) {
+  if (c) *a = 1;
+  if (d) *a = 2;
+  return a[2];
+}`)
+	if len(loads) != 1 || len(stores) != 2 {
+		t.Fatalf("want 1 load and 2 stores, got %d and %d\n%s", len(loads), len(stores), g.Dump())
+	}
+	s1, s2 := stores[0], stores[1]
+	p1 := s1.Preds[0].N
+	cancelledPred(g, p1, s2.Preds[0].N, loads[0])
+	if err := g.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storeBeforeStore(&ctx{g: g}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Verify(); err != nil {
+		t.Fatalf("storeBeforeStore closed a cycle: %v\n%s", err, g.Dump())
+	}
+	if s1.Preds[0].N != p1 {
+		t.Errorf("first store's predicate changed to %s", s1.Preds[0].N)
+	}
+}
+
+// TestLoadAfterStoreRefusesCycle: the load waits only on the store to
+// its address, and the residual predicate lp ∧ ¬ps that loadAfterStore
+// would give it already exists as a node reading the load's own value.
+// Installing it would close a cycle; the pass must leave the load alone
+// and the graph acyclic.
+func TestLoadAfterStoreRefusesCycle(t *testing.T) {
+	g, loads, stores := memOps(t, `
+int a[4];
+int f(int c, int d) {
+  int x = 0;
+  if (c) *a = 1;
+  if (d) x = *a;
+  return x;
+}`)
+	if len(loads) != 1 || len(stores) != 1 {
+		t.Fatalf("want 1 load and 1 store, got %d and %d\n%s", len(loads), len(stores), g.Dump())
+	}
+	l := loads[0]
+	lp := l.Preds[0].N
+	cancelledPred(g, lp, stores[0].Preds[0].N, l)
+	if err := g.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadAfterStore(&ctx{g: g}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Verify(); err != nil {
+		t.Fatalf("loadAfterStore closed a cycle: %v\n%s", err, g.Dump())
+	}
+	if l.Preds[0].N != lp {
+		t.Errorf("load's predicate changed to %s", l.Preds[0].N)
+	}
+}
+
 func TestLoadMergeAcrossBranches(t *testing.T) {
 	// Both branches load g: PRE/hoisting merges them into one load.
 	src := `

@@ -35,7 +35,7 @@ type circuit struct {
 // findCircuit locates the token circuit of class cl in loop hyperblock h,
 // whose live nodes are given. It requires the single-hyperblock loop
 // shape: the back eta lives in the same hyperblock.
-func findCircuit(c *ctx, h int, nodes []*pegasus.Node, cl int) (*circuit, bool) {
+func findCircuit(c *ctx, h int32, nodes []*pegasus.Node, cl int) (*circuit, bool) {
 	g := c.g
 	cir := &circuit{class: cl}
 	for _, n := range nodes {
@@ -136,8 +136,8 @@ func pipelineLoops(c *ctx, allowWrites, decouple bool) (bool, error) {
 	// Listed once: a decoupling adds nodes only to the loop being
 	// transformed, which picks them up below.
 	lists := c.listHypers()
-	for h := range g.Hypers {
-		hb := g.Hypers[h]
+	for i, hb := range g.Hypers {
+		h := int32(i)
 		if !hb.IsLoop || hb.LoopPred == nil || hb.LoopPred.Hyper != h {
 			continue
 		}
@@ -231,10 +231,10 @@ func classifyAccesses(g *pegasus.Graph, cir *circuit, inds map[*pegasus.Node]*af
 	exprs := make([]shape, len(cir.ops))
 	for i, op := range cir.ops {
 		e := affine.Decompose(op.Ins[0].N)
-		if !affine.Monotone(e, inds, invariant, op.Bytes) {
+		if !affine.Monotone(e, inds, invariant, int(op.Bytes)) {
 			return false, nil
 		}
-		exprs[i] = shape{expr: e, bytes: op.Bytes}
+		exprs[i] = shape{expr: e, bytes: int(op.Bytes)}
 	}
 	// All pairs must share the same symbolic part; group by the constant
 	// difference measured in iterations.
@@ -277,7 +277,7 @@ func classifyAccesses(g *pegasus.Graph, cir *circuit, inds map[*pegasus.Node]*af
 
 // decoupleGroups splits the class circuit into two independent loops with
 // a token generator bounding the slip (Figure 16).
-func decoupleGroups(c *ctx, h int, cir *circuit, groups []*group) bool {
+func decoupleGroups(c *ctx, h int32, cir *circuit, groups []*group) bool {
 	g := c.g
 	trail, lead := groups[0], groups[1]
 	d := lead.offset - trail.offset
@@ -321,7 +321,7 @@ func decoupleGroups(c *ctx, h int, cir *circuit, groups []*group) bool {
 		credit = pegasus.T(comb)
 	}
 	tk := g.NewNode(pegasus.KTokenGen, h)
-	tk.TokN = int(d)
+	tk.TokN = int32(d)
 	// The predicate input fires once per wave — the hyperblock's control
 	// wave — so the trailing group receives a token even in the final
 	// (squashed) wave. Credits self-balance because squashed leading

@@ -117,7 +117,7 @@ func constOf(r pegasus.Ref) (int64, bool) {
 }
 
 // constNode reuses/creates a constant in the graph (per value+type).
-func (c *ctx) constNode(hyper int, v int64, vt pegasus.VType) *pegasus.Node {
+func (c *ctx) constNode(hyper int32, v int64, vt pegasus.VType) *pegasus.Node {
 	if vt.Bits == 1 {
 		return c.g.ConstPred(hyper, v != 0)
 	}
@@ -208,7 +208,7 @@ type cseKey struct {
 	op       uint8 // BinOp or UnOp
 	unsigned bool
 	convSign bool
-	toBits   int32
+	toBits   uint8
 	vt       pegasus.VType
 	in0, in1 int64
 	val      int64
@@ -247,7 +247,7 @@ func commonSubexpr(c *ctx) (bool, error) {
 		case pegasus.KUnOp:
 			key = cseKey{kind: n.Kind, op: uint8(n.UnOp), vt: n.VT, in0: operandKey(n.Ins[0])}
 		case pegasus.KConv:
-			key = cseKey{kind: n.Kind, toBits: int32(n.ToBits), convSign: n.ConvSign, vt: n.VT,
+			key = cseKey{kind: n.Kind, toBits: n.ToBits, convSign: n.ConvSign, vt: n.VT,
 				in0: operandKey(n.Ins[0])}
 		case pegasus.KAddrOf:
 			key = cseKey{kind: n.Kind, val: int64(n.Obj)}

@@ -60,7 +60,7 @@ func tokenRemoval(c *ctx) (bool, error) {
 			// Reads never need ordering; such edges should not exist, but
 			// remove them if a rewrite introduced one.
 			bothReads := i.Kind == pegasus.KLoad && j.Kind == pegasus.KLoad
-			if !bothReads && !affine.Distinct(ts.address(i), ts.address(j), i.Bytes, j.Bytes) {
+			if !bothReads && !affine.Distinct(ts.address(i), ts.address(j), int(i.Bytes), int(j.Bytes)) {
 				continue
 			}
 			// Remove the edge i→j. The transitive closure of the rest of

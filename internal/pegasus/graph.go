@@ -250,7 +250,7 @@ func (r *Reachability) Reaches(from, to *Node) bool {
 }
 
 // NodesInHyper returns the live nodes of hyperblock h.
-func (g *Graph) NodesInHyper(h int) []*Node {
+func (g *Graph) NodesInHyper(h int32) []*Node {
 	var out []*Node
 	for _, n := range g.Nodes {
 		if !n.Dead && n.Hyper == h {

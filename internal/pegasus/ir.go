@@ -16,8 +16,8 @@ import (
 
 // VType describes the value an output carries.
 type VType struct {
-	Bits   int  // 1 for predicates, 8/16/32 for data
-	Signed bool // sign of sub-word loads/conversions
+	Bits   uint8 // 1 for predicates, 8/16/32 for data
+	Signed bool  // sign of sub-word loads/conversions
 }
 
 // Common value types.
@@ -35,7 +35,7 @@ func VTypeOf(t *cminor.Type) VType {
 	case t.IsPointer() || t.Kind == cminor.TypeArray:
 		return U32
 	default:
-		return VType{Bits: t.Bits, Signed: t.Signed}
+		return VType{Bits: uint8(t.Bits), Signed: t.Signed}
 	}
 }
 
@@ -113,14 +113,45 @@ var unOpNames = [...]string{UNeg: "neg", UNot: "not", UBitNot: "bitnot", UBool: 
 // String returns the op's name.
 func (u UnOpKind) String() string { return unOpNames[u] }
 
-// Node is one Pegasus operation.
+// Node is one Pegasus operation. A cached program keeps every node of
+// its optimized graphs, so the layout is held to 160 bytes, a Go size
+// class (TestNodeSize). The ID, the byte-sized fields and flags and the
+// 32-bit fields come first, in 48 bytes without padding, so the fields
+// that scans test (Dead, Kind, Hyper) and the input slices sit together.
+// Every narrowed field is bounded by construction (DESIGN.md, "Node
+// layout"): bit widths are at most 32 and access sizes 4, a token
+// generator's count is at most 1<<20 (opt.decoupleGroups), and the
+// hyperblock, parameter, object and class numbers are each below the
+// length of the source text.
 type Node struct {
 	ID   int
 	Kind Kind
-	Pos  cminor.Pos
+	// Output descriptor. VT is meaningful when HasValue() is true.
+	VT     VType
+	BinOp  cminor.BinOpKind // KBinOp
+	UnOp   UnOpKind         // KUnOp
+	ToBits uint8            // KConv: truncate a 32-bit value to ToBits
+	Bytes  uint8            // KLoad/KStore access size
 
-	// Output descriptors. VT is meaningful when HasValue() is true.
-	VT VType
+	Unsigned bool // KBinOp: unsigned semantics for div/rem/shift/compare
+	ConvSign bool // KConv: sign-extend after truncation
+	// TokenOnly marks merge/eta instances plumbing tokens rather than
+	// values.
+	TokenOnly bool
+	// BDDRef caches the boolean function of a predicate-valued node
+	// within its hyperblock's bdd.Space; BDDOK marks validity.
+	BDDOK bool
+	// Dead marks removed nodes awaiting Compact.
+	Dead bool
+
+	// Hyper is the hyperblock this node belongs to.
+	Hyper    int32
+	ParamIdx int32         // KParam
+	Obj      alias.ObjID   // KAddrOf
+	Class    alias.ClassID // KLoad/KStore location class
+	TokClass alias.ClassID // token circuit class for token-typed merge/eta/combine/tokengen
+	TokN     int32         // KTokenGen initial/maximum count
+	BDDRef   bdd.Ref
 
 	// Inputs.
 	Ins   []Ref // value inputs (addresses, operands, mux data, merge inputs)
@@ -129,37 +160,8 @@ type Node struct {
 
 	// Kind-specific payload.
 	ConstVal int64            // KConst
-	ParamIdx int              // KParam
-	Obj      alias.ObjID      // KAddrOf
-	BinOp    cminor.BinOpKind // KBinOp
-	Unsigned bool             // KBinOp: unsigned semantics for div/rem/shift/compare
-	UnOp     UnOpKind         // KUnOp
-	FromBits int              // KConv
-	ToBits   int              // KConv
-	ConvSign bool             // KConv: sign-extend after truncation
-	Bytes    int              // KLoad/KStore access size
 	RW       alias.Set        // KLoad/KStore read/write set; KCall: reads ∪ writes
-	Reads    alias.Set        // KCall
-	Writes   alias.Set        // KCall
-	Class    alias.ClassID    // KLoad/KStore location class
 	Callee   *cminor.FuncDecl // KCall
-	TokN     int              // KTokenGen initial/maximum count
-	TokClass alias.ClassID    // token circuit class for token-typed merge/eta/combine/tokengen
-
-	// TokenOnly marks merge/eta instances plumbing tokens rather than
-	// values.
-	TokenOnly bool
-
-	// Hyper is the hyperblock this node belongs to.
-	Hyper int
-
-	// BDDRef caches the boolean function of a predicate-valued node
-	// within its hyperblock's bdd.Space; BDDOK marks validity.
-	BDDRef bdd.Ref
-	BDDOK  bool
-
-	// Dead marks removed nodes awaiting Compact.
-	Dead bool
 }
 
 // HasValue reports whether the node has a data/predicate output.
@@ -234,7 +236,7 @@ type Hyperblock struct {
 type Graph struct {
 	Name   string
 	Fn     *cminor.FuncDecl
-	Nodes  []*Node
+	Nodes  []*Node // in ID order
 	Params []*Node
 	Entry  *Node // KEntryTok
 	Ret    *Node // KReturn
@@ -254,7 +256,7 @@ func NewGraph(fn *cminor.FuncDecl) *Graph {
 }
 
 // NewNode allocates a node of the given kind in hyperblock hyper.
-func (g *Graph) NewNode(kind Kind, hyper int) *Node {
+func (g *Graph) NewNode(kind Kind, hyper int32) *Node {
 	n := &Node{ID: g.nextID, Kind: kind, Hyper: hyper}
 	g.nextID++
 	g.Nodes = append(g.Nodes, n)

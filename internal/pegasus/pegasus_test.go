@@ -1,8 +1,10 @@
 package pegasus
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // tinyGraph builds a minimal well-formed graph by hand:
@@ -104,6 +106,9 @@ func TestVerifyDetectsCycle(t *testing.T) {
 	// the load and names it when the store leads back to it.
 	if want := "tiny: forward-edge cycle through n3:load"; err.Error() != want {
 		t.Errorf("Verify error = %q, want %q", err, want)
+	}
+	if !errors.Is(err, ErrInvalidGraph) {
+		t.Errorf("Verify error %q does not match ErrInvalidGraph", err)
 	}
 }
 
@@ -317,5 +322,15 @@ func TestDumpAndDot(t *testing.T) {
 func TestVTypeOf(t *testing.T) {
 	if VTypeOf(nil) != (VType{}) {
 		t.Error("nil type should map to the zero VType")
+	}
+}
+
+// TestNodeSize pins the node layout: a cached program keeps every node
+// of its optimized graphs, so a wider field or a misplaced flag shows
+// here. 160 bytes is a Go size class, so a node costs exactly that; one
+// byte more costs 176.
+func TestNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 160 {
+		t.Errorf("Node is %d bytes, want at most 160", size)
 	}
 }

@@ -85,14 +85,14 @@ func (g *Graph) nodeForBDD(h *Hyperblock, r bdd.Ref) *Node {
 // constant-true predicate to a dynamic control merge (the hyperblock's
 // "wave"), so predicated operations fire once per dynamic execution of
 // the hyperblock rather than being statically true.
-func (g *Graph) RegisterTruePred(h int, n *Node) {
+func (g *Graph) RegisterTruePred(h int32, n *Node) {
 	n.BDDRef = bdd.True
 	n.BDDOK = true
 	g.cseFor(g.Hypers[h])[bdd.True] = n
 }
 
 // ConstPred returns a constant predicate node (0 or 1) in hyperblock h.
-func (g *Graph) ConstPred(h int, val bool) *Node {
+func (g *Graph) ConstPred(h int32, val bool) *Node {
 	hb := g.Hypers[h]
 	want := bdd.False
 	cv := int64(0)

@@ -12,14 +12,14 @@ import (
 func (g *Graph) Dump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s (%d hyperblocks, %d nodes)\n", g.Name, len(g.Hypers), g.NumLive())
-	byHyper := map[int][]*Node{}
+	byHyper := map[int32][]*Node{}
 	for _, n := range g.Nodes {
 		if !n.Dead {
 			byHyper[n.Hyper] = append(byHyper[n.Hyper], n)
 		}
 	}
-	for h := 0; h < len(g.Hypers); h++ {
-		nodes := byHyper[h]
+	for h := range g.Hypers {
+		nodes := byHyper[int32(h)]
 		if len(nodes) == 0 {
 			continue
 		}
@@ -116,7 +116,7 @@ func (g *Graph) Dot() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=TB;\n", g.Name)
 	for h := range g.Hypers {
-		nodes := g.NodesInHyper(h)
+		nodes := g.NodesInHyper(int32(h))
 		if len(nodes) == 0 {
 			continue
 		}

@@ -1,10 +1,24 @@
 package pegasus
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrInvalidGraph matches, under errors.Is, every error Verify returns.
+// A graph that fails the check is a compiler defect, never a fault of
+// the source program.
+var ErrInvalidGraph = errors.New("pegasus: invalid graph")
+
+// invalidGraph keeps a check failure's message and unwraps to
+// ErrInvalidGraph.
+type invalidGraph struct{ error }
+
+func (invalidGraph) Unwrap() error { return ErrInvalidGraph }
 
 // Verify checks the structural invariants of a graph. It is run after
-// construction and after every optimization pass in tests; a failure
-// indicates a compiler bug, not a user error.
+// construction and after every optimization round; a failure indicates
+// a compiler bug, not a user error.
 //
 // Invariants:
 //   - every input Ref points at a live node and at an output the producer
@@ -19,11 +33,18 @@ func (g *Graph) Verify() error { return new(Scratch).Verify(g) }
 
 // Verify is Graph.Verify with s's memory for the acyclicity walk.
 func (s *Scratch) Verify(g *Graph) error {
+	if err := s.verify(g); err != nil {
+		return invalidGraph{err}
+	}
+	return nil
+}
+
+func (s *Scratch) verify(g *Graph) error {
 	for _, n := range g.Nodes {
 		if n.Dead {
 			continue
 		}
-		if n.Hyper < 0 || n.Hyper >= len(g.Hypers) {
+		if n.Hyper < 0 || int(n.Hyper) >= len(g.Hypers) {
 			return fmt.Errorf("%s: %s has bad hyperblock %d", g.Name, n, n.Hyper)
 		}
 		var err error

@@ -50,7 +50,7 @@ func (tr *Trace) WriteChrome(w io.Writer) error {
 	type track struct{ pid, tid int }
 	tracks := map[track]bool{}
 	for _, f := range tr.Firings {
-		t := track{pids[f.Graph], f.Node.Hyper}
+		t := track{pids[f.Graph], int(f.Node.Hyper)}
 		if !tracks[t] {
 			tracks[t] = true
 			cw.meta("thread_name", t.pid, t.tid, fmt.Sprintf("hyperblock %d", t.tid))
@@ -73,7 +73,7 @@ func (tr *Trace) WriteChrome(w io.Writer) error {
 		}
 		cw.event(chromeEvent{
 			Name: f.Node.String(), Cat: f.Node.Kind.String(), Ph: "X",
-			Ts: f.Start, Dur: dur, Pid: pids[f.Graph], Tid: f.Node.Hyper,
+			Ts: f.Start, Dur: dur, Pid: pids[f.Graph], Tid: int(f.Node.Hyper),
 			Args: map[string]any{"act": f.Act, "seq": f.Seq},
 		})
 	}
