@@ -33,7 +33,8 @@ bench-go:
 
 # fuzz runs the differential fuzzer for a short budget: generated
 # programs must match the interpreter oracle at every optimization
-# level, clean and under injected faults.
+# level clean, and under injected faults at one level drawn from the
+# seed.
 fuzz:
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/difftest
 

@@ -80,11 +80,12 @@ func main() {
 // failure reason, or "" on success.
 func checkOne(cfg progen.Config, faults bool, maxCycles int64, absorbed, detected *int) string {
 	src := progen.Generate(cfg)
-	if err := difftest.Check(src, maxCycles); err != nil {
+	b, err := difftest.Check(src, maxCycles)
+	if err != nil {
 		return err.Error()
 	}
 	if faults {
-		rep, err := difftest.CheckFaults(src, cfg.Seed, maxCycles)
+		rep, err := difftest.CheckFaults(src, b, cfg.Seed)
 		*absorbed += rep.Absorbed
 		*detected += rep.Detected
 		if err != nil {

@@ -24,8 +24,9 @@
 //     staticValue walk disappears entirely.
 //   - An input latch (vq) is one inline slot: every port has exactly one
 //     producer edge, edges are one-place and a producer emits only while
-//     its edges are empty, so the producer bookkeeping the interpreter
-//     carries per latched value is precomputed per port.
+//     its edges are empty, so a latch never holds a second value (the
+//     interpreter's latches are FIFOs because injected faults can
+//     duplicate a delivery).
 //
 // The event queue and the memory image are the interpreter's own
 // (internal/evq, pegasus.Memory), so both engines pop the same events in
@@ -300,19 +301,6 @@ func (gp *gprog) layout() ruleLayout {
 	return l
 }
 
-// portClass splits an offset into n's inputs into its port class and
-// the index within the class.
-func portClass(n *pegasus.Node, off int) (pegasus.Port, int) {
-	switch {
-	case off < len(n.Ins):
-		return pegasus.PortIn, off
-	case off < len(n.Ins)+len(n.Preds):
-		return pegasus.PortPred, off - len(n.Ins)
-	default:
-		return pegasus.PortTok, off - len(n.Ins) - len(n.Preds)
-	}
-}
-
 // operands returns r's operand lists, in consume order.
 func (gp *gprog) operands(r *rule) (ins, preds, toks []oparg) {
 	a := gp.args[r.argOff : r.argOff+r.nIns+r.nPreds+r.nToks]
@@ -357,28 +345,22 @@ func opLatencyOf(n *pegasus.Node) uint8 {
 type lowerer struct {
 	mod *Module
 	gp  *gprog
-	// By node ID: the static closure, the rule (-1 for static and dead
-	// nodes), the dynamic input count, and the flat index of the first
-	// value, predicate and token port.
-	static                 []bool
-	ruleOf                 []int32
-	dynIns                 []int32
-	inOff, predOff, tokOff []int32
-	memo                   []oparg // static node ID → lowered arg
-	done                   []bool
-	slots                  int
+	// cl is the graph's classification, shared with the interpreter, so
+	// both engines agree on what handshakes and number ports alike.
+	cl *pegasus.Classification
+	// By node ID: the rule (-1 for static and dead nodes), and the
+	// memoized lowering of static nodes.
+	ruleOf []int32
+	memo   []oparg
+	done   []bool
+	slots  int
 }
+
+func (lw *lowerer) static(id int) bool { return lw.cl.Role[id] == pegasus.RoleStatic }
 
 // portIndex is the flat index of one input slot of n.
 func (lw *lowerer) portIndex(n *pegasus.Node, cls pegasus.Port, idx int) int32 {
-	switch cls {
-	case pegasus.PortIn:
-		return lw.inOff[n.ID] + int32(idx)
-	case pegasus.PortPred:
-		return lw.predOff[n.ID] + int32(idx)
-	default:
-		return lw.tokOff[n.ID] + int32(idx)
-	}
+	return lw.cl.PortBase[n.ID] + pegasus.PortOffset(n, cls) + int32(idx)
 }
 
 // lowerGraph fills gp with the lowered program for gp.g. The node
@@ -393,71 +375,33 @@ func lowerGraph(mod *Module, gp *gprog) {
 	if g.Fn != nil {
 		gp.numParams = len(g.Fn.Params)
 	}
-	lw := &lowerer{mod: mod, gp: gp, static: make([]bool, maxID)}
-	// Static closure over pure ops — the same fixpoint as the
-	// interpreter, so both engines agree on what handshakes.
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			if n.Dead || lw.static[n.ID] {
-				continue
-			}
-			s := false
-			switch n.Kind {
-			case pegasus.KConst, pegasus.KParam, pegasus.KAddrOf:
-				s = true
-			case pegasus.KBinOp, pegasus.KUnOp, pegasus.KConv, pegasus.KMux:
-				s = true
-				n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-					if !r.Valid() || !lw.static[r.N.ID] {
-						s = false
-					}
-				})
-			}
-			if s {
-				lw.static[n.ID] = true
-				changed = true
-			}
-		}
-	}
-	// Flat port layout and rule numbering, both in node-ID order. The
-	// dynamic nodes, in that order, are what every later loop walks.
-	lw.dynIns = make([]int32, maxID)
-	lw.inOff = make([]int32, maxID)
-	lw.predOff = make([]int32, maxID)
-	lw.tokOff = make([]int32, maxID)
+	lw := &lowerer{mod: mod, gp: gp, cl: pegasus.Classify(g)}
+	// Rules are numbered in node-ID order, as the classification numbers
+	// ports. The dynamic nodes, in that order, are what every later loop
+	// walks.
 	lw.ruleOf = make([]int32, maxID)
 	for i := range lw.ruleOf {
 		lw.ruleOf[i] = -1
 	}
 	dyn := make([]*pegasus.Node, 0, len(g.Nodes))
-	off := int32(0)
 	for _, n := range g.Nodes {
-		if n.Dead || lw.static[n.ID] {
-			continue
+		if lw.cl.Role[n.ID] >= pegasus.RoleOnce {
+			lw.ruleOf[n.ID] = int32(len(dyn))
+			dyn = append(dyn, n)
 		}
-		lw.inOff[n.ID] = off
-		lw.predOff[n.ID] = off + int32(len(n.Ins))
-		lw.tokOff[n.ID] = off + int32(len(n.Ins)+len(n.Preds))
-		off += int32(len(n.Ins) + len(n.Preds) + len(n.Toks))
-		lw.ruleOf[n.ID] = int32(len(dyn))
-		dyn = append(dyn, n)
 	}
-	gp.numPorts = int(off)
+	gp.numPorts = lw.cl.NumPorts
 	gp.rules = make([]rule, len(dyn))
-	// Count each producer's value and token consumers and each consumer's
-	// dynamic inputs, in the interpreter's iteration order (graph node
-	// order × EachInput order).
+	// Count each producer's value and token consumers, in the
+	// interpreter's iteration order (graph node order × EachInput order).
 	nVal := make([]int32, 2*maxID)
 	nTok := nVal[maxID:]
 	nVal = nVal[:maxID:maxID]
 	for _, n := range dyn {
-		user := n
 		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-			if !r.Valid() || lw.static[r.N.ID] {
+			if !r.Valid() || lw.static(r.N.ID) {
 				return
 			}
-			lw.dynIns[user.ID]++
 			if r.Out == pegasus.OutToken {
 				nTok[r.N.ID]++
 			} else {
@@ -493,7 +437,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 	for ri, n := range dyn {
 		owner := int32(ri)
 		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-			if !r.Valid() || lw.static[r.N.ID] {
+			if !r.Valid() || lw.static(r.N.ID) {
 				return
 			}
 			cur := &nVal[r.N.ID]
@@ -516,14 +460,14 @@ func lowerGraph(mod *Module, gp *gprog) {
 		case pegasus.KMerge:
 			srcs, _ := mergeSources(n)
 			for _, src := range srcs {
-				if !lw.static[src.N.ID] {
+				if !lw.static(src.N.ID) {
 					nSrcs++
 				}
 			}
 		default:
 			nArgs += len(n.Ins) + len(n.Preds) + len(n.Toks)
 		}
-		if lw.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
+		if lw.cl.Role[n.ID] == pegasus.RoleOnce && n.Kind != pegasus.KEntryTok {
 			nSeeds++
 		}
 	}
@@ -541,7 +485,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 			r.tokD0 = gp.dests[r.tokOccBase]
 		}
 		r.lat = opLatencyOf(n)
-		r.fireOnce = lw.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok
+		r.fireOnce = lw.cl.Role[n.ID] == pegasus.RoleOnce && n.Kind != pegasus.KEntryTok
 		lw.lowerRule(n, r)
 		if r.nPreds == 0 && r.nToks == 0 {
 			ins, _, _ := gp.operands(r)
@@ -563,7 +507,7 @@ func lowerGraph(mod *Module, gp *gprog) {
 	gp.seeds = make([]int32, 0, nSeeds)
 	for ri, n := range dyn {
 		r, ns := &gp.rules[ri], &gp.nodeInit[ri]
-		ns.missing = lw.dynIns[n.ID]
+		ns.missing = lw.cl.DynIns[n.ID]
 		ns.gate = gateOf(r, ns.missing)
 		switch r.op {
 		case opTokGen:
@@ -640,7 +584,7 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		r.srcOff = int32(len(gp.srcs))
 		srcs, cls := mergeSources(n)
 		for i, src := range srcs {
-			if lw.static[src.N.ID] {
+			if lw.static(src.N.ID) {
 				// Static merge inputs would fire unboundedly; the
 				// builder never creates them.
 				continue
@@ -663,7 +607,7 @@ func (lw *lowerer) lowerRule(n *pegasus.Node, r *rule) {
 		r.op = opTokGen
 		r.outTok = true
 		r.tokN = n.TokN
-		r.tokPort = lw.tokOff[n.ID]
+		r.tokPort = lw.portIndex(n, pegasus.PortTok, 0)
 		r.predArg = lw.argOf(n, pegasus.PortPred, 0, n.Preds[0])
 		return
 	case pegasus.KLoad:
@@ -704,7 +648,7 @@ func mergeSources(n *pegasus.Node) ([]pegasus.Ref, pegasus.Port) {
 // argOf lowers one input reference: static refs become immediates or
 // slots, dynamic refs become ports.
 func (lw *lowerer) argOf(n *pegasus.Node, cls pegasus.Port, idx int, r pegasus.Ref) oparg {
-	if r.Valid() && lw.static[r.N.ID] {
+	if r.Valid() && lw.static(r.N.ID) {
 		return lw.staticArg(r.N)
 	}
 	return oparg{mode: argPort, idx: lw.portIndex(n, cls, idx)}

@@ -134,7 +134,7 @@ func (m *vm) backpressureEdges(a *vact, l ruleLayout, r *rule) []dataflow.WaitEd
 		for i, d := range cons {
 			if a.st.occ[base+int32(i)] > 0 {
 				peer := l.nodes[d.rule]
-				cls, idx := portClass(peer, int(d.port-l.firstPort[d.rule]))
+				cls, idx := pegasus.PortAt(peer, int(d.port-l.firstPort[d.rule]))
 				out = append(out, dataflow.WaitEdge{Kind: dataflow.WaitBackpressure, Port: cls, Idx: idx, Peer: peer, PeerAct: a.id})
 			}
 		}

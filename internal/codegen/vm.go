@@ -61,8 +61,8 @@ func (ns *vnode) blocked() bool {
 // vq is one input latch: one inline slot. Every port has exactly one
 // producer edge, and a producer emits only while all its consumer edges
 // are empty (a call counts as full until its activation returns), so a
-// latch never holds a second value. The producer bookkeeping the
-// interpreter latches per value is static per port here (pmeta).
+// latch never holds a second value. What consuming it releases and
+// rechecks is static per port (pmeta).
 type vq struct {
 	v    int64
 	held bool

@@ -27,7 +27,7 @@ func TestCompileAllocs(t *testing.T) {
 		{"mesa", opt.None, 2580, 87},
 		{"mesa", opt.Full, 4160, 87},
 		{"g721_e", opt.None, 2880, 105},
-		{"g721_e", opt.Full, 6230, 105},
+		{"g721_e", opt.Full, 4560, 105},
 		{"129.compress", opt.None, 2480, 64},
 		{"129.compress", opt.Full, 3240, 64},
 	} {

@@ -18,7 +18,7 @@ import (
 // whichever duplicate Topo visits first and the passes number new nodes
 // in the order they create them, so any change to an analysis's
 // traversal order shows up here as a different dump.
-const graphDigest = "3985c2fd991a29521bd818dff362670eb4c823963ecff0c442feb2c6aff67a4f"
+const graphDigest = "b13ddbd2386d1577aabc80058418e438a2176e7ebd569f7b3ee03f4227016d5f"
 
 // tokenPassDigest pins the optimized graphs of the repeated-access
 // program (repeatedAccess, ROADMAP item 3) at 25 and 100 repetitions and

@@ -13,11 +13,9 @@ const (
 	evCheck
 )
 
-// event is one scheduled simulator step. Producer bookkeeping rides along
-// on deliveries so the consumer can release the producer's edge slot when
-// the value is eventually consumed (see latchEntry): producer and
-// consumer always share an activation, so the producer is identified by
-// node ID and edge index alone.
+// event is one scheduled simulator step. A delivery names the consumer
+// and its port; the producer whose edge slot the value holds is the
+// port's input reference (see consume). 40 bytes (TestSharedFootprint).
 type event struct {
 	val int64
 	// prodFire is the trace firing Seq of the producing firing (0 when
@@ -27,9 +25,6 @@ type event struct {
 	node     *pegasus.Node
 	// dstPort is the flat port index of the consumer slot the value lands
 	// in (evDeliver only); see graphInfo.portIndex.
-	dstPort  int32
-	prodNode int32
-	prodEdge int32
-	kind     evKind
-	prodTok  bool
+	dstPort int32
+	kind    evKind
 }

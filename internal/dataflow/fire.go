@@ -39,8 +39,9 @@ func (m *machine) tryFire(a *activation, n *pegasus.Node) {
 // fireOnce checks firability and executes a single firing. It returns
 // true when the node fired.
 func (m *machine) fireOnce(a *activation, n *pegasus.Node) bool {
-	if a.done || a.gi.static[n.ID] || n.Dead {
-		return false
+	role := a.gi.role[n.ID]
+	if a.done || role < pegasus.RoleOnce {
+		return false // a static or dead node never fires
 	}
 	if m.inj != nil {
 		if thaw := m.inj.FrozenUntil(m.now, a.gi.g.Name, n.ID); thaw > m.now {
@@ -49,7 +50,7 @@ func (m *machine) fireOnce(a *activation, n *pegasus.Node) bool {
 			return false
 		}
 	}
-	if a.gi.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
+	if role == pegasus.RoleOnce && n.Kind != pegasus.KEntryTok {
 		// No wave signal: fire exactly once per activation.
 		ns := &a.st.nodes[n.ID]
 		if ns.firedOnce {
@@ -89,7 +90,7 @@ func (m *machine) stallInputs(a *activation, n *pegasus.Node) bool {
 	cause := trace.StallData
 	found := false
 	n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-		if found || !r.Valid() || m.inputReady(a, n, cls, idx, *r) {
+		if found || !r.Valid() || m.inputReady(a, a.gi.portIndex(n, cls, idx), *r) {
 			return
 		}
 		found = true
@@ -139,15 +140,18 @@ func (m *machine) dispatch(a *activation, n *pegasus.Node) bool {
 	}
 }
 
-// allInputsReady checks every declared input.
+// allInputsReady checks every declared input, in port order.
 func (m *machine) allInputsReady(a *activation, n *pegasus.Node) bool {
-	ready := true
-	n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-		if ready && !m.inputReady(a, n, cls, idx, *r) {
-			ready = false
+	p := a.gi.portBase[n.ID]
+	for _, rs := range [...][]pegasus.Ref{n.Ins, n.Preds, n.Toks} {
+		for _, r := range rs {
+			if !m.inputReady(a, p, r) {
+				return false
+			}
+			p++
 		}
-	})
-	return ready
+	}
+	return true
 }
 
 // consumeAll consumes every input, returning values per port class. The
@@ -158,14 +162,18 @@ func (m *machine) consumeAll(a *activation, n *pegasus.Node) (ins, preds, toks [
 	m.insBuf = m.insBuf[:0]
 	m.predsBuf = m.predsBuf[:0]
 	m.toksBuf = m.toksBuf[:0]
-	for i, r := range n.Ins {
-		m.insBuf = append(m.insBuf, m.inputValue(a, n, pegasus.PortIn, i, r))
+	p := a.gi.portBase[n.ID]
+	for _, r := range n.Ins {
+		m.insBuf = append(m.insBuf, m.inputValue(a, p, r))
+		p++
 	}
-	for i, r := range n.Preds {
-		m.predsBuf = append(m.predsBuf, m.inputValue(a, n, pegasus.PortPred, i, r))
+	for _, r := range n.Preds {
+		m.predsBuf = append(m.predsBuf, m.inputValue(a, p, r))
+		p++
 	}
-	for i, r := range n.Toks {
-		m.toksBuf = append(m.toksBuf, m.inputValue(a, n, pegasus.PortTok, i, r))
+	for _, r := range n.Toks {
+		m.toksBuf = append(m.toksBuf, m.inputValue(a, p, r))
+		p++
 	}
 	return m.insBuf, m.predsBuf, m.toksBuf
 }
@@ -265,14 +273,15 @@ func (m *machine) fireMerge(a *activation, n *pegasus.Node) bool {
 	if !m.capacityFree(a, n, outKind) {
 		return m.stallBack(n)
 	}
+	p := a.gi.portIndex(n, cls, 0)
 	for i, r := range srcs {
-		if a.gi.static[r.N.ID] {
+		if a.gi.static(r.N.ID) {
 			// Static merge inputs would fire unboundedly; the builder
 			// never creates them (merge inputs are etas).
 			continue
 		}
-		if m.has(a, n, port{cls, i}) {
-			v := m.consume(a, n, port{cls, i})
+		if m.has(a, p+int32(i)) {
+			v := m.consume(a, p+int32(i), r)
 			m.stats.OpsFired++
 			m.profile.record(n)
 			m.emit(a, n, outKind, v, m.now+opLatency(n))
@@ -291,7 +300,8 @@ func (m *machine) fireEta(a *activation, n *pegasus.Node) bool {
 		cls = pegasus.PortTok
 		outKind = pegasus.OutToken
 	}
-	if !m.inputReady(a, n, pegasus.PortPred, 0, n.Preds[0]) {
+	pp := a.gi.portIndex(n, pegasus.PortPred, 0)
+	if !m.inputReady(a, pp, n.Preds[0]) {
 		return m.stallInputs(a, n)
 	}
 	var dataRef pegasus.Ref
@@ -300,21 +310,22 @@ func (m *machine) fireEta(a *activation, n *pegasus.Node) bool {
 	} else {
 		dataRef = n.Ins[0]
 	}
-	if !m.inputReady(a, n, cls, 0, dataRef) {
+	dp := a.gi.portIndex(n, cls, 0)
+	if !m.inputReady(a, dp, dataRef) {
 		return m.stallInputs(a, n)
 	}
 	// Peek the predicate: only a true predicate needs output capacity.
 	var predVal int64
-	if a.gi.static[n.Preds[0].N.ID] {
+	if a.gi.static(n.Preds[0].N.ID) {
 		predVal = m.staticValue(a, n.Preds[0])
 	} else {
-		predVal = m.peek(a, n, port{pegasus.PortPred, 0})
+		predVal = m.peek(a, pp)
 	}
 	if predVal != 0 && !m.capacityFree(a, n, outKind) {
 		return m.stallBack(n)
 	}
-	m.inputValue(a, n, pegasus.PortPred, 0, n.Preds[0]) // consume pred
-	v := m.inputValue(a, n, cls, 0, dataRef)            // consume data
+	m.inputValue(a, pp, n.Preds[0])   // consume pred
+	v := m.inputValue(a, dp, dataRef) // consume data
 	m.stats.OpsFired++
 	m.profile.record(n)
 	if predVal != 0 {
@@ -329,21 +340,22 @@ func (m *machine) fireEta(a *activation, n *pegasus.Node) bool {
 func (m *machine) fireTokenGen(a *activation, n *pegasus.Node) bool {
 	ns := &a.st.nodes[n.ID]
 	// Absorb token inputs eagerly.
-	if m.has(a, n, port{pegasus.PortTok, 0}) {
-		m.consume(a, n, port{pegasus.PortTok, 0})
+	if tp := a.gi.portIndex(n, pegasus.PortTok, 0); m.has(a, tp) {
+		m.consume(a, tp, n.Toks[0])
 		ns.counter++
 		m.stats.OpsFired++
 		m.profile.record(n)
 		return true
 	}
-	if !m.inputReady(a, n, pegasus.PortPred, 0, n.Preds[0]) {
+	pp := a.gi.portIndex(n, pegasus.PortPred, 0)
+	if !m.inputReady(a, pp, n.Preds[0]) {
 		return m.stallInputs(a, n)
 	}
 	var predVal int64
-	if a.gi.static[n.Preds[0].N.ID] {
+	if a.gi.static(n.Preds[0].N.ID) {
 		predVal = m.staticValue(a, n.Preds[0])
 	} else {
-		predVal = m.peek(a, n, port{pegasus.PortPred, 0})
+		predVal = m.peek(a, pp)
 	}
 	if predVal != 0 {
 		if ns.counter <= 0 {
@@ -352,7 +364,7 @@ func (m *machine) fireTokenGen(a *activation, n *pegasus.Node) bool {
 		if !m.capacityFree(a, n, pegasus.OutToken) {
 			return m.stallBack(n)
 		}
-		m.inputValue(a, n, pegasus.PortPred, 0, n.Preds[0])
+		m.inputValue(a, pp, n.Preds[0])
 		ns.counter--
 		m.stats.OpsFired++
 		m.profile.record(n)
@@ -360,8 +372,8 @@ func (m *machine) fireTokenGen(a *activation, n *pegasus.Node) bool {
 		return true
 	}
 	// Loop finished: reset the credit counter.
-	m.inputValue(a, n, pegasus.PortPred, 0, n.Preds[0])
-	ns.counter = int32(n.TokN)
+	m.inputValue(a, pp, n.Preds[0])
+	ns.counter = n.TokN
 	m.stats.OpsFired++
 	m.profile.record(n)
 	return true
@@ -373,7 +385,7 @@ func (m *machine) fireMemOp(a *activation, n *pegasus.Node) bool {
 	if !m.allInputsReady(a, n) {
 		return m.stallInputs(a, n)
 	}
-	needVal := n.Kind == pegasus.KLoad && len(a.gi.valConsumers[n.ID]) > 0
+	needVal := n.Kind == pegasus.KLoad && len(a.gi.consumers(n.ID, pegasus.OutValue)) > 0
 	if needVal && !m.capacityFree(a, n, pegasus.OutValue) {
 		return m.stallBack(n)
 	}
@@ -494,7 +506,7 @@ func (m *machine) fireReturn(a *activation, n *pegasus.Node) bool {
 	// busy, and when its outputs have no consumers no consume rechecks
 	// it, so check it now if they are all latched.
 	parent.st.nodes[call.ID].callBusy = false
-	if parent.gi.dynIns[call.ID] > 0 && m.allInputsReady(parent, call) {
+	if parent.gi.role[call.ID] == pegasus.RoleWave && m.allInputsReady(parent, call) {
 		m.pushCheck(m.now, parent, call)
 	}
 	if call.HasValue() {

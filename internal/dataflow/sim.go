@@ -94,61 +94,42 @@ type Result struct {
 	Stats Stats
 }
 
-// port identifies one input slot of a node.
-type port struct {
-	cls pegasus.Port
-	idx int
-}
-
-// consumerEdge is one (producer output → consumer port) edge. dstPort is
-// the consumer slot's flat port index, precomputed so delivery does no
-// lookups.
-type consumerEdge struct {
-	node    *pegasus.Node
-	p       port
-	dstPort int32
+// edge is one consumer edge of a producer's output: the consuming node
+// and the flat index of the input port the value lands in, precomputed
+// so delivery does no lookups. 16 bytes (TestSharedFootprint).
+type edge struct {
+	node *pegasus.Node
+	port int32
 }
 
 // graphInfo caches per-graph structures shared by all activations: the
-// static/dynamic node classification, consumer edge lists, and the flat
-// index layout (port offsets, edge-occupancy offsets) that lets one
-// activation's entire dynamic state live in a handful of dense slices.
+// node roles and port layout of pegasus.Classify, and every producer's
+// consumer edges, so that one activation's entire dynamic state lives in
+// a handful of dense slices.
 //
 // Immutability contract: after buildGraphInfo returns, no field except
 // pool is ever written again. Runs on any number of goroutines read the
 // same graphInfo concurrently (it lives in the program's Shared table).
 type graphInfo struct {
 	g *pegasus.Graph
-	// nodeByID maps node IDs back to nodes (dense; nil for compacted IDs).
-	nodeByID []*pegasus.Node
-	// consumers[nodeID] lists the edges fed by that node's output.
-	valConsumers [][]consumerEdge
-	tokConsumers [][]consumerEdge
-	// static[nodeID] marks nodes whose value is fixed for a whole
-	// activation: constants, parameters, object addresses, and pure
-	// computations over those. They do not handshake; consumers read them
-	// directly (in hardware they are wires from the environment).
-	static []bool
-	// dynIns[nodeID] counts dynamic inputs. A dynamic node with zero
-	// dynamic inputs has no wave signal; it fires exactly once per
-	// activation (the builder guarantees such nodes only occur in the
-	// entry hyperblock, which executes once).
-	dynIns []int
-	// inOff/predOff/tokOff[nodeID] are the flat port-index bases of the
-	// node's input classes; portIndex composes them with the slot index.
-	inOff   []int32
-	predOff []int32
-	tokOff  []int32
-	// valEdgeOff/tokEdgeOff[nodeID] are the flat occupancy-index bases of
-	// the node's output edges (one counter per consumer edge).
-	valEdgeOff []int32
-	tokEdgeOff []int32
-	// tokGens lists token-generator node IDs whose credit counters need
-	// (re)initializing to TokN when an activation's state is prepared.
-	tokGens  []int32
+	// role and portBase are the classification's node roles and port
+	// bases, by node ID (its dynamic-input counts only the VM's lowerer
+	// needs). Only dynamic nodes have ports; static and dead nodes are
+	// never delivered to.
+	role     []pegasus.Role
+	portBase []int32
 	numPorts int
-	numVal   int // total value-consumer edges
-	numTok   int // total token-consumer edges
+	// edges holds every consumer edge, grouped by producer output in
+	// node-ID order: output out of node id feeds
+	// edges[edgeOff[2*id+out]:edgeOff[2*id+out+1]], in graph node order
+	// of the consumers and EachInput order within each. Every dynamic
+	// port has exactly one producer edge, so edge state (occupancy, the
+	// fault-injection floors) lives at the consumer port.
+	edges   []edge
+	edgeOff []int32
+	// tokGens lists the token generators, whose credit counters start at
+	// TokN when an activation's state is prepared.
+	tokGens []*pegasus.Node
 	// pool recycles actState across activations of this graph, so calls
 	// in steady state allocate nothing. graphInfo is shared by every run
 	// of the program (see Shared), so the pool is also shared across
@@ -157,117 +138,64 @@ type graphInfo struct {
 	pool sync.Pool
 }
 
-// portIndex returns the flat index of one input slot. Only dynamic nodes
-// have ports; static and dead nodes are never delivered to.
+// static reports whether node id is activation-static.
+func (gi *graphInfo) static(id int) bool { return gi.role[id] == pegasus.RoleStatic }
+
+// portIndex returns the flat index of one input slot of a dynamic node.
 func (gi *graphInfo) portIndex(n *pegasus.Node, cls pegasus.Port, idx int) int32 {
-	switch cls {
-	case pegasus.PortIn:
-		return gi.inOff[n.ID] + int32(idx)
-	case pegasus.PortPred:
-		return gi.predOff[n.ID] + int32(idx)
-	default:
-		return gi.tokOff[n.ID] + int32(idx)
-	}
+	return gi.portBase[n.ID] + pegasus.PortOffset(n, cls) + int32(idx)
+}
+
+// consumers returns the consumer edges of output out of node id.
+func (gi *graphInfo) consumers(id int, out pegasus.Out) []edge {
+	k := 2*id + int(out)
+	return gi.edges[gi.edgeOff[k]:gi.edgeOff[k+1]]
 }
 
 func buildGraphInfo(g *pegasus.Graph) *graphInfo {
-	gi := &graphInfo{
-		g:            g,
-		nodeByID:     make([]*pegasus.Node, g.MaxID()),
-		valConsumers: make([][]consumerEdge, g.MaxID()),
-		tokConsumers: make([][]consumerEdge, g.MaxID()),
-		static:       make([]bool, g.MaxID()),
-	}
-	for _, n := range g.Nodes {
-		if !n.Dead {
-			gi.nodeByID[n.ID] = n
-		}
-	}
-	// Static closure over pure ops (node inputs always precede uses in
-	// the forward DAG; iterate to a fixpoint to be order-independent).
-	for changed := true; changed; {
-		changed = false
+	cl := pegasus.Classify(g)
+	gi := &graphInfo{g: g, role: cl.Role, portBase: cl.PortBase, numPorts: cl.NumPorts}
+	// eachEdge visits every consumer edge in consumer order, with k =
+	// 2*id+out naming its producer output.
+	eachEdge := func(f func(k int, e edge)) {
 		for _, n := range g.Nodes {
-			if n.Dead || gi.static[n.ID] {
+			if gi.role[n.ID] < pegasus.RoleOnce {
 				continue
 			}
-			s := false
-			switch n.Kind {
-			case pegasus.KConst, pegasus.KParam, pegasus.KAddrOf:
-				s = true
-			case pegasus.KBinOp, pegasus.KUnOp, pegasus.KConv, pegasus.KMux:
-				s = true
-				n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-					if !r.Valid() || !gi.static[r.N.ID] {
-						s = false
-					}
-				})
-			}
-			if s {
-				gi.static[n.ID] = true
-				changed = true
-			}
+			user := n
+			n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
+				if r.Valid() && !gi.static(r.N.ID) {
+					f(2*r.N.ID+int(r.Out), edge{user, gi.portIndex(user, cls, idx)})
+				}
+			})
 		}
 	}
-	// Flat port layout: every dynamic node's declared inputs get
-	// contiguous slots (static refs included — they are never latched,
-	// but a uniform layout keeps indexing branch-free).
-	gi.dynIns = make([]int, g.MaxID())
-	gi.inOff = make([]int32, g.MaxID())
-	gi.predOff = make([]int32, g.MaxID())
-	gi.tokOff = make([]int32, g.MaxID())
-	off := int32(0)
-	for id := 0; id < g.MaxID(); id++ {
-		n := gi.nodeByID[id]
-		if n == nil || gi.static[id] {
-			continue
-		}
-		gi.inOff[id] = off
-		gi.predOff[id] = off + int32(len(n.Ins))
-		gi.tokOff[id] = off + int32(len(n.Ins)+len(n.Preds))
-		off += int32(len(n.Ins) + len(n.Preds) + len(n.Toks))
-		if n.Kind == pegasus.KTokenGen {
-			gi.tokGens = append(gi.tokGens, int32(id))
-		}
+	// Output k's edges are counted at off[k+2], so that after the prefix
+	// sum off[k+1] is where they start; filling advances off[k+1] to where
+	// they end, which is where output k+1's start.
+	off := make([]int32, 2*g.MaxID()+2)
+	eachEdge(func(k int, _ edge) { off[k+2]++ })
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
 	}
-	gi.numPorts = int(off)
+	gi.edges = make([]edge, off[len(off)-1])
+	eachEdge(func(k int, e edge) {
+		gi.edges[off[k+1]] = e
+		off[k+1]++
+	})
+	gi.edgeOff = off[:len(off)-1]
 	for _, n := range g.Nodes {
-		if n.Dead || gi.static[n.ID] {
-			continue
+		if !n.Dead && n.Kind == pegasus.KTokenGen {
+			gi.tokGens = append(gi.tokGens, n)
 		}
-		user := n
-		n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-			if !r.Valid() || gi.static[r.N.ID] {
-				return
-			}
-			gi.dynIns[user.ID]++
-			e := consumerEdge{node: user, p: port{cls, idx}, dstPort: gi.portIndex(user, cls, idx)}
-			if r.Out == pegasus.OutToken {
-				gi.tokConsumers[r.N.ID] = append(gi.tokConsumers[r.N.ID], e)
-			} else {
-				gi.valConsumers[r.N.ID] = append(gi.valConsumers[r.N.ID], e)
-			}
-		})
 	}
-	// Flat occupancy layout follows the consumer lists.
-	gi.valEdgeOff = make([]int32, g.MaxID())
-	gi.tokEdgeOff = make([]int32, g.MaxID())
-	vo, to := int32(0), int32(0)
-	for id := 0; id < g.MaxID(); id++ {
-		gi.valEdgeOff[id] = vo
-		gi.tokEdgeOff[id] = to
-		vo += int32(len(gi.valConsumers[id]))
-		to += int32(len(gi.tokConsumers[id]))
-	}
-	gi.numVal = int(vo)
-	gi.numTok = int(to)
 	return gi
 }
 
 // nodeState is the dynamic state of one node instance: delivery-order
 // floors, the token generator's credit counter, the fired-once mark of
 // wave-less nodes, and the busy mark of a call whose activation runs.
-// Latches and edge occupancy live in the activation's flat arrays (see
+// Latches and edge occupancy live at the activation's ports (see
 // actState), not here.
 type nodeState struct {
 	// lastDeliver enforces in-order output delivery.
@@ -282,44 +210,40 @@ type nodeState struct {
 	callBusy bool
 }
 
-// latchEntry is one arrived value latched at a consumer port, together
-// with the producer-side bookkeeping needed to release the producer's
-// edge slot on consumption (and, under tracing, attribute the arrival).
+// latchEntry is one value latched at a consumer port. fireSeq and at
+// record, for tracing, which firing produced it and when it arrived. The
+// producer whose edge slot its consumption releases is the port's input
+// reference.
 type latchEntry struct {
-	val int64
-	// fireSeq and at record, for tracing, which firing produced this
-	// value and when it arrived.
-	fireSeq  int64
-	at       int64
-	prodNode int32
-	prodEdge int32
-	prodTok  bool
+	val     int64
+	fireSeq int64
+	at      int64
 }
 
-// portQueue is the FIFO of values latched at one input port. head indexes
-// the front; buf is reset (retaining capacity) whenever the queue drains,
-// so steady-state operation never allocates.
+// portQueue is one input port's state: the FIFO of latched values and
+// the occupancy of the port's producer edge (values in flight to it plus
+// values latched). head indexes the front; buf is reset (retaining
+// capacity) whenever the queue drains, so steady-state operation never
+// allocates.
 type portQueue struct {
 	buf  []latchEntry
 	head int32
+	occ  int32
 }
 
 func (q *portQueue) size() int { return len(q.buf) - int(q.head) }
 
 // actState is the entire dynamic state of one activation, grouped so the
 // whole thing can be recycled through the graph's sync.Pool: per-node
-// state, per-port latch queues, per-edge occupancy counters, memoized
-// static values, and the parameter buffer.
+// state, per-port latch queues and edge occupancy, memoized static
+// values, and the parameter buffer.
 type actState struct {
-	nodes  []nodeState
-	ports  []portQueue
-	occVal []int32
-	occTok []int32
-	// nextVal/nextTok, allocated only under fault injection, track the
-	// earliest legal delivery time per consumer edge so injected delays
-	// preserve the edge's FIFO order (a slow wire is still a wire).
-	nextVal []int64
-	nextTok []int64
+	nodes []nodeState
+	ports []portQueue
+	// floors, allocated only under fault injection, holds the earliest
+	// legal delivery time per port so injected delays preserve its edge's
+	// FIFO order (a slow wire is still a wire).
+	floors []int64
 	// memoized values of static nodes.
 	staticVals []int64
 	staticOK   []bool
@@ -330,8 +254,6 @@ func newActState(gi *graphInfo) *actState {
 	return &actState{
 		nodes:      make([]nodeState, gi.g.MaxID()),
 		ports:      make([]portQueue, gi.numPorts),
-		occVal:     make([]int32, gi.numVal),
-		occTok:     make([]int32, gi.numTok),
 		staticVals: make([]int64, gi.g.MaxID()),
 		staticOK:   make([]bool, gi.g.MaxID()),
 	}
@@ -343,34 +265,14 @@ func (st *actState) prepare(gi *graphInfo, fresh bool) {
 	if !fresh {
 		clear(st.nodes)
 		for i := range st.ports {
-			st.ports[i].buf = st.ports[i].buf[:0]
-			st.ports[i].head = 0
+			st.ports[i] = portQueue{buf: st.ports[i].buf[:0]}
 		}
-		clear(st.occVal)
-		clear(st.occTok)
-		clear(st.nextVal)
-		clear(st.nextTok)
+		clear(st.floors)
 		clear(st.staticOK)
 	}
-	for _, id := range gi.tokGens {
-		st.nodes[id].counter = int32(gi.nodeByID[id].TokN)
+	for _, n := range gi.tokGens {
+		st.nodes[n.ID].counter = n.TokN
 	}
-}
-
-// edgeNext returns the per-consumer-edge minimum-next-delivery array for
-// one output class of node id, allocating the backing array on first use
-// (fault injection only).
-func (st *actState) edgeNext(gi *graphInfo, out pegasus.Out, id int) []int64 {
-	if out == pegasus.OutToken {
-		if st.nextTok == nil {
-			st.nextTok = make([]int64, gi.numTok)
-		}
-		return st.nextTok[gi.tokEdgeOff[id]:]
-	}
-	if st.nextVal == nil {
-		st.nextVal = make([]int64, gi.numVal)
-	}
-	return st.nextVal[gi.valEdgeOff[id]:]
 }
 
 // activation is one dynamic instance of a function.
@@ -475,7 +377,7 @@ func (m *machine) newActivation(g *pegasus.Graph, args []int64, retTo *pegasus.N
 	// Seed nodes with no dynamic inputs: nothing will ever deliver to
 	// them, so check them once explicitly.
 	for _, n := range g.Nodes {
-		if !n.Dead && !gi.static[n.ID] && gi.dynIns[n.ID] == 0 && n.Kind != pegasus.KEntryTok {
+		if gi.role[n.ID] == pegasus.RoleOnce && n.Kind != pegasus.KEntryTok {
 			m.pushCheck(m.now+1, a, n)
 		}
 	}
@@ -548,30 +450,23 @@ func (m *machine) pushCheck(t int64, a *activation, n *pegasus.Node) {
 // reserves edge occupancy.
 func (m *machine) emit(a *activation, n *pegasus.Node, out pegasus.Out, val int64, t int64) {
 	ns := &a.st.nodes[n.ID]
-	var cons []consumerEdge
-	var occ []int32
 	if out == pegasus.OutToken {
 		if t < ns.lastDeliverTok {
 			t = ns.lastDeliverTok
 		}
 		ns.lastDeliverTok = t
-		cons = a.gi.tokConsumers[n.ID]
-		occ = a.st.occTok[a.gi.tokEdgeOff[n.ID]:]
 	} else {
 		if t < ns.lastDeliverVal {
 			t = ns.lastDeliverVal
 		}
 		ns.lastDeliverVal = t
-		cons = a.gi.valConsumers[n.ID]
-		occ = a.st.occVal[a.gi.valEdgeOff[n.ID]:]
 	}
 	var fireSeq int64
 	if m.tracer != nil {
 		fireSeq = m.tracer.CurSeq()
 		m.tracer.Emit(t)
 	}
-	for i := range cons {
-		c := &cons[i]
+	for i, c := range a.gi.consumers(n.ID, out) {
 		dt := t
 		copies := 1
 		if m.inj != nil {
@@ -585,20 +480,22 @@ func (m *machine) emit(a *activation, n *pegasus.Node, out pegasus.Out, val int6
 			}
 			// Preserve the edge's FIFO order under injected delays: a
 			// later delivery may not overtake a delayed one.
-			next := a.st.edgeNext(a.gi, out, n.ID)
-			if dt < next[i] {
-				dt = next[i]
+			if a.st.floors == nil {
+				a.st.floors = make([]int64, a.gi.numPorts)
 			}
-			next[i] = dt
+			if floor := &a.st.floors[c.port]; dt < *floor {
+				dt = *floor
+			} else {
+				*floor = dt
+			}
 			if m.tracer != nil && dt > t {
 				m.tracer.Emit(dt)
 			}
 		}
 		for k := 0; k < copies; k++ {
-			occ[i]++
+			a.st.ports[c.port].occ++
 			e := m.events.Push(dt)
-			e.kind, e.act, e.node, e.dstPort, e.val = evDeliver, a, c.node, c.dstPort, val
-			e.prodNode, e.prodTok, e.prodEdge, e.prodFire = int32(n.ID), out == pegasus.OutToken, int32(i), fireSeq
+			e.kind, e.act, e.node, e.dstPort, e.val, e.prodFire = evDeliver, a, c.node, c.port, val, fireSeq
 		}
 	}
 }
@@ -606,17 +503,8 @@ func (m *machine) emit(a *activation, n *pegasus.Node, out pegasus.Out, val int6
 // capacityFree reports whether every output edge of (a,n) for `out` is
 // empty: edges hold one value (see Config).
 func (m *machine) capacityFree(a *activation, n *pegasus.Node, out pegasus.Out) bool {
-	var occ []int32
-	var ne int
-	if out == pegasus.OutToken {
-		occ = a.st.occTok[a.gi.tokEdgeOff[n.ID]:]
-		ne = len(a.gi.tokConsumers[n.ID])
-	} else {
-		occ = a.st.occVal[a.gi.valEdgeOff[n.ID]:]
-		ne = len(a.gi.valConsumers[n.ID])
-	}
-	for _, o := range occ[:ne] {
-		if o > 0 {
+	for _, c := range a.gi.consumers(n.ID, out) {
+		if a.st.ports[c.port].occ > 0 {
 			return false
 		}
 	}
@@ -656,10 +544,7 @@ func (m *machine) run() error {
 		switch e.kind {
 		case evDeliver:
 			q := &e.act.st.ports[e.dstPort]
-			q.buf = append(q.buf, latchEntry{
-				val: e.val, fireSeq: e.prodFire, at: t,
-				prodNode: e.prodNode, prodEdge: e.prodEdge, prodTok: e.prodTok,
-			})
+			q.buf = append(q.buf, latchEntry{val: e.val, fireSeq: e.prodFire, at: t})
 			m.tryFire(e.act, e.node)
 		case evCheck:
 			m.tryFire(e.act, e.node)
@@ -677,35 +562,29 @@ func (m *machine) run() error {
 	return nil
 }
 
-// consume pops the front of a latch, releasing the producer edge slot and
-// rechecking the producer.
-func (m *machine) consume(a *activation, n *pegasus.Node, p port) int64 {
-	q := &a.st.ports[a.gi.portIndex(n, p.cls, p.idx)]
+// consume pops the front of the latch at port p, whose input reference
+// is r, releasing the producer's edge slot and rechecking the producer.
+func (m *machine) consume(a *activation, p int32, r pegasus.Ref) int64 {
+	q := &a.st.ports[p]
 	le := q.buf[q.head]
 	q.head++
 	if int(q.head) == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	if le.prodTok {
-		a.st.occTok[a.gi.tokEdgeOff[le.prodNode]+le.prodEdge]--
-	} else {
-		a.st.occVal[a.gi.valEdgeOff[le.prodNode]+le.prodEdge]--
-	}
+	q.occ--
 	if m.tracer != nil {
-		m.tracer.Consume(le.fireSeq, le.at, le.prodTok)
+		m.tracer.Consume(le.fireSeq, le.at, r.Out == pegasus.OutToken)
 	}
 	// The producer may have been stalled on this edge.
-	m.pushCheck(m.now, a, a.gi.nodeByID[le.prodNode])
+	m.pushCheck(m.now, a, r.N)
 	return le.val
 }
 
-func (m *machine) has(a *activation, n *pegasus.Node, p port) bool {
-	return a.st.ports[a.gi.portIndex(n, p.cls, p.idx)].size() > 0
-}
+func (m *machine) has(a *activation, p int32) bool { return a.st.ports[p].size() > 0 }
 
-func (m *machine) peek(a *activation, n *pegasus.Node, p port) int64 {
-	q := &a.st.ports[a.gi.portIndex(n, p.cls, p.idx)]
+func (m *machine) peek(a *activation, p int32) int64 {
+	q := &a.st.ports[p]
 	return q.buf[q.head].val
 }
 
@@ -755,18 +634,15 @@ func (m *machine) staticValue(a *activation, r pegasus.Ref) int64 {
 	return v
 }
 
-// inputReady reports whether an input ref is available.
-func (m *machine) inputReady(a *activation, n *pegasus.Node, cls pegasus.Port, idx int, r pegasus.Ref) bool {
-	if a.gi.static[r.N.ID] {
-		return true
-	}
-	return m.has(a, n, port{cls, idx})
+// inputReady reports whether input r, at port p, is available.
+func (m *machine) inputReady(a *activation, p int32, r pegasus.Ref) bool {
+	return a.gi.static(r.N.ID) || m.has(a, p)
 }
 
-// inputValue fetches an input, consuming dynamic ones.
-func (m *machine) inputValue(a *activation, n *pegasus.Node, cls pegasus.Port, idx int, r pegasus.Ref) int64 {
-	if a.gi.static[r.N.ID] {
+// inputValue fetches input r, at port p, consuming a dynamic one.
+func (m *machine) inputValue(a *activation, p int32, r pegasus.Ref) int64 {
+	if a.gi.static(r.N.ID) {
 		return m.staticValue(a, r)
 	}
-	return m.consume(a, n, port{cls, idx})
+	return m.consume(a, p, r)
 }

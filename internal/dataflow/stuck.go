@@ -190,7 +190,7 @@ func (m *machine) stuckReport(kind string) *StuckReport {
 			continue
 		}
 		for _, n := range a.gi.g.Nodes {
-			if n.Dead || a.gi.static[n.ID] || n.Kind == pegasus.KEntryTok {
+			if a.gi.role[n.ID] < pegasus.RoleOnce || n.Kind == pegasus.KEntryTok {
 				continue
 			}
 			b, isBlocked := m.classifyBlocked(a, n)
@@ -243,7 +243,7 @@ func sortBlocked(bs []BlockedNode, index map[actNodeKey]int) {
 func (m *machine) classifyBlocked(a *activation, n *pegasus.Node) (BlockedNode, bool) {
 	b := BlockedNode{Graph: a.gi.g.Name, Act: a.id, Node: n}
 	ns := &a.st.nodes[n.ID]
-	if a.gi.dynIns[n.ID] == 0 {
+	if a.gi.role[n.ID] == pegasus.RoleOnce {
 		// Fire-once node: blocked only if it never managed to fire,
 		// which can only be backpressure.
 		if ns.firedOnce {
@@ -254,10 +254,10 @@ func (m *machine) classifyBlocked(a *activation, n *pegasus.Node) (BlockedNode, 
 	}
 	var missing []WaitEdge
 	n.EachInput(func(r *pegasus.Ref, cls pegasus.Port, idx int) {
-		if !r.Valid() || a.gi.static[r.N.ID] {
+		if !r.Valid() || a.gi.static(r.N.ID) {
 			return
 		}
-		if m.has(a, n, port{cls, idx}) {
+		if m.has(a, a.gi.portIndex(n, cls, idx)) {
 			b.Arrived++
 			return
 		}
@@ -280,7 +280,8 @@ func (m *machine) classifyBlocked(a *activation, n *pegasus.Node) (BlockedNode, 
 	case pegasus.KTokenGen:
 		// Token inputs are absorbed eagerly, so only the predicate path
 		// can block: pred missing, credit exhausted, or output full.
-		if !m.inputReady(a, n, pegasus.PortPred, 0, n.Preds[0]) {
+		pp := a.gi.portIndex(n, pegasus.PortPred, 0)
+		if !m.inputReady(a, pp, n.Preds[0]) {
 			for _, w := range missing {
 				if w.Port == pegasus.PortPred {
 					b.Waits = append(b.Waits, w)
@@ -289,10 +290,10 @@ func (m *machine) classifyBlocked(a *activation, n *pegasus.Node) (BlockedNode, 
 			return b, len(b.Waits) > 0
 		}
 		var predVal int64
-		if a.gi.static[n.Preds[0].N.ID] {
+		if a.gi.static(n.Preds[0].N.ID) {
 			predVal = m.staticValue(a, n.Preds[0])
 		} else {
-			predVal = m.peek(a, n, port{pegasus.PortPred, 0})
+			predVal = m.peek(a, pp)
 		}
 		if predVal == 0 {
 			return b, false // would fire (counter reset); not blocked
@@ -318,16 +319,12 @@ func (m *machine) classifyBlocked(a *activation, n *pegasus.Node) (BlockedNode, 
 // output edges.
 func (m *machine) backpressureEdges(a *activation, n *pegasus.Node) []WaitEdge {
 	var out []WaitEdge
-	occVal := a.st.occVal[a.gi.valEdgeOff[n.ID]:]
-	for i, c := range a.gi.valConsumers[n.ID] {
-		if occVal[i] > 0 {
-			out = append(out, WaitEdge{Kind: WaitBackpressure, Port: c.p.cls, Idx: c.p.idx, Peer: c.node, PeerAct: a.id})
-		}
-	}
-	occTok := a.st.occTok[a.gi.tokEdgeOff[n.ID]:]
-	for i, c := range a.gi.tokConsumers[n.ID] {
-		if occTok[i] > 0 {
-			out = append(out, WaitEdge{Kind: WaitBackpressure, Port: c.p.cls, Idx: c.p.idx, Peer: c.node, PeerAct: a.id})
+	for _, o := range [2]pegasus.Out{pegasus.OutValue, pegasus.OutToken} {
+		for _, c := range a.gi.consumers(n.ID, o) {
+			if a.st.ports[c.port].occ > 0 {
+				cls, idx := pegasus.PortAt(c.node, int(c.port-a.gi.portBase[c.node.ID]))
+				out = append(out, WaitEdge{Kind: WaitBackpressure, Port: cls, Idx: idx, Peer: c.node, PeerAct: a.id})
+			}
 		}
 	}
 	return out

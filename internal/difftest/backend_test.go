@@ -25,7 +25,7 @@ func TestBackendIdentityBenchSet(t *testing.T) {
 		if w.Entry != Entry {
 			t.Fatalf("%s: entry %q, difftest drives %q", name, w.Entry, Entry)
 		}
-		if err := Check(w.Source, 0); err != nil {
+		if _, err := Check(w.Source, 0); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -45,12 +45,13 @@ func TestBackendIdentityCrashers(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := progen.Generate(c.Config)
-		if err := Check(src, 0); err != nil {
+		b, err := Check(src, 0)
+		if err != nil {
 			t.Errorf("%s: %v", filepath.Base(path), err)
 			continue
 		}
 		if c.Faults {
-			if _, err := CheckFaults(src, c.Seed, 0); err != nil {
+			if _, err := CheckFaults(src, b, c.Seed); err != nil {
 				t.Errorf("%s (faulted): %v", filepath.Base(path), err)
 			}
 		}

@@ -49,25 +49,15 @@ var Levels = []opt.Level{opt.None, opt.Basic, opt.Medium, opt.Full}
 // dataflow simulator, and compares every result value against the
 // sequential interpreter oracle. maxCycles bounds each run; 0 scales the
 // budget from the oracle's sequential cycle count, so heavy programs get
-// room while a genuine livelock is still cut off.
-func Check(src string, maxCycles int64) error {
-	_, err := check(src, maxCycles)
-	return err
-}
-
-// baseline is the clean-run evidence CheckFaults replays against.
-type baseline struct {
-	oracle int64
-	cycles map[opt.Level]int64
-}
-
-func check(src string, maxCycles int64) (baseline, error) {
-	b := baseline{cycles: make(map[opt.Level]int64, len(Levels))}
+// room while a genuine livelock is still cut off. It returns the clean
+// evidence CheckFaults replays against.
+func Check(src string, maxCycles int64) (Baseline, error) {
+	b := Baseline{Cycles: make(map[opt.Level]int64, len(Levels))}
 	oracle, seqCycles, err := runOracle(src)
 	if err != nil {
 		return b, err
 	}
-	b.oracle = oracle
+	b.Oracle = oracle
 	if maxCycles <= 0 {
 		// Spatial execution is normally faster than sequential; 32x the
 		// sequential estimate plus slack is far past any honest run.
@@ -85,7 +75,7 @@ func check(src string, maxCycles int64) (baseline, error) {
 		if res.Value != oracle {
 			return b, fmt.Errorf("difftest: O%d checksum mismatch: simulator %d, oracle %d", lvl, res.Value, oracle)
 		}
-		b.cycles[lvl] = res.Stats.Cycles
+		b.Cycles[lvl] = res.Stats.Cycles
 
 		// The compiled backend must be bit-identical to the interpreter —
 		// not just the checksum, but every statistic (events, cycles,
@@ -125,24 +115,30 @@ func (r FaultReport) String() string {
 	return fmt.Sprintf("%d absorbed, %d detected, %d oracle-caught", r.Absorbed, r.Detected, r.OracleCaught)
 }
 
-// CheckFaults first establishes clean checksum equivalence (Check), then
-// replays the program at every optimization level on the interpreter
-// under a seeded battery of injected faults and verifies each outcome
-// against the contract: delay-only faults must be absorbed, drops must be
-// absorbed or detected, and a corrupted memory response must be
+// Baseline is the clean-run evidence of Check: the oracle's checksum and
+// each level's clean cycle count.
+type Baseline struct {
+	Oracle int64
+	Cycles map[opt.Level]int64
+}
+
+// CheckFaults replays src on the interpreter at each of levels (every
+// level of Levels when none is given) under a seeded battery of injected
+// faults, and verifies each outcome against the contract and against the
+// clean evidence b of Check: delay-only faults must be absorbed, drops
+// must be absorbed or detected, and a corrupted memory response must be
 // detected. A non-nil error means the contract was violated — most
 // seriously by a silent wrong answer.
-func CheckFaults(src string, seed int64, maxCycles int64) (FaultReport, error) {
+func CheckFaults(src string, b Baseline, seed int64, levels ...opt.Level) (FaultReport, error) {
 	var rep FaultReport
-	clean, err := check(src, maxCycles)
-	if err != nil {
-		return rep, err
+	if len(levels) == 0 {
+		levels = Levels
 	}
-	oracle := clean.oracle
-	for _, lvl := range Levels {
+	oracle := b.Oracle
+	for _, lvl := range levels {
 		// Budget fault runs relative to the clean run: absorbed delays
 		// stretch the schedule a little, livelocks are cut off fast.
-		budget := clean.cycles[lvl]*8 + 4096
+		budget := b.Cycles[lvl]*8 + 4096
 		cp, err := compileAt(src, lvl, budget, core.BackendInterpreted)
 		if err != nil {
 			return rep, err
@@ -238,11 +234,12 @@ func mod(x, m int64) int64 {
 // It is the predicate Shrink minimizes against.
 func Failing(cfg progen.Config, faulted bool, maxCycles int64) bool {
 	src := progen.Generate(cfg)
-	if err := Check(src, maxCycles); err != nil {
+	b, err := Check(src, maxCycles)
+	if err != nil {
 		return true
 	}
 	if faulted {
-		if _, err := CheckFaults(src, cfg.Seed, maxCycles); err != nil {
+		if _, err := CheckFaults(src, b, cfg.Seed); err != nil {
 			return true
 		}
 	}

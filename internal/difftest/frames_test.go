@@ -65,7 +65,7 @@ int bench(void) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := Check(tc.src, 0); err != nil {
+			if _, err := Check(tc.src, 0); err != nil {
 				t.Fatalf("%v\nsource:\n%s", err, tc.src)
 			}
 		})

@@ -12,8 +12,11 @@ import (
 
 // FuzzDifferential is the differential fuzz target: each input seed
 // becomes a generated program that must produce the oracle checksum at
-// every optimization level, clean and under the injected-fault battery.
-// Run a short budget with:
+// every optimization level clean, and under the injected-fault battery at
+// one level drawn from the seed. A level's battery depends only on the
+// seed and the level, so over many inputs every level's batteries run
+// while each input pays for one; TestDifferentialSeeds replays the
+// battery at all four levels. Run a short budget with:
 //
 //	go test -fuzz=FuzzDifferential -fuzztime=30s -run '^$' ./internal/difftest
 //
@@ -29,10 +32,11 @@ func FuzzDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		cfg := progen.DefaultConfig(seed)
 		src := progen.Generate(cfg)
-		if err := Check(src, 0); err != nil {
+		b, err := Check(src, 0)
+		if err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}
-		if _, err := CheckFaults(src, seed, 0); err != nil {
+		if _, err := CheckFaults(src, b, seed, Levels[mod(seed, int64(len(Levels)))]); err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}
 	})
@@ -50,7 +54,8 @@ var regressionSeeds = []int64{258, 1420, 1872, 1921}
 
 // TestDifferentialSeeds is the deterministic slice of the fuzz target
 // that runs under plain `go test`: clean equivalence on a spread of
-// seeds and the regression seeds, plus the full fault battery on a few.
+// seeds and the regression seeds, plus the fault battery at all four
+// levels on a few.
 // Under -short (the race job) it checks seeds 1–4 and the regression
 // seeds clean and seed 1 under faults.
 func TestDifferentialSeeds(t *testing.T) {
@@ -64,13 +69,14 @@ func TestDifferentialSeeds(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		src := progen.Generate(progen.DefaultConfig(seed))
-		if err := Check(src, 0); err != nil {
+		b, err := Check(src, 0)
+		if err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}
-	}
-	for seed := int64(1); seed <= faulted; seed++ {
-		src := progen.Generate(progen.DefaultConfig(seed))
-		rep, err := CheckFaults(src, seed, 0)
+		if seed < 1 || seed > faulted {
+			continue
+		}
+		rep, err := CheckFaults(src, b, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v\nsource:\n%s", seed, err, src)
 		}

@@ -178,6 +178,11 @@ func (c *ctx) listHypers() [][]*pegasus.Node {
 	return lists
 }
 
+// runPass runs one pass of the iterative rounds. A round that reports
+// no change ends the rewriting, so a pass must report every change it
+// makes; TestNoChangeMeansNoChange wraps runPass to check that.
+var runPass = func(c *ctx, ps pass) (bool, error) { return ps.run(c) }
+
 func optimizeGraph(p *pegasus.Program, g *pegasus.Graph, o Options) error {
 	c := &ctx{prog: p, g: g}
 	// Pipelining transforms run once after the iterative rewriting
@@ -213,7 +218,7 @@ func optimizeGraph(p *pegasus.Program, g *pegasus.Graph, o Options) error {
 				if !ps.enabled {
 					continue
 				}
-				ch, err := ps.run(c)
+				ch, err := runPass(c, ps)
 				if err != nil {
 					return fmt.Errorf("pass %s: %w", ps.name, err)
 				}

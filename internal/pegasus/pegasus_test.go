@@ -334,3 +334,41 @@ func TestNodeSize(t *testing.T) {
 		t.Errorf("Node is %d bytes, want at most 160", size)
 	}
 }
+
+// TestClassify checks the classification both simulation engines run on:
+// the static closure reaches a pure op whose input has a higher ID, a
+// node with no dynamic input fires once, and ports are numbered in node
+// order over the dynamic nodes only.
+func TestClassify(t *testing.T) {
+	g, load, store := tinyGraph(t)
+	sum := g.NewNode(KBinOp, 0) // static although its input comes later
+	sum.VT = I32
+	late := g.NewNode(KConst, 0)
+	late.VT = I32
+	sum.Ins = []Ref{V(late), V(load.Ins[0].N)}
+	g.NewNode(KConst, 0).Dead = true
+	c := Classify(g)
+	want := map[*Node]Role{g.Entry: RoleOnce, load.Ins[0].N: RoleStatic, load: RoleWave, store: RoleWave, g.Ret: RoleWave, sum: RoleStatic, late: RoleStatic}
+	for n, r := range want {
+		if c.Role[n.ID] != r {
+			t.Errorf("%s: role %d, want %d", n, c.Role[n.ID], r)
+		}
+	}
+	if c.Role[g.MaxID()-1] != RoleDead {
+		t.Errorf("dead node: role %d, want RoleDead", c.Role[g.MaxID()-1])
+	}
+	for n, want := range map[*Node][2]int32{g.Entry: {0, 0}, load: {1, 0}, store: {1, 3}, g.Ret: {2, 7}} {
+		if got := [2]int32{c.DynIns[n.ID], c.PortBase[n.ID]}; got != want {
+			t.Errorf("%s: dynamic inputs and port base %v, want %v", n, got, want)
+		}
+	}
+	if c.NumPorts != 9 {
+		t.Errorf("NumPorts = %d, want 9", c.NumPorts)
+	}
+	for off := 0; off < 4; off++ {
+		cls, idx := PortAt(store, off)
+		if got := int(PortOffset(store, cls)) + idx; got != off {
+			t.Errorf("PortAt(store, %d) = %d[%d], which PortOffset maps to %d", off, cls, idx, got)
+		}
+	}
+}

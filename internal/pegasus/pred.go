@@ -178,6 +178,11 @@ func (g *Graph) PredAndNot(a, b *Node) *Node {
 	if r == h.Space.Not(g.PredBDD(b)) {
 		return g.PredNot(b)
 	}
+	// Reuse a node with this function before building ¬b: a ¬b built for
+	// nothing would be left unused in the graph.
+	if n := g.nodeForBDD(h, r); n != nil {
+		return n
+	}
 	return g.predBin(cminor.OpAnd, a, g.PredNot(b), r)
 }
 
