@@ -1,8 +1,7 @@
 // Package api is the versioned wire contract of the cashd simulation
-// service: the JSON request/response types served over HTTP by cmd/cashd,
-// consumed by the client package, and shared with the in-process batch
-// engine (internal/serve), so the network path and the library path speak
-// one contract.
+// service: the JSON request/response types served over HTTP by cmd/cashd
+// and shared with the in-process batch engine (internal/serve), so the
+// network path and the library path speak one contract.
 //
 // The types here are deliberately self-contained — no imports from the
 // compiler internals — and every field carries an explicit JSON tag.
@@ -105,8 +104,8 @@ type SimConfig struct {
 
 // Program is the compile-time half of a request: everything that
 // determines the resulting circuit and its default execution
-// environment. It is the unit of caching and of shard routing — two
-// requests with equal Programs hit one cache entry on one shard.
+// environment. It is the unit of caching — two requests with equal
+// Programs hit one cache entry.
 type Program struct {
 	// Source is the cMinor program text.
 	Source string `json:"source"`
@@ -189,7 +188,7 @@ type RunResponse struct {
 
 // CompileResponse is the success body of POST /v1/compile.
 type CompileResponse struct {
-	// Key is the program's shard key in hex.
+	// Key is the program's content address (Program.Key) in hex.
 	Key string `json:"key"`
 	// CacheHit reports whether the program was already compiled.
 	CacheHit bool `json:"cache_hit"`
@@ -207,20 +206,17 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// Key is a program's content address for shard routing: a SHA-256 digest
-// over the versioned canonical JSON of the Program. It is stable across
-// processes and hosts, which is what lets N daemons split one key space.
-//
-// Routing keys are computed on the raw wire form (a client cannot
-// normalize configs); the server's compile cache additionally normalizes
-// defaulted fields, so the cache may unify requests the router keeps
-// apart — harmless, each shard just caches its own copy.
+// Key is a program's content address: a SHA-256 digest over the
+// versioned canonical JSON of the Program, stable across processes and
+// hosts. It addresses the raw wire form; the compile cache keys on its
+// own normalized form, so two Programs that differ only in defaulted
+// fields can have different Keys yet share one cache entry.
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Key computes the program's shard key.
+// Key computes the program's content address.
 func (p Program) Key() Key {
 	b, err := json.Marshal(p)
 	if err != nil {

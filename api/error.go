@@ -31,9 +31,10 @@ const (
 	ClassNotFound Class = "not_found"
 	// ClassClosed: the service is shutting down.
 	ClassClosed Class = "closed"
-	// ClassUnavailable: the peer could not be reached or returned an
+	// ClassUnavailable: the daemon could not be reached or returned an
 	// unusable response (connection refused/reset, malformed body).
-	// Synthesized client-side; a different peer may succeed.
+	// cashd never sends it; it is part of v1 for callers that classify
+	// their own transport failures, and a retry may succeed.
 	ClassUnavailable Class = "unavailable"
 )
 
@@ -58,30 +59,9 @@ func (c Class) HTTPStatus() int {
 	}
 }
 
-// ClassForStatus is the client-side fallback when a response carries no
-// decodable error body (a proxy error page, a truncated write): the
-// best class guess for a bare status code.
-func ClassForStatus(status int) Class {
-	switch status {
-	case 400:
-		return ClassBadRequest
-	case 404:
-		return ClassNotFound
-	case 422:
-		return ClassCompile
-	case 429:
-		return ClassOverload
-	case 503:
-		return ClassClosed
-	case 504:
-		return ClassDeadline
-	default:
-		return ClassInternal
-	}
-}
-
 // Error is the typed failure payload every non-2xx response carries.
-// It implements the error interface, so the client returns it directly.
+// It implements the error interface, so a Go caller that decodes it can
+// return it directly.
 type Error struct {
 	// Class is the failure class; dispatch on it.
 	Class Class `json:"class"`

@@ -10,8 +10,8 @@
 // -addrfile writes the actual listen address (useful with -addr :0 for
 // tests and CI, which need a free port without racing for one). The
 // compile cache lives in memory and ends with the process. A daemon
-// serves every program it is sent; to spread programs over several
-// daemons, give the client (package spatial/client) all their URLs.
+// serves every program it is sent over plain HTTP; any HTTP client
+// (curl, net/http) speaks to it.
 package main
 
 import (

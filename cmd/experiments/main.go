@@ -5,21 +5,12 @@
 // Usage:
 //
 //	experiments [-exp section2|table1|table2|fig18|fig19|ablation|spatial|irsize|area|all]
-//	            [-bench name[,name...]] [-quick]
-//	experiments -exp chaos [-seed 1] [-short]
+//	            [-bench name[,name...]] [-quick] [-cpuprofile FILE]
 //
-// Every form takes -cpuprofile FILE, which writes a runtime/pprof CPU
-// profile of the experiment to FILE (read it with go tool pprof). Any
-// other -exp name is an error that lists the valid ones.
-//
-// -exp chaos drives an in-process multi-peer cashd cluster through the
-// deterministic fault schedules of internal/netchaos (peer kill,
-// connection resets, corrupted and truncated responses, flaky 5xx,
-// delays, a black hole) and fails unless every request either succeeds
-// bit-identically to the fault-free reference or fails with a typed
-// error — no hangs, no silent wrong answers. -short is the CI smoke
-// variant (fewer requests, and the four schedules that exercise the
-// client's failover, integrity checks and hedge).
+// -cpuprofile writes a runtime/pprof CPU profile of the experiment to
+// FILE (read it with go tool pprof). Any other -exp name, including the
+// retired bench, serve, load and chaos, is an error that lists the
+// valid ones.
 //
 // Simulator and service throughput and latency are measured by the
 // benchmark in bench/ (see bench/README.md), not here.
@@ -130,22 +121,19 @@ var paperExps = []struct {
 	}},
 }
 
-// expNames lists every valid -exp value: the paper experiments, the
-// chaos battery, which -exp all leaves out, and all.
+// expNames lists every valid -exp value: the paper experiments and all.
 func expNames() []string {
 	var names []string
 	for _, e := range paperExps {
 		names = append(names, e.name)
 	}
-	return append(names, "chaos", "all")
+	return append(names, "all")
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames(), ", "))
 	bench := flag.String("bench", "", "restrict to a comma-separated benchmark list")
 	quick := flag.Bool("quick", false, "use a reduced sweep for fig19")
-	short := flag.Bool("short", false, "-exp chaos: CI smoke variant")
-	seed := flag.Int64("seed", 1, "-exp chaos: jitter seed")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	flag.Parse()
 	if !slices.Contains(expNames(), *exp) {
@@ -172,12 +160,6 @@ func main() {
 		}
 	}
 
-	if *exp == "chaos" {
-		if err := runChaos(*seed, *short); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	for _, e := range paperExps {
 		if *exp != "all" && *exp != e.name {
 			continue
@@ -213,31 +195,6 @@ void f(unsigned *p, unsigned a[], int i) {
 		}
 		fmt.Printf("  %-48s loads=%d stores=%d\n", label, loads, stores)
 	}
-	return nil
-}
-
-// runChaos runs the deterministic chaos battery against an in-process
-// cluster and enforces the resilience gate: every request under faults
-// either succeeds bit-identically or fails typed; hangs, wrong answers,
-// and unclassified errors each fail the run. -short trims the battery
-// for CI to the schedules that exercise failover (peer-kill,
-// conn-reset), response integrity (corrupt) and the hedge (blackhole).
-func runChaos(seed int64, short bool) error {
-	opts := harness.ChaosOptions{Seed: seed}
-	if short {
-		opts.Requests = 45
-		opts.Schedules = []string{"peer-kill", "conn-reset", "corrupt", "blackhole"}
-	}
-	rows, err := harness.ChaosBattery(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.FormatChaos(opts, rows))
-
-	if err := harness.ChaosGate(rows); err != nil {
-		return err
-	}
-	fmt.Println("chaos gate passed: no hangs, no wrong answers, no unclassified errors")
 	return nil
 }
 

@@ -9,15 +9,15 @@ import (
 )
 
 // TestUnknownExperiment: an -exp name outside the experiment list,
-// including the retired bench, serve and load, exits with status 1 and an
-// error that lists every valid name, so a stale script fails instead of
-// printing nothing and passing.
+// including the retired bench, serve, load and chaos, exits with status
+// 1 and an error that lists every valid name, so a stale script fails
+// instead of printing nothing and passing.
 func TestUnknownExperiment(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, name := range []string{"nosuch", "bench", "serve", "load"} {
+	for _, name := range []string{"nosuch", "bench", "serve", "load", "chaos"} {
 		out, err := exec.Command(bin, "-exp", name).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {

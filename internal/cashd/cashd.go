@@ -2,7 +2,7 @@
 // daemon wrapping the internal/serve batch engine behind the versioned
 // wire API of package spatial/api. It is the paper's "replicate the
 // circuit" argument at datacenter scale — one compiled program, served
-// to any number of callers, from any number of daemons.
+// to any number of callers.
 //
 // Routes (all under the frozen api.Version prefix):
 //
@@ -18,9 +18,8 @@
 // /v1/run are shed with 429 when it is full.
 // Failures carry a typed api.Error body whose class fixes the HTTP
 // status (compile/sim → 422, overload → 429 + Retry-After, deadline →
-// 504, internal → 500). A daemon is peer-unaware: it serves every
-// program it is sent. Splitting the key space across several daemons is
-// the client's job (package spatial/client routes by api.Ring).
+// 504, internal → 500). A daemon serves every program it is sent; it
+// knows of no other daemon.
 package cashd
 
 import (

@@ -236,7 +236,10 @@ func TestStatusMapping(t *testing.T) {
 	}
 
 	// edge_cap 0 and 1 are accepted and share the compile-cache entry of
-	// an absent field: after the first compile, both are cache hits.
+	// an absent field: after the first compile, both are cache hits. The
+	// response key is api.Program.Key of the body as sent, so the three
+	// bodies get three keys for the one cache entry.
+	keys := map[string]bool{}
 	for i, body := range []string{
 		`{"source":"int f(void){return 2;}"}`,
 		`{"source":"int f(void){return 2;}","sim":{"edge_cap":0}}`,
@@ -249,9 +252,21 @@ func TestStatusMapping(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200", body, resp.StatusCode)
 		}
-		if cr := decodeBody[api.CompileResponse](t, resp); cr.CacheHit != (i > 0) {
+		cr := decodeBody[api.CompileResponse](t, resp)
+		if cr.CacheHit != (i > 0) {
 			t.Errorf("%s: cache hit %v, want %v (one cache key for absent, 0 and 1)", body, cr.CacheHit, i > 0)
 		}
+		var prog api.Program
+		if err := json.Unmarshal([]byte(body), &prog); err != nil {
+			t.Fatal(err)
+		}
+		if want := prog.Key().String(); cr.Key != want {
+			t.Errorf("%s: key %q, want api.Program.Key %q", body, cr.Key, want)
+		}
+		keys[cr.Key] = true
+	}
+	if len(keys) != 3 {
+		t.Errorf("%d distinct keys for three bodies, want 3 (the key addresses the wire form)", len(keys))
 	}
 
 	// GET /v1/trace/{id} for an unknown id → 404 not_found.

@@ -104,6 +104,64 @@ func TestProfileHotAndFormat(t *testing.T) {
 	}
 }
 
+// twinSrc has two functions whose circuits are alike node for node, so
+// their nodes tie on count and on ID.
+const twinSrc = `
+int a[2];
+int f(int x) { a[0] = x + 1; return x + 1; }
+int g(int x) { a[1] = x + 1; return x + 1; }
+int main(void) { return f(1) + g(2); }`
+
+// TestProfileHotTotalOrder: nodes of different functions that tie on
+// count and ID come out of Hot, and Format, in one order on every call:
+// ties are ordered by function name, then node ID, and every entry
+// names its function.
+func TestProfileHotTotalOrder(t *testing.T) {
+	p := compileProgram(t, twinSrc)
+	_, prof, err := profileRun(p, "main", nil)
+	if err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	hot := prof.Hot(1 << 20)
+	text := prof.Format(1 << 20)
+	for i := 0; i < 200; i++ {
+		again := prof.Hot(1 << 20)
+		if len(again) != len(hot) {
+			t.Fatalf("call %d: %d entries, first call %d", i, len(again), len(hot))
+		}
+		for j := range again {
+			if again[j].Node != hot[j].Node {
+				t.Fatalf("call %d: entry %d is %s, first call had %s", i, j, again[j].Node, hot[j].Node)
+			}
+		}
+		if got := prof.Format(1 << 20); got != text {
+			t.Fatalf("call %d: Format changed:\n%s\nfirst call:\n%s", i, got, text)
+		}
+	}
+	funcs := map[string]bool{}
+	for i, h := range hot {
+		if g := p.Graph(h.Func); g == nil || g.Nodes[h.Node.ID] != h.Node {
+			t.Fatalf("%s: Func %q is not its function", h.Node, h.Func)
+		}
+		funcs[h.Func] = true
+		if i == 0 {
+			continue
+		}
+		prev := hot[i-1]
+		if prev.Count == h.Count && (prev.Func > h.Func || prev.Func == h.Func && prev.Node.ID >= h.Node.ID) {
+			t.Errorf("tie at count %d out of order: %s.%s before %s.%s", h.Count, prev.Func, prev.Node, h.Func, h.Node)
+		}
+	}
+	for _, fn := range []string{"main", "f", "g"} {
+		if !funcs[fn] {
+			t.Errorf("no hot node of %s: %v", fn, funcs)
+		}
+		if !strings.Contains(text, fn+".n") {
+			t.Errorf("Format does not name %s:\n%s", fn, text)
+		}
+	}
+}
+
 // TestInspectorReadBytesPastMemSize reads a range that runs past the end
 // of simulated memory: the bytes beyond it read as 0, as ReadWord does,
 // instead of panicking.

@@ -100,6 +100,7 @@ func (s *Shared) run(entry string, args []int64, cfg Config, h Hooks) (*Result, 
 	m.stats.Mem = m.msys.Stats()
 	if h.Profile != nil {
 		h.Profile.cycles = m.now
+		h.Profile.prog = s.prog
 	}
 	return &Result{Value: m.mainVal, Stats: m.stats}, m, nil
 }

@@ -12,9 +12,8 @@ import (
 
 // This file is the single mapping between the versioned wire types
 // (package api) and the compiler's internal configuration structs. The
-// daemon (internal/cashd), the Go client, and the in-process engine all
-// funnel through it, so the network path and the library path cannot
-// drift apart.
+// daemon (internal/cashd) and the in-process engine both funnel through
+// it, so the network path and the library path cannot drift apart.
 
 // levelOf validates and converts a wire optimization level.
 func levelOf(l api.Level) (opt.Level, error) {
